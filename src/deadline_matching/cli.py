@@ -76,9 +76,9 @@ def _add_instance_flags(parser):
 
 def cmd_simulate(args) -> int:
     name, instance = _resolve_instance(args)
+    opt = offline_optimum(instance).weight
     for spec in args.policy.split(","):
         policy = make_policy(spec)
-        opt = offline_optimum(instance).weight
         if args.exact:
             value = exact_expectation(instance, policy)
             mode = "exact"

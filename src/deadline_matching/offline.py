@@ -1,9 +1,17 @@
-"""Exact offline benchmarks: optimal matchings and bipartite auction duals."""
+"""Exact offline benchmarks: optimal matchings and bipartite auction duals.
+
+Matchings come from two exact DPs on weights scaled to integers by the LCM
+of their denominators, which keeps every comparison and tie: a bandwidth DP
+along the arrival order, O(n * 2^d * d), and a subset DP over general graphs,
+O(2^n * n). Every `Matching` returned has, among the maximum-weight ones, the
+lexicographically smallest sorted pair list.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .graphs import (Matching, OnlineInstance, Pair, WeightedGraph,
                      build_online_graph, ordered_pair)
@@ -15,21 +23,26 @@ class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
 
 
-def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
-    """Optimal matching value on an induced subset via DP over vertex subsets."""
-    verts = sorted(vertices) if vertices is not None else list(graph.vertices())
+def _scaled(weights: list[Fraction]) -> tuple[list[int], int]:
+    """The weights as integers over their least common denominator, and it."""
+    scale = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
+
+
+def _subset_dp(graph: WeightedGraph, verts):
+    """dp[mask]: best scaled matching value on the vertices verts[i] with bit
+    i set in `mask`; returns dp, the scaled adjacency lists and the scale."""
     k = len(verts)
     if k > EXACT_MATCHING_CAP:
-        raise SizeLimitError(f"{k} vertices exceed the exact cap of {EXACT_MATCHING_CAP}")
+        raise SizeLimitError(f"n={k} exceeds the exact cap of {EXACT_MATCHING_CAP}")
     index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(k)]
-    for (i, j), w in graph.weights.items():
-        if i in index and j in index:
-            a, b = index[i], index[j]
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-    zero = Fraction(0)
-    dp = [zero] * (1 << k)
+    edges = [(e, w) for e, w in graph.weights.items() if e[0] in index and e[1] in index]
+    ints, scale = _scaled([w for _, w in edges])
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for ((i, j), _), w in zip(edges, ints):
+        adj[index[i]].append((index[j], w))
+        adj[index[j]].append((index[i], w))
+    dp = [0] * (1 << k)
     for mask in range(1, 1 << k):
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
@@ -41,65 +54,100 @@ def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
                 if cand > best:
                     best = cand
         dp[mask] = best
-    return dp[(1 << k) - 1]
+    return dp, adj, scale
+
+
+def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
+    """Optimal matching value of the subgraph induced by `vertices` (default: all)."""
+    verts = sorted(vertices) if vertices is not None else graph.vertices()
+    dp, _, scale = _subset_dp(graph, verts)
+    return Fraction(dp[-1], scale)
 
 
 def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
-    """Maximum-weight matching, exact, with a deterministic tie-break.
-
-    Among all optimal matchings returns the one whose sorted pair list is
-    lexicographically smallest. Refuses graphs beyond the subset-DP cap
-    rather than silently approximating.
-    """
-    verts = list(graph.vertices())
-    k = len(verts)
-    if k > EXACT_MATCHING_CAP:
-        raise SizeLimitError(f"n={k} exceeds the exact cap of {EXACT_MATCHING_CAP}")
-    index = {v: i for i, v in enumerate(verts)}
-    zero = Fraction(0)
-    dp = [zero] * (1 << k)
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(k)]
-    for (i, j), w in graph.weights.items():
-        a, b = index[i], index[j]
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        best = dp[rest]
-        for other, w in adj[low]:
-            bit = 1 << other
-            if mask & bit:
-                cand = w + dp[rest ^ bit]
-                if cand > best:
-                    best = cand
-        dp[mask] = best
-    # Reconstruct lexicographically smallest optimum: resolve the lowest
-    # vertex first, preferring the smallest partner that preserves optimality,
-    # then leaving it unmatched.
+    """Maximum-weight matching of a general graph by the subset DP. Refuses
+    graphs beyond the cap rather than silently approximating."""
+    dp, adj, _ = _subset_dp(graph, graph.vertices())
     pairs: list[Pair] = []
-    mask = (1 << k) - 1
-    while mask:
+    mask = len(dp) - 1
+    while mask:  # the lowest vertex takes its smallest partner that keeps the optimum
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
-        chosen = None
         for other, w in sorted(adj[low]):
             bit = 1 << other
-            if (mask & bit) and w + dp[rest ^ bit] == dp[mask]:
-                chosen = (other, bit)
+            if mask & bit and w + dp[rest ^ bit] == dp[mask]:
+                pairs.append((low + 1, other + 1))
+                rest ^= bit
                 break
-        if chosen is not None:
-            other, bit = chosen
-            pairs.append(ordered_pair(verts[low], verts[other]))
-            mask = rest ^ bit
-        else:
-            mask = rest
+        mask = rest
     return Matching.from_pairs(graph, pairs)
 
 
+def _band_dp(graph: WeightedGraph, slots, d: int, value) -> tuple[int, int]:
+    """Best total, and the scale, of `value(u, v, w)` over matchings of the
+    live edges, w being the scaled weight of edge (u, v). The state after slot
+    t has one bit per arrived vertex that is unmatched and has a live edge to
+    a later arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
+    n = graph.n
+    if min(d, n - 1) >= EXACT_MATCHING_CAP:
+        raise SizeLimitError(f"band of {d} on n={n} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
+    inverse = [0] * n
+    for v, s in enumerate(slots, start=1):
+        inverse[s - 1] = v
+    weights = graph.weights
+    back: list[list] = [[] for _ in range(n)]  # per slot: (distance, vertex, weight)
+    last = list(range(n))  # last[s]: latest slot with a live edge to slot s
+    for t, v in enumerate(inverse):
+        for dist in range(1, min(d, t) + 1):
+            u = inverse[t - dist]
+            w = weights.get((u, v) if u < v else (v, u))
+            if w is not None:
+                back[t].append((dist, u, w))
+                last[t - dist] = t
+    ints, scale = _scaled([w for row in back for _, _, w in row])
+    drop = [0] * n  # bits of the vertices whose last live edge is at slot t
+    for s, t in enumerate(last):
+        drop[t] |= 1 << (t - s)
+    scaled = iter(ints)
+    states = {0: 0}
+    for t, v in enumerate(inverse):
+        edges = []
+        for dist, u, _ in back[t]:
+            edges.append((1 << (dist - 1), value(u, v, next(scaled))))
+        keep = ~drop[t]
+        nxt: dict[int, int] = {}
+        for mask, total in states.items():
+            up = mask << 1
+            key = (up | 1) & keep  # the arrival waits
+            if nxt.get(key, -1) < total:
+                nxt[key] = total
+            for bit, w in edges:  # or takes a waiting earlier vertex
+                if mask & bit:
+                    key = (up ^ (bit << 1)) & keep
+                    cand = total + w
+                    if nxt.get(key, -1) < cand:
+                        nxt[key] = cand
+        states = nxt
+    return states[0], scale
+
+
 def offline_optimum(instance: OnlineInstance) -> Matching:
-    """Maximum-weight matching of the deadline-masked online graph."""
-    return max_weight_matching_exact(build_online_graph(instance))
+    """Maximum-weight matching of the deadline-masked online graph.
+
+    The bandwidth DP counts edge (i < j) as w * B**n + (n + 1 - j) * B**(n - i)
+    with B = 2**bitlen(n); the low n base-B digits of a total name each
+    vertex's larger partner, so the best total is unique and carries the
+    tie-break. This key of about n * log2(n + 1) bits makes the DP superlinear.
+    """
+    n = instance.n
+    b = n.bit_length()
+    shift = b * n
+    best, scale = _band_dp(instance.graph, instance.order.slots, instance.deadline,
+                           lambda u, v, w: w << shift | (n + 1 - max(u, v)) << b * (n - min(u, v)))
+    digits = format(best & ((1 << shift) - 1), f"0{shift}b")
+    ends = [int(digits[i * b:(i + 1) * b], 2) for i in range(n)]
+    pairs = [(i, n + 1 - end) for i, end in enumerate(ends, start=1) if end]
+    return Matching(frozenset(pairs), Fraction(best >> shift, scale))
 
 
 def realized_online_graph(instance: OnlineInstance,
@@ -124,62 +172,14 @@ def realized_offline_optimum(instance: OnlineInstance,
                              departures: tuple[int, ...]) -> Matching:
     """The offline benchmark under realized departures: optimal matching over
     pairs whose presence windows overlap."""
-    return max_weight_matching_exact(realized_online_graph(instance, departures))
+    return offline_optimum(replace(instance, graph=realized_online_graph(instance, departures)))
 
-
-# ---------------------------------------------------------------------------
-# Fast exact evaluators for permutation sweeps. Both are cross-checked against
-# max_weight_matching_value in the tests; they exist because summing matchings
-# over all n! arrival orders with the subset DP would be needlessly slow.
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
-    """m(G masked to |slot(i) - slot(j)| <= d), by a DP along the arrival order.
-
-    State: availability bits of the previous d arrivals (an available vertex
-    may still match someone arriving within its window).
-    """
-    n = graph.n
-    inverse = [0] * n
-    for v, s in enumerate(slots, start=1):
-        inverse[s - 1] = v
-    zero = Fraction(0)
-    states: dict[tuple[int, ...], Fraction] = {(): zero}
-    window: list[int] = []  # vertices at slots t-d .. t-1
-    for t in range(1, n + 1):
-        v = inverse[t - 1]
-        nxt: dict[tuple[int, ...], Fraction] = {}
-
-        def push(state, value):
-            cur = nxt.get(state)
-            if cur is None or value > cur:
-                nxt[state] = value
-
-        for state, value in states.items():
-            # leave v available
-            push(state + (1,), value)
-            # or match v to an available window vertex
-            for pos, avail in enumerate(state):
-                if not avail:
-                    continue
-                w = graph.weight(window[pos], v)
-                if w == 0:
-                    continue
-                used = state[:pos] + (0,) + state[pos + 1:] + (0,)
-                push(used, value + w)
-        if len(window) == d:
-            # the oldest window vertex falls out of range
-            states = {}
-            for state, value in nxt.items():
-                key = state[1:]
-                cur = states.get(key)
-                if cur is None or value > cur:
-                    states[key] = value
-            window = window[1:] + [v]
-        else:
-            states = nxt
-            window = window + [v]
-    return max(states.values())
+    """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP."""
+    best, scale = _band_dp(graph, slots, d, lambda u, v, w: w)
+    return Fraction(best, scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from deadline_matching import load_certificate, load_instance
+from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
+                               load_certificate, load_instance, save_instance)
 from deadline_matching.cli import main
 
 
@@ -133,3 +134,13 @@ class TestErrors:
         assert code == 0
         assert "OPT=19/10" in out
         assert "(1,3)" in out and "(2,4)" in out
+
+    def test_offline_beyond_the_subset_cap(self, capsys, tmp_path):
+        n = 40
+        path = tmp_path / "path40.json"
+        weights = {(i, i + 1): i % 3 + 1 for i in range(1, n)}
+        save_instance(OnlineInstance(WeightedGraph(n, weights), ArrivalOrder.identity(n), 2),
+                      path)
+        code, out, _ = run(capsys, "offline", "--instance", str(path))
+        assert code == 0
+        assert out.startswith(f"instance={path} OPT=") and " pairs=(" in out

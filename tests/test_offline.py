@@ -12,8 +12,9 @@ from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                matching_weight, max_weight_matching_exact,
                                max_weight_matching_value, multiply,
                                offline_optimum, path_power,
-                               realized_offline_optimum, verify_offline_dual)
-from helpers import random_complete_graph, random_instance
+                               realized_offline_optimum, validate_matching,
+                               verify_offline_dual)
+from helpers import random_complete_graph, random_instance, random_weight
 
 
 def all_matchings(vertices):
@@ -89,6 +90,22 @@ class TestOfflineOptimum:
         g = random_complete_graph(rng, 6)
         inst = OnlineInstance(g, ArrivalOrder.identity(6), 5)
         assert offline_optimum(inst).weight == max_weight_matching_exact(g).weight
+
+    def test_banded_instance_far_beyond_the_subset_cap(self):
+        rng = random.Random(20)
+        n, d = 1000, 4
+        weights = {(i, j): random_weight(rng)
+                   for i in range(1, n + 1) for j in range(i + 1, min(n, i + d) + 1)}
+        inst = OnlineInstance(WeightedGraph(n, weights), ArrivalOrder.identity(n), d)
+        m = offline_optimum(inst)
+        assert m.weight == arrival_window_matching_value(inst.graph, inst.order.slots, d)
+        schedule = {(i, j): max(i, j) for i, j in m.pairs}
+        assert validate_matching(inst, m, schedule) is None
+
+    def test_band_wider_than_the_cap_is_refused(self):
+        inst = OnlineInstance(WeightedGraph(25, {(1, 2): F(1)}), ArrivalOrder.identity(25), 24)
+        with pytest.raises(SizeLimitError):
+            offline_optimum(inst)
 
 
 class TestWindowEvaluators:
