@@ -39,6 +39,16 @@ def _parse_params(items):
     return params
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _load_target(spec: str):
     kind, *rest = spec.split(":")
     if kind == "cycle" and len(rest) == 2:
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
                        help="enumerate the policy's coin flips exactly")
-    group.add_argument("--seeds", type=int, default=1,
+    group.add_argument("--seeds", type=_at_least(1), default=1,
                        help="Monte Carlo runs when not exact")
     p.set_defaults(func=cmd_simulate)
 
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrival", choices=["fixed", "uniform"], default="fixed")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true")
-    group.add_argument("--seeds", type=int, default=0)
+    group.add_argument("--seeds", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 

@@ -47,9 +47,6 @@ class DepartureModel:
         else:
             raise ValueError(f"unknown departure model kind {self.kind!r}")
 
-    def is_iid(self) -> bool:
-        return self.kind in ("deterministic", "geometric", "tabulated")
-
     def pmf_table(self) -> dict[int, Fraction]:
         """Finite pmf for models with enumerable support; geometric has none."""
         if self.kind == "deterministic":

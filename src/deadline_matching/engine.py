@@ -3,9 +3,10 @@
 Arrivals and critical events are replayed in time order (arrivals first at
 a tick, then criticals, lower vertex index first within a kind). A vertex
 departs at the end of its critical period. Policies see the market only
-through a MarketView, which reveals an edge weight exactly when the two
-endpoints' presence windows allow a match; randomness comes from a stream
-of fair bits so that expectations can be enumerated exactly.
+through a MarketView, which reveals an edge weight exactly when the
+presence-window rule (`graphs.PresenceWindows`) allows a match; randomness
+comes from a stream of fair bits so that expectations can be enumerated
+exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair,
-                     build_online_graph, format_rational, ordered_pair,
-                     validate_matching)
+from .graphs import (ArrivalOrder, Matching, MatchViolation, OnlineInstance,
+                     Pair, build_online_graph, format_rational, ordered_pair,
+                     validate_matching)  # noqa: F401 (kept importable from engine)
 from .departures import sample_departures
 from .offline import offline_optimum
 
@@ -80,17 +81,17 @@ class MarketView:
 
     A weight is revealed only between vertices that have both arrived
     (information about the future does not exist), and it reads as zero when
-    the earlier endpoint's presence window cannot reach the later arrival.
-    Policies granted a lookahead allowance of l may additionally treat
-    windows as extended by l periods; that models knowing the next l
-    arrivals, implemented as a time extension per the batching reduction.
+    the presence-window rule under the realized departures and the policy's
+    lookahead allowance keeps no edge between them. A lookahead of l models
+    knowing the next l arrivals, implemented as a time extension per the
+    batching reduction.
     """
 
     def __init__(self, instance: OnlineInstance, departures: tuple[int, ...],
                  lookahead: int):
         self._instance = instance
-        self._departures = departures
-        self._lookahead = lookahead
+        self._windows = windows = instance.windows(departures, lookahead)
+        self._critical = [s + t for s, t in zip(windows.slots, windows.offsets)]
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self.now = 0
@@ -101,9 +102,6 @@ class MarketView:
 
     def _mark_arrived(self, v: int):
         self._arrived.add(v)
-
-    def _mark_matched(self, v: int):
-        self._matched.add(v)
 
     # policy-facing API
     @property
@@ -116,7 +114,7 @@ class MarketView:
 
     @property
     def lookahead(self) -> int:
-        return self._lookahead
+        return self._windows.lookahead
 
     def roles(self) -> dict[int, str] | None:
         return self._instance.roles
@@ -131,7 +129,7 @@ class MarketView:
 
     def departure_time(self, v: int) -> int:
         """Known only once the critical event has been reached."""
-        t = self._instance.order.slot_of(v) + self._departures[v - 1]
+        t = self._critical[v - 1]
         if v not in self._arrived or t > self.now:
             raise LookupError(f"vertex {v}'s departure is not yet known")
         return t
@@ -139,26 +137,22 @@ class MarketView:
     def has_departed(self, v: int) -> bool:
         if v not in self._arrived:
             return False
-        return self._instance.order.slot_of(v) + self._departures[v - 1] < self.now
+        return self._critical[v - 1] < self.now
 
     def is_matched(self, v: int) -> bool:
         return v in self._matched
 
     def present(self) -> list[int]:
         """Arrived, not past their departure period, not matched away."""
+        critical, now, matched = self._critical, self.now, self._matched
         return sorted(v for v in self._arrived
-                      if not self.has_departed(v) and v not in self._matched)
+                      if critical[v - 1] >= now and v not in matched)
 
     def weight(self, u: int, v: int) -> Fraction:
         if u not in self._arrived or v not in self._arrived:
             raise LookupError("weights to vertices that have not arrived are hidden")
-        slot = self._instance.order.slot_of
-        a, b = (u, v) if slot(u) <= slot(v) else (v, u)
-        # the deadline defines which edges exist; a realized departure can
-        # only shorten the window, never extend it past the deadline graph
-        window = min(self._departures[a - 1], self._instance.deadline)
-        if slot(b) > slot(a) + window + self._lookahead:
-            return Fraction(0)  # b arrived after a could last be matched
+        if not self._windows.live(u, v):
+            return Fraction(0)
         return self._instance.graph.weight(u, v)
 
     def revealed_neighbors(self, v: int) -> dict[int, Fraction]:
@@ -216,16 +210,16 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
              bits=None) -> RunResult:
     """Replay the instance against the policy; exact, reproducible per seed.
 
-    The policy's emitted pairs are validated on the spot: both endpoints
-    arrived and unmatched, and the tick inside both presence windows (plus
-    the policy's lookahead allowance). An invalid pair aborts the run.
+    Each emitted pair is checked on the spot: both endpoints unmatched and
+    the presence-window rule kept at the current tick, under the realized
+    departures and the policy's lookahead allowance. An invalid pair aborts
+    the run with a ValueError.
     """
     departures = realized_departures(instance, seed)
     rng = bits if bits is not None else BitStream(_derive_seed(seed, "policy-bits"))
     view = MarketView(instance, departures, policy.lookahead)
     policy.reset(view, rng)
     pairs: dict[Pair, int] = {}
-    matched: set[int] = set()
     collected = Fraction(0)
     trace: list[tuple] = []
     for event in event_schedule(instance, departures):
@@ -238,35 +232,15 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
         trace.append((event.time, event.kind, event.vertex))
         for raw in emitted or ():
             pair = ordered_pair(*raw)
-            i, j = pair
-            slot = instance.order.slot_of
-            if i in matched or j in matched:
-                raise ValueError(f"policy re-matched a vertex in pair {pair}")
-            if not (view.has_arrived(i) and view.has_arrived(j)):
-                raise ValueError(f"policy matched unarrived vertex in {pair}")
-            if abs(slot(i) - slot(j)) > instance.deadline + policy.lookahead:
-                raise ValueError(f"pair {pair} has no edge in the online graph")
-            latest = min(slot(i) + departures[i - 1],
-                         slot(j) + departures[j - 1]) + policy.lookahead
-            if not (max(slot(i), slot(j)) <= event.time <= latest):
-                raise ValueError(
-                    f"pair {pair} at time {event.time} outside its window "
-                    f"[{max(slot(i), slot(j))}, {latest}]")
-            matched.update(pair)
-            view._mark_matched(i)
-            view._mark_matched(j)
+            reasons = view._windows.violations(pair, event.time, view._matched)
+            if reasons:
+                raise ValueError(f"policy {policy.name} emitted "
+                                 f"{MatchViolation(pair, event.time, reasons)}")
+            view._matched.update(pair)
             pairs[pair] = event.time
-            collected += instance.graph.weight(i, j)
+            collected += instance.graph.weight(*pair)
             trace.append((event.time, "match", pair))
-    result = RunResult(frozenset(pairs), dict(pairs), collected, tuple(trace),
-                       rng.used)
-    violation = validate_matching(instance.with_departures(departures)
-                                  if instance.departures is None else instance,
-                                  result.pairs, result.schedule,
-                                  lookahead=policy.lookahead)
-    if violation is not None:
-        raise AssertionError(f"engine admitted an invalid matching: {violation}")
-    return result
+    return RunResult(frozenset(pairs), dict(pairs), collected, tuple(trace), rng.used)
 
 
 class BranchingLimitExceeded(ValueError):

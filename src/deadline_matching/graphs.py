@@ -8,6 +8,7 @@ of tolerances. Vertices and arrival slots are 1-based.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,10 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -163,20 +167,64 @@ class OnlineInstance:
     def with_order(self, order: ArrivalOrder) -> "OnlineInstance":
         return replace(self, order=order)
 
-    def with_departures(self, departures) -> "OnlineInstance":
-        return replace(self, departures=tuple(departures))
+    def windows(self, offsets=None, lookahead: int = 0) -> "PresenceWindows":
+        """The presence-window rule on this arrival order. Offsets default to
+        the deadline for every vertex, whatever `departures` holds."""
+        return PresenceWindows(self.order.slots, self.deadline, offsets, lookahead)
+
+
+class PresenceWindows:
+    """The online model's one rule: a vertex can be matched only while present.
+
+    A vertex stays ``offsets[v - 1]`` periods after arriving: the deadline d,
+    or a realized departure offset. Its reach, min(offset, d) + lookahead,
+    says how many slots later an arrival can still meet it, so an earlier
+    vertex a and a later arrival b share an edge of the online graph iff
+    slot(b) - slot(a) <= reach(a). The deadline caps the reach because it
+    defines which edges exist; a realized departure only shortens a window.
+    A pair may be matched at tick t iff max slot <= t <= min critical time +
+    lookahead, a vertex's critical time being slot + offset. The lookahead
+    allowance models a policy that knows the next arrivals; it is 0 in the
+    base model. Offsets default to d for every vertex: the deadline graph.
+    """
+
+    def __init__(self, slots, deadline: int, offsets=None, lookahead: int = 0):
+        self.slots = tuple(slots)
+        self.offsets = tuple(offsets) if offsets is not None else (deadline,) * len(self.slots)
+        self.lookahead = lookahead
+        self.reach = [min(t, deadline) + lookahead for t in self.offsets]
+
+    def live(self, u: int, v: int) -> bool:
+        gap = self.slots[v - 1] - self.slots[u - 1]
+        return gap <= self.reach[u - 1] if gap > 0 else -gap <= self.reach[v - 1]
+
+    def subgraph(self, graph: WeightedGraph) -> WeightedGraph:
+        """The edges of `graph` that the rule keeps."""
+        return WeightedGraph(graph.n, {e: w for e, w in graph.weights.items() if self.live(*e)})
+
+    def violations(self, pair: Pair, t: int, taken=()) -> tuple[str, ...]:
+        """Every reason why matching `pair` at tick t breaks the rule;
+        `taken` holds the vertices that another pair already uses."""
+        i, j = pair
+        si, sj = self.slots[i - 1], self.slots[j - 1]
+        reasons = []
+        if i in taken or j in taken:
+            reasons.append("overlaps another pair")
+        if not self.live(i, j):
+            reasons.append(f"edge absent in the online graph (slot gap {abs(si - sj)} "
+                           f"exceeds the window {self.reach[(i if si < sj else j) - 1]})")
+        if t < max(si, sj):
+            reasons.append("matched before both arrived")
+        ci, cj = si + self.offsets[i - 1], sj + self.offsets[j - 1]
+        if t > min(ci, cj) + self.lookahead:
+            late = i if ci <= cj else j
+            reasons.append(f"matched after vertex {late} departed at time {min(ci, cj)}")
+        return tuple(reasons)
 
 
 def build_online_graph(instance: OnlineInstance) -> WeightedGraph:
     """Keep edge (i, j) iff |slot(i) - slot(j)| <= deadline; others become 0."""
-    d = instance.deadline
-    slot = instance.order.slot_of
-    kept = {
-        (i, j): w
-        for (i, j), w in instance.graph.weights.items()
-        if abs(slot(i) - slot(j)) <= d
-    }
-    return WeightedGraph(instance.n, kept)
+    return instance.windows().subgraph(instance.graph)
 
 
 @dataclass(frozen=True)
@@ -238,43 +286,23 @@ def validate_matching(instance: OnlineInstance, matching, schedule: dict[Pair, i
                       lookahead: int = 0) -> MatchViolation | None:
     """Check a matched pair set with its match times against the online rules.
 
-    A pair (i, j) is valid when the deadline edge exists
-    (|slot(i) - slot(j)| <= deadline + lookahead) and its match time lies in
-    [max slot, min critical time + lookahead]. The lookahead allowance covers
-    policies granted knowledge of upcoming arrivals; it is 0 for the base
-    model. Returns None when everything checks out, otherwise the first
-    violated pair (by match time) with every violated condition listed.
+    Each pair must be disjoint from the others and satisfy the presence-window
+    rule (`PresenceWindows`) under the instance's departure offsets, with the
+    given lookahead allowance. Returns None when everything checks out,
+    otherwise the first violated pair (by match time) with every violated
+    condition listed.
     """
     pairs = matching.pairs if isinstance(matching, Matching) else frozenset(
         ordered_pair(i, j) for i, j in matching)
-    seen: set[int] = set()
-    overlap: set[int] = set()
-    for i, j in pairs:
-        for v in (i, j):
-            if v in seen:
-                overlap.add(v)
-            seen.add(v)
-    slot = instance.order.slot_of
+    uses = Counter(v for pair in pairs for v in pair)
+    overlap = {v for v, count in uses.items() if count > 1}
+    windows = instance.windows(instance.departures, lookahead)
     for pair in sorted(pairs, key=lambda p: (schedule.get(p, -1), p)):
-        i, j = pair
-        reasons = []
         if pair not in schedule:
-            reasons.append("no match time scheduled")
-            return MatchViolation(pair, None, tuple(reasons))
-        t = schedule[pair]
-        if i in overlap or j in overlap:
-            reasons.append("overlaps another pair")
-        if abs(slot(i) - slot(j)) > instance.deadline + lookahead:
-            reasons.append("edge absent in the online graph")
-        if t < max(slot(i), slot(j)):
-            reasons.append("matched before both arrived")
-        departs = min(instance.critical_time(i), instance.critical_time(j))
-        if t > departs + lookahead:
-            late = i if instance.critical_time(i) <= instance.critical_time(j) else j
-            reasons.append(
-                f"matched after vertex {late} departed at time {instance.critical_time(late)}")
+            return MatchViolation(pair, None, ("no match time scheduled",))
+        reasons = windows.violations(pair, schedule[pair], overlap)
         if reasons:
-            return MatchViolation(pair, t, tuple(reasons))
+            return MatchViolation(pair, schedule[pair], reasons)
     return None
 
 
@@ -310,9 +338,12 @@ def instance_from_json(data: dict) -> OnlineInstance:
         d = int(data["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError("instance needs integer 'n' and 'd'") from exc
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise InstanceFormatError("'edges' must be a list")
     weights: dict[Pair, Fraction] = {}
-    for entry in data.get("edges", []):
-        if len(entry) != 3:
+    for entry in edges:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise InstanceFormatError(f"edge entry {entry!r} is not [i, j, weight]")
         i, j, w = entry
         try:
@@ -320,20 +351,16 @@ def instance_from_json(data: dict) -> OnlineInstance:
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"bad edge entry {entry!r}: {exc}") from exc
     sigma = data.get("sigma")
-    order = ArrivalOrder(tuple(sigma)) if sigma is not None else ArrivalOrder.identity(n)
     departures = data.get("departures")
-    model = None
-    if "departure_model" in data:
-        try:
-            model = parse_departure_model(data["departure_model"])
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
     try:
+        model = (parse_departure_model(data["departure_model"])
+                 if "departure_model" in data else None)
+        order = ArrivalOrder(tuple(sigma)) if sigma is not None else ArrivalOrder.identity(n)
         return OnlineInstance(
             WeightedGraph(n, weights), order, d,
             departures=tuple(departures) if departures is not None else None,
             departure_model=model)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(str(exc)) from exc
 
 

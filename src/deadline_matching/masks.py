@@ -172,12 +172,6 @@ class PeriodicBatching:
                 if image not in key:
                     raise ValueError("partition is not periodic with the stated period")
 
-    def batch_of(self, v: int) -> tuple[int, ...]:
-        for batch in self.batches:
-            if v in batch:
-                return batch
-        raise KeyError(v)
-
     def mask(self) -> WeightedGraph:
         weights = {}
         for batch in self.batches:
@@ -218,6 +212,8 @@ class PeriodicBatching:
     @classmethod
     def from_generators(cls, n: int, batch_size: int, period: int,
                         generators) -> "PeriodicBatching":
+        if period < 1:
+            raise ValueError(f"period must be positive, got {period}")
         batches: set[tuple[int, ...]] = set()
         for gen in generators:
             cur = tuple(sorted(int(v) for v in gen))

@@ -9,12 +9,12 @@ lexicographically smallest sorted pair list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import (Matching, OnlineInstance, Pair, WeightedGraph,
-                     build_online_graph, ordered_pair)
+from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
+                     WeightedGraph, build_online_graph, ordered_pair)
 
 EXACT_MATCHING_CAP = 24  # 2**n subset states; larger inputs are refused
 
@@ -83,11 +83,14 @@ def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
     return Matching.from_pairs(graph, pairs)
 
 
-def _band_dp(graph: WeightedGraph, slots, d: int, value) -> tuple[int, int]:
+def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int],
+             value) -> tuple[int, int]:
     """Best total, and the scale, of `value(u, v, w)` over matchings of the
-    live edges, w being the scaled weight of edge (u, v). The state after slot
-    t has one bit per arrived vertex that is unmatched and has a live edge to
-    a later arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
+    live edges, w being the scaled weight of edge (u, v). An edge is live when
+    its earlier endpoint u reaches the later one: slot gap <= reach[u - 1]
+    (`PresenceWindows.reach`, at most d). The state after slot t has one bit
+    per arrived vertex that is unmatched and has a live edge to a later
+    arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
     n = graph.n
     if min(d, n - 1) >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {d} on n={n} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
@@ -101,7 +104,7 @@ def _band_dp(graph: WeightedGraph, slots, d: int, value) -> tuple[int, int]:
         for dist in range(1, min(d, t) + 1):
             u = inverse[t - dist]
             w = weights.get((u, v) if u < v else (v, u))
-            if w is not None:
+            if w is not None and dist <= reach[u - 1]:
                 back[t].append((dist, u, w))
                 last[t - dist] = t
     ints, scale = _scaled([w for row in back for _, _, w in row])
@@ -132,17 +135,22 @@ def _band_dp(graph: WeightedGraph, slots, d: int, value) -> tuple[int, int]:
 
 
 def offline_optimum(instance: OnlineInstance) -> Matching:
-    """Maximum-weight matching of the deadline-masked online graph.
+    """Maximum-weight matching of the deadline-masked online graph."""
+    return _band_optimum(instance, instance.windows())
 
-    The bandwidth DP counts edge (i < j) as w * B**n + (n + 1 - j) * B**(n - i)
-    with B = 2**bitlen(n); the low n base-B digits of a total name each
-    vertex's larger partner, so the best total is unique and carries the
-    tie-break. This key of about n * log2(n + 1) bits makes the DP superlinear.
+
+def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matching:
+    """The bandwidth DP's optimum with its matching.
+
+    The DP counts edge (i < j) as w * B**n + (n + 1 - j) * B**(n - i) with
+    B = 2**bitlen(n); the low n base-B digits of a total name each vertex's
+    larger partner, so the best total is unique and carries the tie-break.
+    This key of about n * log2(n + 1) bits makes the DP superlinear.
     """
     n = instance.n
     b = n.bit_length()
     shift = b * n
-    best, scale = _band_dp(instance.graph, instance.order.slots, instance.deadline,
+    best, scale = _band_dp(instance.graph, windows.slots, instance.deadline, windows.reach,
                            lambda u, v, w: w << shift | (n + 1 - max(u, v)) << b * (n - min(u, v)))
     digits = format(best & ((1 << shift) - 1), f"0{shift}b")
     ends = [int(digits[i * b:(i + 1) * b], 2) for i in range(n)]
@@ -153,32 +161,21 @@ def offline_optimum(instance: OnlineInstance) -> Matching:
 def realized_online_graph(instance: OnlineInstance,
                           departures: tuple[int, ...]) -> WeightedGraph:
     """Keep edge (i, j) iff the later arrival comes while the earlier vertex
-    is still present under the realized departure offsets.
-
-    The deadline still bounds which edges exist at all; realized departures
-    can only shorten a window, never stretch it past the deadline graph.
-    """
-    slot = instance.order.slot_of
-    kept = {}
-    for (i, j), w in instance.graph.weights.items():
-        earlier, later = (i, j) if slot(i) <= slot(j) else (j, i)
-        window = min(departures[earlier - 1], instance.deadline)
-        if slot(later) <= slot(earlier) + window:
-            kept[(i, j)] = w
-    return WeightedGraph(instance.n, kept)
+    is still present under the realized departure offsets."""
+    return instance.windows(departures).subgraph(instance.graph)
 
 
 def realized_offline_optimum(instance: OnlineInstance,
                              departures: tuple[int, ...]) -> Matching:
     """The offline benchmark under realized departures: optimal matching over
     pairs whose presence windows overlap."""
-    return offline_optimum(replace(instance, graph=realized_online_graph(instance, departures)))
+    return _band_optimum(instance, instance.windows(departures))
 
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
     """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP."""
-    best, scale = _band_dp(graph, slots, d, lambda u, v, w: w)
+    best, scale = _band_dp(graph, slots, d, [d] * graph.n, lambda u, v, w: w)
     return Fraction(best, scale)
 
 

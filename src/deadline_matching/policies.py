@@ -46,12 +46,15 @@ class _RoleBased(OnlinePolicy):
 
     def reset(self, view: MarketView, rng):
         super().reset(view, rng)
+        self.roles = self._roles(view)
+
+    def _roles(self, view: MarketView) -> dict[int, str]:
         roles = self._declared_roles or view.roles()
         if roles is None:
             raise NonBipartiteError(
                 f"{self.name} needs declared seller/buyer roles "
                 "(instance metadata or constructor argument)")
-        self.roles = roles
+        return roles
 
     def _check_bipartite_arrival(self, v: int):
         # A seller may not see any live edge on arrival: earlier sellers
@@ -68,12 +71,13 @@ class _RoleBased(OnlinePolicy):
                         "constrained bipartite")
 
 
-class FreeDisposalGreedy(_RoleBased):
-    """Match each arriving buyer to its best-margin seller, with free
-    disposal: a displaced buyer never gets matched again. Sellers finalize
-    their tentative buyer when they become critical."""
+class _BestMarginBids(OnlinePolicy):
+    """The free-disposal greedy bid shared by greedy, naive-greedy and pg.
 
-    name = "greedy"
+    Sellers enter at price 0. A buyer bids once, on the seller with the
+    largest positive margin (weight minus price); the seller's price rises to
+    that weight and its previous tentative buyer is displaced for good.
+    """
 
     def reset(self, view, rng):
         super().reset(view, rng)
@@ -81,90 +85,80 @@ class FreeDisposalGreedy(_RoleBased):
         self.tentative: dict[int, int | None] = {}
         self.initial_margin: dict[int, Fraction] = {}
 
-    def on_arrival(self, v: int):
-        self._check_bipartite_arrival(v)
-        if self.roles[v] == SELLER:
-            self.prices[v] = Fraction(0)
-            self.tentative[v] = None
-            return ()
-        self._bid(v)
-        return ()
+    def _add_seller(self, s: int):
+        self.prices[s] = Fraction(0)
+        self.tentative[s] = None
 
-    def _bid(self, b: int):
-        best_s, best_margin = None, Fraction(0)
-        for s in self.view.present():
-            if self.roles.get(s) != SELLER or s not in self.prices:
-                continue
+    def _bid(self, b: int, sellers):
+        """Buyer b bids on `sellers`, scanned in ascending order: only
+        positive margins count, and a tie keeps the lowest seller."""
+        best_s, best_w, best_margin = None, None, Fraction(0)
+        for s in sellers:
             w = self.view.weight(s, b)
-            if w <= 0:
-                continue
             margin = w - self.prices[s]
-            if margin > best_margin:  # sorted scan: ties keep the lowest seller
-                best_s, best_margin = s, margin
-        self.initial_margin[b] = max(Fraction(0), best_margin)
-        if best_s is not None and best_margin > 0:
-            self.tentative[best_s] = b  # previous holder is displaced for good
-            self.prices[best_s] = self.view.weight(best_s, b)
+            if margin > best_margin:
+                best_s, best_w, best_margin = s, w, margin
+        self.initial_margin[b] = best_margin
+        if best_s is not None:
+            self.tentative[best_s] = b
+            self.prices[best_s] = best_w
             self.log.append(("bid", b, best_s, best_margin))
 
-    def on_critical(self, v: int):
-        if self.roles[v] == SELLER and self.tentative.get(v) is not None:
-            return [(v, self.tentative[v])]
+
+class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
+    """Match each arriving buyer to its best-margin present seller, with free
+    disposal: a displaced buyer never gets matched again. Sellers finalize
+    their tentative buyer when they become critical."""
+
+    name = "greedy"
+
+    def on_arrival(self, v: int):
+        self._check_bipartite_arrival(v)
+        return self._arrive(v)
+
+    def _arrive(self, v: int):
+        if self.roles[v] == SELLER:
+            self._add_seller(v)
+        else:
+            roles = self.roles
+            self._bid(v, [s for s in self.view.present() if roles[s] == SELLER])
         return ()
 
+    def on_critical(self, v: int):
+        buyer = self.tentative.get(v)  # only sellers hold tentative buyers
+        return [(v, buyer)] if buyer is not None else ()
 
-class NaiveGreedy(OnlinePolicy):
-    """Flip a fair coin per vertex for its side, keep only seller-to-later-
-    buyer edges, and run the greedy policy on the result."""
+
+class NaiveGreedy(FreeDisposalGreedy):
+    """Greedy whose roles come from one fair coin per arrival, so only
+    seller-to-later-buyer edges count. It needs no declared roles and skips
+    the bipartite arrival check."""
 
     name = "naive-greedy"
 
-    def reset(self, view, rng):
-        super().reset(view, rng)
-        self.roles: dict[int, str] = {}
-        self.prices: dict[int, Fraction] = {}
-        self.tentative: dict[int, int | None] = {}
+    def __init__(self):
+        super().__init__()
+
+    def _roles(self, view):
+        return {}
 
     def on_arrival(self, v: int):
-        role = SELLER if self.rng.flip() else BUYER
-        self.roles[v] = role
-        self.log.append(("role", v, role))
-        if role == SELLER:
-            self.prices[v] = Fraction(0)
-            self.tentative[v] = None
-            return ()
-        best_s, best_margin = None, Fraction(0)
-        for s in self.view.present():
-            if self.roles.get(s) != SELLER:
-                continue
-            w = self.view.weight(s, v)
-            if w <= 0:
-                continue
-            margin = w - self.prices[s]
-            if margin > best_margin:  # sorted scan: ties keep the lowest seller
-                best_s, best_margin = s, margin
-        if best_s is not None and best_margin > 0:
-            self.tentative[best_s] = v
-            self.prices[best_s] = self.view.weight(best_s, v)
-        return ()
-
-    def on_critical(self, v: int):
-        if self.roles.get(v) == SELLER and self.tentative.get(v) is not None:
-            return [(v, self.tentative[v])]
-        return ()
+        self.roles[v] = SELLER if self.rng.flip() else BUYER
+        self.log.append(("role", v, self.roles[v]))
+        return self._arrive(v)
 
 
-class PostponedGreedy(OnlinePolicy):
+class PostponedGreedy(_BestMarginBids):
     """Run greedy over a virtual market holding a seller and a buyer copy of
     every vertex, deferring each vertex's side to its critical event.
 
-    Arriving vertex k adds a zero-price seller copy and a buyer copy that
-    bids once on the best-margin live seller copy. When k becomes critical
-    with a tentative buyer, both copies leave the virtual market and k's
-    side decides what happens: a seller finalizes the pair and collects, a
-    buyer yields, and either way the partner inherits the opposite side, so
-    the decision propagates along the tentative 2-matching's paths. A coin
-    is flipped only at the head of each path.
+    Arriving vertex k's buyer copy bids once on the active seller copies,
+    then k adds a zero-price seller copy. When k becomes critical its seller
+    copy leaves the virtual market. With a tentative buyer, k's side decides
+    what happens: a seller finalizes the pair and collects, a buyer yields,
+    and either way the partner inherits the opposite side, so the decision
+    propagates along the tentative 2-matching's paths. A coin is flipped
+    only at the head of each path.
 
     With departure_guard on, a seller whose tentative partner already left
     the market finalizes nothing (the stochastic-departure variant).
@@ -179,39 +173,21 @@ class PostponedGreedy(OnlinePolicy):
 
     def reset(self, view, rng):
         super().reset(view, rng)
-        self.price: dict[int, Fraction] = {}
-        self.tentative: dict[int, int | None] = {}
-        self.initial_margin: dict[int, Fraction] = {}
         self.status: dict[int, str] = {}
         self.active: set[int] = set()
 
     def on_arrival(self, k: int):
+        self._bid(k, sorted(self.active))
+        self._add_seller(k)
         self.status[k] = UNDETERMINED
-        self.price[k] = Fraction(0)
-        self.tentative[k] = None
         self.active.add(k)
-        best_s, best_margin = None, Fraction(0)
-        for s in sorted(self.active):
-            if s == k:
-                continue
-            w = self.view.weight(s, k)
-            if w <= 0:
-                continue
-            margin = w - self.price[s]
-            if margin > best_margin:  # sorted scan: ties keep the lowest seller
-                best_s, best_margin = s, margin
-        self.initial_margin[k] = max(Fraction(0), best_margin)
-        if best_s is not None and best_margin > 0:
-            self.tentative[best_s] = k
-            self.price[best_s] = self.view.weight(best_s, k)
-            self.log.append(("bid", k, best_s, best_margin))
         return ()
 
     def on_critical(self, k: int):
-        partner = self.tentative.get(k)
-        if k not in self.active or partner is None:
-            return ()  # the seller copy stays, but nothing can reach it now
         self.active.discard(k)
+        partner = self.tentative.get(k)
+        if partner is None:
+            return ()
         if self.status[k] == UNDETERMINED:
             self.status[k] = SELLER if self.rng.flip() else BUYER
             self.log.append(("coin", k, self.status[k]))
@@ -236,12 +212,12 @@ class PostponedGreedy(OnlinePolicy):
     def dual_vector(self) -> dict[int, Fraction]:
         """Final seller price plus initial buyer margin, per original vertex."""
         return {
-            v: self.price.get(v, Fraction(0)) + self.initial_margin.get(v, Fraction(0))
+            v: self.prices.get(v, Fraction(0)) + self.initial_margin.get(v, Fraction(0))
             for v in self.status
         }
 
     def price_margin_sums(self) -> tuple[Fraction, Fraction]:
-        total_p = sum(self.price.values(), Fraction(0))
+        total_p = sum(self.prices.values(), Fraction(0))
         total_q = sum(self.initial_margin.values(), Fraction(0))
         return total_p, total_q
 

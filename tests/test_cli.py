@@ -144,3 +144,64 @@ class TestErrors:
         code, out, _ = run(capsys, "offline", "--instance", str(path))
         assert code == 0
         assert out.startswith(f"instance={path} OPT=") and " pairs=(" in out
+
+
+class TestMalformedInput:
+    """Each malformed file or flag ends with one line, never a traceback."""
+
+    @staticmethod
+    def one_line_error(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_edge_entry_that_is_not_a_list(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [5]})
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert "is not [i, j, weight]" in err
+
+    def test_instance_weight_with_zero_denominator(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, "1/0"]]})
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert "zero denominator" in err
+
+    def certificate(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "cover-lp", "--variant", "lp", "--d", "1", "--out", str(path))
+        return json.loads(path.read_text())
+
+    def test_certificate_lambda_with_zero_denominator(self, capsys, tmp_path):
+        data = self.certificate(capsys, tmp_path)
+        data["columns"][0]["lambda"] = "1/0"
+        path = self.write(tmp_path, data)
+        err = self.one_line_error(capsys, "verify-cert", "--cert", path,
+                                  "--target", "cycle:8:1")
+        assert "zero denominator" in err
+
+    def test_certificate_period_zero(self, capsys, tmp_path):
+        data = self.certificate(capsys, tmp_path)
+        data["period"] = 0
+        path = self.write(tmp_path, data)
+        err = self.one_line_error(capsys, "verify-cert", "--cert", path,
+                                  "--target", "cycle:8:1")
+        assert "period must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--gallery", "basic-tradeoff", "--policy", "pg", "--seeds", "0"],
+        ["simulate", "--gallery", "basic-tradeoff", "--policy", "pg", "--seeds", "-1"],
+        ["sweep", "--gallery", "basic-tradeoff", "--policy", "patient",
+         "--arrival", "uniform", "--seeds", "-1", "--out", "unused.csv"],
+    ])
+    def test_seed_counts_out_of_range_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seeds: must be at least" in captured.err

@@ -1,0 +1,166 @@
+"""Property tests for the presence-window rule, stated once in `graphs.py`.
+
+Each property writes the rule out by hand and checks one of its users
+against it: the weights a policy sees through `MarketView`, the edge sets of
+`build_online_graph` and `realized_online_graph`, and the on-the-spot pair
+check in `simulate`, which must agree with `validate_matching`.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from deadline_matching import (ArrivalOrder, OnlineInstance, OnlinePolicy,
+                               WeightedGraph, build_online_graph,
+                               realized_online_graph, simulate,
+                               validate_matching)
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw):
+    """n <= 9, d in 0..4, a random order and explicit departure offsets
+    that may fall short of or exceed the deadline."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = {(i, j): F(rng.randint(1, 8), rng.choice([1, 2, 4]))
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               if rng.random() < 0.7}
+    slots = tuple(draw(st.permutations(range(1, n + 1))))
+    departures = tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    return OnlineInstance(WeightedGraph(n, weights), ArrivalOrder(slots), d,
+                          departures=departures)
+
+
+def live_by_formula(instance, offsets, lookahead=0):
+    """The edges whose earlier endpoint a reaches the later one b:
+    slot(b) - slot(a) <= min(offset of a, d) + lookahead."""
+    slot = instance.order.slot_of
+    live = set()
+    for (i, j) in instance.graph.weights:
+        a, b = (i, j) if slot(i) < slot(j) else (j, i)
+        if slot(b) - slot(a) <= min(offsets[a - 1], instance.deadline) + lookahead:
+            live.add((i, j))
+    return live
+
+
+class WeightProbe(OnlinePolicy):
+    """Reads every weight between the new arrival and the earlier ones."""
+
+    def __init__(self, lookahead):
+        self.lookahead = lookahead
+        self.positive = set()
+
+    def on_arrival(self, v):
+        for u in range(1, self.view.n + 1):
+            if u != v and self.view.has_arrived(u) and self.view.weight(u, v) > 0:
+                self.positive.add((min(u, v), max(u, v)))
+        return ()
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 2))
+def test_market_view_reveals_exactly_the_live_edges(instance, lookahead):
+    probe = WeightProbe(lookahead)
+    simulate(instance, probe)
+    assert probe.positive == live_by_formula(instance, instance.departures, lookahead)
+
+
+@PROPERTY
+@given(instances())
+def test_online_graphs_keep_exactly_the_live_edges(instance):
+    deadline_offsets = [instance.deadline] * instance.n
+    assert set(build_online_graph(instance).weights) == live_by_formula(
+        instance, deadline_offsets)
+    assert set(realized_online_graph(instance, instance.departures).weights) == \
+        live_by_formula(instance, instance.departures)
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_validate_matching_follows_the_written_out_rule(instance, data):
+    n = instance.n
+    assume(n >= 2)
+    i, j = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    t = data.draw(st.integers(0, n + 8))
+    lookahead = data.draw(st.integers(0, 2))
+    slot, offsets = instance.order.slot_of, instance.departures
+    a, b = (i, j) if slot(i) < slot(j) else (j, i)
+    reaches = slot(b) - slot(a) <= min(offsets[a - 1], instance.deadline) + lookahead
+    present = slot(b) <= t <= min(slot(i) + offsets[i - 1], slot(j) + offsets[j - 1]) + lookahead
+    verdict = validate_matching(instance, {(i, j)}, {(i, j): t}, lookahead)
+    assert (verdict is None) == (reaches and present)
+
+
+class ScriptedEmitter(OnlinePolicy):
+    """Emits the planned pairs at the planned event indices and records
+    every emission with its tick."""
+
+    def __init__(self, lookahead, plan):
+        self.lookahead = lookahead
+        self.plan = plan
+        self.emitted = []
+        self.events = 0
+
+    def _emit(self):
+        pairs = self.plan.get(self.events, [])
+        self.events += 1
+        self.emitted.extend((pair, self.view.now) for pair in pairs)
+        return pairs
+
+    def on_arrival(self, v):
+        return self._emit()
+
+    def on_critical(self, v):
+        return self._emit()
+
+
+@st.composite
+def scripted_runs(draw):
+    instance = draw(instances())
+    n = instance.n
+    plan = {}
+    if n >= 2:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(
+            lambda p: (min(p), max(p)))
+        plan = draw(st.dictionaries(st.integers(0, 2 * n - 1),
+                                    st.lists(pair, min_size=1, max_size=2), max_size=4))
+    return instance, draw(st.integers(0, 2)), plan
+
+
+@PROPERTY
+@given(scripted_runs())
+def test_simulate_rejects_exactly_what_validate_matching_rejects(run):
+    instance, lookahead, plan = run
+    policy = ScriptedEmitter(lookahead, plan)
+    try:
+        simulate(instance, policy)
+        rejected = False
+    except ValueError:
+        rejected = True
+    schedule = {}
+    verdicts = []
+    for pair, t in policy.emitted:
+        if pair in schedule:  # the same pair twice reuses both vertices
+            verdicts.append(False)
+            continue
+        schedule[pair] = t
+        verdicts.append(validate_matching(instance, set(schedule), schedule, lookahead) is None)
+    assert rejected == (not all(verdicts))
+
+
+def test_the_rule_caps_the_reach_at_the_deadline():
+    # vertex 1 stays 5 periods but the deadline graph has no edge 3 slots out
+    instance = OnlineInstance(WeightedGraph(4, {(1, 4): F(1)}), ArrivalOrder.identity(4), 2,
+                              departures=(5, 0, 0, 0))
+    violation = validate_matching(instance, {(1, 4)}, {(1, 4): 4})
+    assert violation is not None
+    assert violation.reasons == ("edge absent in the online graph "
+                                 "(slot gap 3 exceeds the window 2)",)
+    with pytest.raises(ValueError, match="window 2"):
+        simulate(instance, ScriptedEmitter(0, {5: [(1, 4)]}))  # at 4's arrival
