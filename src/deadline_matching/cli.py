@@ -8,6 +8,7 @@ failures exit 1; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -67,11 +68,7 @@ def _resolve_instance(args):
         raise SystemExit("need --instance PATH or --gallery NAME")
     if instance.roles is None:
         try:
-            instance = type(instance)(
-                instance.graph, instance.order, instance.deadline,
-                departures=instance.departures,
-                departure_model=instance.departure_model,
-                roles=infer_roles(instance))
+            instance = dataclasses.replace(instance, roles=infer_roles(instance))
         except ValueError:
             pass  # not constrained bipartite; role-based policies will refuse
     return name, instance

@@ -18,7 +18,8 @@ from .graphs import WeightedGraph, as_rational, format_rational
 from .masks import (PeriodicBatching, batching_from_order, combine,
                     cover_deficits, cycle_power, cyclic_distance,
                     enumerate_periodic_batchings,
-                    enumerate_periodic_permutations)
+                    enumerate_periodic_permutations, periodic_extension,
+                    rotate, rotation_keys, shift_orbit)
 from .simplex import certify_min_geq, solve_min_geq
 
 
@@ -104,11 +105,11 @@ class CoverLPResult:
     duals: tuple[Fraction, ...]
 
 
-def _class_counts(pb: PeriodicBatching, power: int) -> list[int]:
+def _class_counts(batches, n: int, power: int) -> list[int]:
     counts = [0] * power
-    for batch in pb.batches:
+    for batch in batches:
         for a, b in combinations(batch, 2):
-            c = cyclic_distance(a, b, pb.n)
+            c = cyclic_distance(a, b, n)
             if 1 <= c <= power:
                 counts[c - 1] += 1
     return counts
@@ -143,14 +144,10 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
         raise ValueError(f"unknown LP variant {variant!r}")
 
     columns = enumerate_periodic_batchings(n, p, d)
-    orbits: dict[tuple, list[PeriodicBatching]] = {}
-    for col in columns:
-        key = min(col.shifted(r).canonical_key() for r in range(n))
-        orbits.setdefault(key, []).append(col)
-    reps = [PeriodicBatching(n, d + 1, p, key) for key in sorted(orbits)]
+    reps = sorted({min(rotation_keys(col.batches, p, n)) for col in columns})
 
-    rows = [[Fraction(_class_counts(rep, power)[c - 1], n) for rep in reps]
-            for c in range(1, power + 1)]
+    counts = [_class_counts(rep, n, power) for rep in reps]
+    rows = [[Fraction(c[k], n) for c in counts] for k in range(power)]
     rhs = [Fraction(1)] * power
     costs = [Fraction(1)] * len(reps)
     solution = solve_min_geq(costs, rows, rhs)
@@ -160,7 +157,7 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
     for rep, weight in zip(reps, solution.x):
         if weight == 0:
             continue
-        orbit = rep.rotation_orbit()
+        orbit = PeriodicBatching(n, d + 1, p, rep).rotation_orbit()
         lam = weight / len(orbit)
         cert_columns.extend((member, lam) for member in orbit)
     cert = CoverCertificate(n, d, p, solution.value, tuple(cert_columns))
@@ -202,45 +199,28 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
     n, p, size = pb.n, pb.period, pb.batch_size
     if n % size:
         raise ValueError("boundary batches have no realizing block order")
-    u = n // p
-    blocks_per_period = p // size
     seen: set[tuple[int, ...]] = set()
     reps: list[tuple[int, ...]] = []
     for batch in pb.batches:
         if batch in seen:
             continue
-        cur = batch
-        orbit = []
-        for _ in range(u):
-            orbit.append(cur)
-            seen.add(cur)
-            cur = tuple(sorted((v + p - 1) % n + 1 for v in cur))
-        if len(set(orbit)) != u:
+        orbit = shift_orbit(batch, p, n)
+        if len(set(orbit)) != n // p:
             raise ValueError("a batch orbit is shorter than n/p; not realizable")
-        reps.append(orbit[0])
-    if len(reps) != blocks_per_period:
+        seen.update(orbit)
+        reps.append(batch)
+    if len(reps) != p // size:
         raise ValueError("orbit count disagrees with blocks per period")
+    # the j-th representative fills slots j*size+1..(j+1)*size; the map from
+    # slots to the vertices in them is p-periodic like the order itself
+    occupant = periodic_extension([v for rep in reps for v in rep], p, n)
     sigma = [0] * n
-    for j, rep in enumerate(reps):
-        for offset, vertex in enumerate(sorted(rep)):
-            base_slot = j * size + offset + 1
-            for t in range(u):
-                v = (vertex + t * p - 1) % n + 1
-                s = (base_slot + t * p - 1) % n + 1
-                sigma[v - 1] = s
+    for slot, v in enumerate(occupant, start=1):
+        sigma[v - 1] = slot
     order = tuple(sigma)
     if batching_from_order(order, n, size - 1, period=p).canonical_key() != pb.canonical_key():
         raise AssertionError("reconstructed order does not realize the batching")
     return order
-
-
-def _periodic_extension(head: list[int], p: int, n: int) -> tuple[int, ...]:
-    """Extend slot values on vertices 1..p to 1..n by sigma(i+p) = sigma(i)+p."""
-    sigma = [0] * n
-    for base in range(p):
-        for t in range(n // p):
-            sigma[base + t * p] = (head[base] + t * p - 1) % n + 1
-    return tuple(sigma)
 
 
 def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
@@ -266,7 +246,7 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
     if n % p == 0:
         new_cols = []
         for head, lam in heads:
-            order = _periodic_extension(head, p, n)
+            order = periodic_extension(head, p, n)
             new_cols.append((batching_from_order(order, n, d, period=p), lam))
         return CoverCertificate(n, d, p, cert.alpha, tuple(new_cols))
     u, v = divmod(n, p)
@@ -275,7 +255,7 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
     new_cols = []
     scale = Fraction(1, u - 2)
     for head, lam in heads:
-        tilde = _periodic_extension(head, p, p * u)
+        tilde = periodic_extension(head, p, p * u)
         for x in range(1, u + 1):
             cut = p * x
             sigma = [0] * n
@@ -388,10 +368,6 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
 def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple, int]:
     """Bijection batches -> blocks commuting with the +2(d+1) shift if possible."""
     period = 2 * (d + 1)
-
-    def shift_batch(batch):
-        return tuple(sorted((x + period - 1) % n + 1 for x in batch))
-
     assignment: dict[tuple, int] = {}
     free_blocks = set(range(r))
     for batch in batches:
@@ -406,7 +382,7 @@ def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple,
                 return {b: i for i, b in enumerate(batches)}
             assignment[cur] = beta
             free_blocks.discard(beta)
-            cur = shift_batch(cur)
+            cur = rotate(cur, period, n)
             beta = (beta + 2) % r
     if len(assignment) != len(batches):
         return {b: i for i, b in enumerate(batches)}
@@ -445,7 +421,7 @@ def lookahead_cover(n: int, d: int, l: int) -> CoverCertificate:
     lam = Fraction(1, l + 1)
     cols = []
     for s in range(width):
-        sigma = tuple((i + s - 1) % n + 1 for i in range(1, n + 1))
+        sigma = periodic_extension((s + 1,), 1, n)  # sigma(i) = i + s mod n
         cols.append((batching_from_order(sigma, n, d + l, period=width), lam))
     alpha = Fraction(width, l + 1)
     return CoverCertificate(n, d + l, width, alpha, tuple(cols))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -94,6 +94,7 @@ class MarketView:
         self._critical = [s + t for s, t in zip(windows.slots, windows.offsets)]
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
+        self._present: set[int] = set()  # arrived and unmatched; pruned lazily
         self.now = 0
 
     # engine-side hooks
@@ -102,6 +103,11 @@ class MarketView:
 
     def _mark_arrived(self, v: int):
         self._arrived.add(v)
+        self._present.add(v)
+
+    def _mark_matched(self, pair: Pair):
+        self._matched.update(pair)
+        self._present.difference_update(pair)
 
     # policy-facing API
     @property
@@ -143,10 +149,11 @@ class MarketView:
         return v in self._matched
 
     def present(self) -> list[int]:
-        """Arrived, not past their departure period, not matched away."""
-        critical, now, matched = self._critical, self.now, self._matched
-        return sorted(v for v in self._arrived
-                      if critical[v - 1] >= now and v not in matched)
+        """Arrived, not past their departure period, not matched away, in
+        ascending order."""
+        critical, now = self._critical, self.now
+        self._present = {v for v in self._present if critical[v - 1] >= now}
+        return sorted(self._present)
 
     def weight(self, u: int, v: int) -> Fraction:
         if u not in self._arrived or v not in self._arrived:
@@ -236,7 +243,7 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
             if reasons:
                 raise ValueError(f"policy {policy.name} emitted "
                                  f"{MatchViolation(pair, event.time, reasons)}")
-            view._matched.update(pair)
+            view._mark_matched(pair)
             pairs[pair] = event.time
             collected += instance.graph.weight(*pair)
             trace.append((event.time, "match", pair))
@@ -252,11 +259,11 @@ def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy,
     """Yield (bits, RunResult) over the policy's full fair-coin tree.
 
     Refuses runs that consume more than max_flips bits (2**max_flips leaves).
-    The instance must have deterministic or explicit departures; model-driven
-    sampling is not enumerable.
+    The departures must be fixed: a model that samples them is not enumerable.
     """
-    if instance.departures is None and instance.departure_model is not None:
-        if instance.departure_model.kind != "deterministic":
+    model = instance.departure_model
+    if instance.departures is None and model is not None:
+        if model.kind in ("geometric", "tabulated"):
             raise BranchingLimitExceeded(
                 "stochastic departure models are not exactly enumerable")
     stack: list[tuple[int, ...]] = [()]
@@ -337,21 +344,22 @@ def competitive_report(instances, policies, arrival_model: str = "fixed",
             samples = 0
             for k, order in enumerate(orders):
                 variant = instance.with_order(order)
-                policy = factory() if callable(factory) else factory
-                try:
-                    if seeds:
-                        raise BranchingLimitExceeded("seeded run requested")
-                    alg_total += exact_expectation(variant, policy, max_flips)
-                except BranchingLimitExceeded:
-                    exact = False
-                    runs = max(seeds, 1)
-                    for s in range(runs):
-                        policy = factory() if callable(factory) else factory
-                        alg_total += simulate(
-                            variant, policy,
-                            seed=_derive_seed(base_seed, f"run-{idx}-{k}-{s}")
-                        ).collected / runs
-                    samples += runs
+                if not seeds:
+                    policy = factory() if callable(factory) else factory
+                    try:
+                        alg_total += exact_expectation(variant, policy, max_flips)
+                        continue
+                    except BranchingLimitExceeded:
+                        pass  # too many coins to enumerate: sample one run
+                exact = False
+                runs = max(seeds, 1)
+                for s in range(runs):
+                    policy = factory() if callable(factory) else factory
+                    alg_total += simulate(
+                        variant, policy,
+                        seed=_derive_seed(base_seed, f"run-{idx}-{k}-{s}")
+                    ).collected / runs
+                samples += runs
             alg_value = alg_total / len(orders)
             rows.append(ReportRow(
                 instance_id, policy_name, arrival_model,

@@ -16,9 +16,44 @@ from .graphs import ArrivalOrder, Pair, WeightedGraph, ordered_pair
 ONE = Fraction(1)
 
 
+# ---------------------------------------------------------------------------
+# Cyclic geometry on vertices 1..n
+
 def cyclic_distance(i: int, j: int, n: int) -> int:
     raw = abs(i - j) % n
     return min(raw, n - raw)
+
+
+def rotate(batch, r: int, n: int) -> tuple[int, ...]:
+    """The sorted image of a batch moved r steps round the n-cycle."""
+    return tuple(sorted((v + r - 1) % n + 1 for v in batch))
+
+
+def shift_orbit(batch, p: int, n: int) -> list[tuple[int, ...]]:
+    """The sorted batch and its images under 1, ..., n/p - 1 shifts by p.
+
+    When p divides n the list is the batch's period-shift orbit, each member
+    repeated equally often if the orbit is shorter than n/p.
+    """
+    orbit = []
+    cur = tuple(sorted(batch))
+    for _ in range(n // p):
+        orbit.append(cur)
+        cur = rotate(cur, p, n)
+    return orbit
+
+
+def rotation_keys(batches, p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct rotations of a p-periodic partition, as sorted batch
+    tuples in first-seen order of the step r. Rotating by p maps the
+    partition to itself, so the steps r < p reach every rotation."""
+    return list(dict.fromkeys(tuple(sorted(rotate(b, r, n) for b in batches))
+                              for r in range(p)))
+
+
+def periodic_extension(head, p: int, n: int) -> tuple[int, ...]:
+    """Extend values on 1..p to 1..n by sigma(i + p) = sigma(i) + p (mod n)."""
+    return tuple((head[i % p] + i // p * p - 1) % n + 1 for i in range(n))
 
 
 def cycle_power(n: int, d: int) -> WeightedGraph:
@@ -27,12 +62,8 @@ def cycle_power(n: int, d: int) -> WeightedGraph:
         raise ValueError("cycle power needs d >= 1")
     if n <= 2 * d:
         raise ValueError(f"n={n} <= 2d={2 * d}: cycle power degenerates")
-    weights = {}
-    for i in range(1, n + 1):
-        for step in range(1, d + 1):
-            j = (i + step - 1) % n + 1
-            weights[ordered_pair(i, j)] = ONE
-    return WeightedGraph(n, weights)
+    return WeightedGraph(n, {rotate((1, 1 + step), r, n): ONE
+                             for r in range(n) for step in range(1, d + 1)})
 
 
 def _slots(sigma, n: int) -> tuple[int, ...]:
@@ -167,10 +198,8 @@ class PeriodicBatching:
         if self.period < self.n:
             # shifting by p must permute the batches
             key = set(batches)
-            for batch in batches:
-                image = tuple(sorted((v + self.period - 1) % self.n + 1 for v in batch))
-                if image not in key:
-                    raise ValueError("partition is not periodic with the stated period")
+            if any(rotate(b, self.period, self.n) not in key for b in batches):
+                raise ValueError("partition is not periodic with the stated period")
 
     def mask(self) -> WeightedGraph:
         weights = {}
@@ -180,33 +209,24 @@ class PeriodicBatching:
         return WeightedGraph(self.n, weights)
 
     def shifted(self, r: int) -> "PeriodicBatching":
-        moved = tuple(
-            tuple((v + r - 1) % self.n + 1 for v in batch) for batch in self.batches
-        )
-        return PeriodicBatching(self.n, self.batch_size, self.period, moved)
+        return PeriodicBatching(self.n, self.batch_size, self.period,
+                                tuple(rotate(b, r, self.n) for b in self.batches))
 
     def canonical_key(self) -> tuple[tuple[int, ...], ...]:
         return self.batches
 
     def rotation_orbit(self) -> list["PeriodicBatching"]:
-        seen: dict[tuple, PeriodicBatching] = {}
-        for r in range(self.n):
-            moved = self.shifted(r)
-            seen.setdefault(moved.canonical_key(), moved)
-        return list(seen.values())
+        return [PeriodicBatching(self.n, self.batch_size, self.period, key)
+                for key in rotation_keys(self.batches, self.period, self.n)]
 
     def generator_batches(self) -> tuple[tuple[int, ...], ...]:
         """One representative batch per period-shift orbit (for storage)."""
         reps = []
         covered: set[tuple[int, ...]] = set()
         for batch in self.batches:
-            if batch in covered:
-                continue
-            reps.append(batch)
-            cur = batch
-            for _ in range(self.n // self.period):
-                cur = tuple(sorted((v + self.period - 1) % self.n + 1 for v in cur))
-                covered.add(cur)
+            if batch not in covered:
+                reps.append(batch)
+                covered.update(shift_orbit(batch, self.period, self.n))
         return tuple(reps)
 
     @classmethod
@@ -214,12 +234,8 @@ class PeriodicBatching:
                         generators) -> "PeriodicBatching":
         if period < 1:
             raise ValueError(f"period must be positive, got {period}")
-        batches: set[tuple[int, ...]] = set()
-        for gen in generators:
-            cur = tuple(sorted(int(v) for v in gen))
-            for _ in range(n // period):
-                batches.add(cur)
-                cur = tuple(sorted((v + period - 1) % n + 1 for v in cur))
+        batches = {b for gen in generators
+                   for b in shift_orbit([int(v) for v in gen], period, n)}
         return cls(n, batch_size, period, tuple(batches))
 
 
@@ -242,16 +258,10 @@ def enumerate_periodic_permutations(n: int, p: int):
     """
     if n % p:
         raise ValueError("p must divide n")
-    u = n // p
 
     def extend(sigma_head: list[int], used_residues: set[int]):
-        i = len(sigma_head)
-        if i == p:
-            full = [0] * n
-            for base in range(p):
-                for t in range(u):
-                    full[base + t * p] = (sigma_head[base] + t * p - 1) % n + 1
-            yield tuple(full)
+        if len(sigma_head) == p:
+            yield periodic_extension(sigma_head, p, n)
             return
         for value in range(1, n + 1):
             if value % p in used_residues:
@@ -279,17 +289,8 @@ def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatchin
         raise ValueError("batch size d+1 must divide the period")
     if n % p:
         raise ValueError("p must divide n")
-    u = n // p
     size = d + 1
     results: list[PeriodicBatching] = []
-
-    def orbit(batch: tuple[int, ...]):
-        out = []
-        cur = batch
-        for _ in range(u):
-            cur = tuple(sorted((v + p - 1) % n + 1 for v in cur))
-            out.append(cur)
-        return out
 
     def recurse(remaining: set[int], placed: list[tuple[int, ...]]):
         if not remaining:
@@ -302,7 +303,7 @@ def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatchin
             residues = {v % p for v in batch}
             if len(residues) != size:
                 continue
-            cells = orbit(batch)
+            cells = shift_orbit(batch, p, n)
             flat = [v for cell in cells for v in cell]
             if len(set(flat)) != len(flat) or any(v not in remaining for v in flat):
                 continue

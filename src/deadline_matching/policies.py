@@ -136,9 +136,6 @@ class NaiveGreedy(FreeDisposalGreedy):
 
     name = "naive-greedy"
 
-    def __init__(self):
-        super().__init__()
-
     def _roles(self, view):
         return {}
 

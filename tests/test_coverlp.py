@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -7,12 +9,60 @@ import pytest
 from deadline_matching import (CoverCertificate, arrival_window_matching_value,
                                batched_matching_value, batching_from_order,
                                certified_inflation, contract_expand,
-                               cycle_power, extend_cover, load_certificate,
+                               cycle_power, enumerate_periodic_batchings,
+                               extend_cover, format_rational, load_certificate,
                                lookahead_cover, quadratic_inflation,
                                save_certificate, solve_cover_lp,
                                solve_cover_lp_direct, verify_certificate)
-from deadline_matching.coverlp import certificate_from_json, certificate_to_json
+from deadline_matching.coverlp import (certificate_from_json, certificate_to_json,
+                                      realizing_permutation)
 from helpers import random_complete_graph
+
+
+def _sha256(blob) -> str:
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def _lp_digest(result) -> str:
+    return _sha256({"certificate": certificate_to_json(result.certificate),
+                    "alpha": format_rational(result.alpha),
+                    "column_count": result.column_count,
+                    "orbit_count": result.orbit_count,
+                    "duals": [format_rational(y) for y in result.duals]})
+
+
+# sha256 of each covering output as the solver and the transforms gave it
+# when these pins were taken; certificate column order is part of the bytes
+PINNED_COVER_DIGESTS = {
+    "lp 1": "340f6421685c0b93400cbec0487c82b6eb92f0188fa57261c34d1033cf56ff81",
+    "lp 2": "bdd34f90d200afc0e43632e2c038195441b196e0f50678672015762ac4db2b25",
+    "lp 3": "1abbe339da1f93bf1899da5e1fa5eb08d8b02420b228422db4cbd433f4d50bef",
+    "lp-prime 2": "821bfed99eef1e765a689dd1d31da21fb31d8a83913ced7840ae87aea831a873",
+    "lp-prime 3": "afacd63d310428496f72d3ecd1640f20a29b3c57c40b1216873cfb9abcf76b43",
+    "lp-prime 4": "3038ea7c4d1118e7ece10ca1192c7a31bcea82dec2c5ae5fab835b8171f7ad6a",
+    "extend_cover(lp 1, 24)":
+        "f8452f312a244eac88ae1069f4232a965c1c9d305a533828af72b9b13c4a3952",
+    "contract_expand(lp-prime 4, 7)":
+        "9d9bfab2bb56ff8ec9e3084dc694ce8b375a700b9507676952496097ed4e6c3a",
+    "lookahead_cover(8, 2, 1)":
+        "089df95af13518f2891877aea9099daeb941ca929e648767ba4e89f0549d0316",
+}
+
+
+def test_covering_outputs_keep_their_pinned_bytes():
+    digests, results = {}, {}
+    for variant, parameter in (("lp", 1), ("lp", 2), ("lp", 3), ("lp-prime", 2),
+                               ("lp-prime", 3), ("lp-prime", 4)):
+        name = f"{variant} {parameter}"
+        results[name] = solve_cover_lp(variant, parameter)
+        digests[name] = _lp_digest(results[name])
+    for name, cert in (
+            ("extend_cover(lp 1, 24)", extend_cover(results["lp 1"].certificate, 24)),
+            ("contract_expand(lp-prime 4, 7)",
+             contract_expand(results["lp-prime 4"].certificate, 7)),
+            ("lookahead_cover(8, 2, 1)", lookahead_cover(8, 2, 1))):
+        digests[name] = _sha256(certificate_to_json(cert))
+    assert digests == PINNED_COVER_DIGESTS
 
 
 class TestSolveCoverLP:

@@ -6,10 +6,11 @@ import pytest
 from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
                                OnlineInstance, OnlinePolicy, WeightedGraph,
                                batching, competitive_report,
-                               enumerate_branches, exact_expectation,
-                               make_instance, naive_greedy, offline_optimum,
-                               patient_baseline, postponed_greedy, simulate,
-                               write_report_csv)
+                               enumerate_branches, exact_expectation, explicit,
+                               geometric, make_instance, naive_greedy,
+                               offline_optimum, patient_baseline,
+                               pg_stochastic, postponed_greedy, simulate,
+                               tabulated, write_report_csv)
 from deadline_matching.engine import ScriptedBits
 from helpers import random_instance
 
@@ -154,6 +155,28 @@ class TestExactExpectation:
         inst = zero_instance(2, 1)
         with pytest.raises(BranchingLimitExceeded):
             exact_expectation(inst, CoinEater(), max_flips=20)
+
+    def test_explicit_departure_model_is_enumerable(self):
+        # explicit offsets are fixed, so only the coins branch
+        cases = [(WeightedGraph(2, {(1, 2): F(12)}), (0, 4)),
+                 (WeightedGraph(3, {(1, 2): F(12), (1, 3): F(4), (2, 3): F(6)}),
+                  (1, 1, 0))]
+        for graph, offsets in cases:
+            order = ArrivalOrder.identity(graph.n)
+            modelled = OnlineInstance(graph, order, 2, departure_model=explicit(offsets))
+            given = OnlineInstance(graph, order, 2, departures=offsets)
+            for policy in (pg_stochastic, patient_baseline):
+                assert (exact_expectation(modelled, policy())
+                        == exact_expectation(given, policy()))
+        assert exact_expectation(modelled, pg_stochastic()) == 9
+        assert exact_expectation(modelled, patient_baseline()) == 12
+
+    def test_sampled_departure_models_are_refused(self):
+        graph = WeightedGraph(2, {(1, 2): F(1)})
+        for model in (geometric(F(1, 2)), tabulated({0: F(1, 2), 3: F(1, 2)})):
+            inst = OnlineInstance(graph, ArrivalOrder.identity(2), 2, departure_model=model)
+            with pytest.raises(BranchingLimitExceeded, match="not exactly enumerable"):
+                exact_expectation(inst, patient_baseline())
 
 
 class TestCompetitiveReport:

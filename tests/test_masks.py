@@ -13,6 +13,8 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, PeriodicBatching,
                                enumerate_periodic_permutations, is_cover,
                                max_weight_matching_value, multiply,
                                path_power)
+from deadline_matching.coverlp import realizing_permutation
+from deadline_matching.masks import periodic_extension, rotate, shift_orbit
 from helpers import random_complete_graph, random_order
 
 
@@ -190,3 +192,45 @@ class TestPeriodicBatchings:
             PeriodicBatching(8, 2, 4, ((1, 2), (3, 5), (4, 6), (7, 8)))
         # the same partition is fine with the trivial period
         PeriodicBatching(8, 2, 8, ((1, 2), (3, 5), (4, 6), (7, 8)))
+
+
+class TestCyclicGeometry:
+    """The shared rotation, shift orbit and periodic extension, over every
+    enumerated column and every member of its rotation orbit."""
+
+    @pytest.fixture(params=[(8, 4, 1), (12, 6, 1), (12, 6, 2)], ids=str)
+    def members(self, request):
+        n, p, d = request.param
+        return n, p, [m for col in enumerate_periodic_batchings(n, p, d)
+                      for m in col.rotation_orbit()]
+
+    def test_rotating_back_restores_every_batch(self, members):
+        n, _, pbs = members
+        for pb in pbs:
+            for batch in pb.batches:
+                for r in range(n):
+                    assert rotate(rotate(batch, r, n), n - r, n) == batch
+
+    def test_generators_rebuild_the_partition(self, members):
+        n, p, pbs = members
+        for pb in pbs:
+            rebuilt = PeriodicBatching.from_generators(n, pb.batch_size, p,
+                                                       pb.generator_batches())
+            assert rebuilt == pb
+
+    def test_orbit_sizes_divide_n(self, members):
+        n, p, pbs = members
+        for pb in pbs:
+            orbit = pb.rotation_orbit()
+            assert n % len(orbit) == 0
+            assert orbit[0] == pb
+            assert {m.batches for m in orbit} == {pb.shifted(r).batches for r in range(n)}
+            for batch in pb.batches:
+                assert set(shift_orbit(batch, p, n)) <= set(pb.batches)
+
+    def test_every_rotation_is_realizable(self, members):
+        n, p, pbs = members
+        for pb in pbs:
+            order = realizing_permutation(pb)  # asserts that it induces pb
+            head = order[:p]
+            assert order == periodic_extension(head, p, n)

@@ -2,21 +2,24 @@
 
 Each property writes the rule out by hand and checks one of its users
 against it: the weights a policy sees through `MarketView`, the edge sets of
-`build_online_graph` and `realized_online_graph`, and the on-the-spot pair
-check in `simulate`, which must agree with `validate_matching`.
+`build_online_graph` and `realized_online_graph`, the on-the-spot pair
+check in `simulate`, which must agree with `validate_matching`, and the
+present set that `MarketView.present()` keeps as the run goes.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deadline_matching import (ArrivalOrder, OnlineInstance, OnlinePolicy,
-                               WeightedGraph, build_online_graph,
-                               realized_online_graph, simulate,
-                               validate_matching)
+from deadline_matching import (ArrivalOrder, MarketView, OnlineInstance,
+                               OnlinePolicy, WeightedGraph, build_online_graph,
+                               make_policy, realized_online_graph,
+                               simulate, validate_matching)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -164,3 +167,76 @@ def test_the_rule_caps_the_reach_at_the_deadline():
                                  "(slot gap 3 exceeds the window 2)",)
     with pytest.raises(ValueError, match="window 2"):
         simulate(instance, ScriptedEmitter(0, {5: [(1, 4)]}))  # at 4's arrival
+
+
+POLICY_SPECS = ("greedy", "naive-greedy", "pg", "pg-stochastic", "dda", "batching",
+                "patient")
+
+
+def present_by_formula(view, critical):
+    """Arrived, critical time not yet passed, not matched; ascending."""
+    return [v for v in range(1, view.n + 1)
+            if view.has_arrived(v) and critical[v - 1] >= view.now
+            and not view.is_matched(v)]
+
+
+@st.composite
+def market_runs(draw):
+    """An instance from `instances()`, in half the cases cut down to a
+    role-constrained market (edges only from an earlier seller to a later
+    buyer) so that the role-based policies run too."""
+    instance = draw(instances())
+    if draw(st.booleans()):
+        sellers = draw(st.sets(st.integers(1, instance.n)))
+        slot = instance.order.slot_of
+
+        def seller_to_later_buyer(i, j):
+            a, b = sorted((i, j), key=slot)
+            return a in sellers and b not in sellers
+
+        weights = {e: w for e, w in instance.graph.weights.items()
+                   if seller_to_later_buyer(*e)}
+        roles = {v: "seller" if v in sellers else "buyer" for v in instance.graph.vertices()}
+        instance = dataclasses.replace(instance, graph=WeightedGraph(instance.n, weights),
+                                       roles=roles)
+    return instance
+
+
+def run_outcome(instance, policy, seed):
+    try:
+        r = simulate(instance, policy, seed=seed)
+    except ValueError as exc:  # a refused input or a pair after a departure
+        return ("refused", str(exc))
+    return (r.pairs, r.schedule, r.collected, r.trace, r.bits_used, policy.log)
+
+
+@PROPERTY
+@given(market_runs(), st.sampled_from(POLICY_SPECS), st.integers(0, 2), st.integers(0, 3))
+def test_present_set_follows_the_written_out_definition(instance, spec, lookahead, seed):
+    slot = instance.order.slot_of
+    critical = [slot(v) + instance.departures[v - 1] for v in instance.graph.vertices()]
+
+    policy = make_policy(spec)
+    policy.lookahead = lookahead
+    audited = []
+
+    def audit(hook):
+        def run(v):
+            assert policy.view.present() == present_by_formula(policy.view, critical)
+            audited.append(v)
+            return hook(v)
+        return run
+
+    policy.on_arrival = audit(policy.on_arrival)
+    policy.on_critical = audit(policy.on_critical)
+    outcome = run_outcome(instance, policy, seed)
+    if outcome[0] != "refused":
+        assert len(audited) == 2 * instance.n
+        assert policy.view.present() == present_by_formula(policy.view, critical)
+
+    # the same run with the definition itself in place of the kept set
+    reference = make_policy(spec)
+    reference.lookahead = lookahead
+    with patch.object(MarketView, "present",
+                      lambda view: present_by_formula(view, critical)):
+        assert run_outcome(instance, reference, seed) == outcome
