@@ -12,8 +12,9 @@ from .engine import (BranchingLimitExceeded, MarketView, OnlinePolicy,
                      ReportRow, RunResult, competitive_report,
                      enumerate_branches, exact_expectation, simulate,
                      write_report_csv)
-from .gallery import (NamedInstance, game_value, golden_ratio_fixed_point,
-                      make_instance, optimal_online_bounds)
+from .gallery import (NamedInstance, RootFive, game_value,
+                      golden_ratio_fixed_point, make_instance,
+                      optimal_online_bounds)
 from .graphs import (ArrivalOrder, InstanceFormatError, Matching,
                      MatchViolation, OnlineInstance, WeightedGraph,
                      as_rational, build_online_graph, format_rational,

@@ -13,10 +13,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .coverlp import (certificate_to_json, certified_inflation, contract_expand,
-                      extend_cover, load_certificate, lookahead_cover,
-                      quadratic_inflation, save_certificate, solve_cover_lp,
-                      verify_certificate)
+from .coverlp import (certified_inflation, contract_expand, extend_cover,
+                      load_certificate, lookahead_cover, quadratic_inflation,
+                      save_certificate, solve_cover_lp, verify_certificate)
 from .engine import (competitive_report, exact_expectation, simulate,
                      write_report_csv, BranchingLimitExceeded)
 from .gallery import make_instance

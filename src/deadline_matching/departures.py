@@ -147,34 +147,3 @@ def _tail_table(pmf: dict[int, Fraction]) -> dict[int, Fraction]:
         tails[t] = acc
     return tails
 
-
-def parse_departure_model(data: dict) -> DepartureModel:
-    """Parse the instance-file form, e.g. {"kind": "geometric", "delta": "1/2"}."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("departure_model must be an object with a 'kind'")
-    kind = data["kind"]
-    fields = set(data) - {"kind"}
-    if kind == "deterministic":
-        if fields != {"d"}:
-            raise ValueError("deterministic departure_model takes exactly 'd'")
-        return deterministic(int(data["d"]))
-    if kind == "geometric":
-        if fields != {"delta"}:
-            raise ValueError("geometric departure_model takes exactly 'delta'")
-        return geometric(Fraction(str(data["delta"])))
-    if kind == "tabulated":
-        if fields != {"pmf"}:
-            raise ValueError("tabulated departure_model takes exactly 'pmf'")
-        return tabulated({int(t): Fraction(str(p)) for t, p in data["pmf"].items()})
-    raise ValueError(f"unknown departure_model kind {kind!r}")
-
-
-def departure_model_to_json(model: DepartureModel) -> dict:
-    if model.kind == "deterministic":
-        return {"kind": "deterministic", "d": model.d}
-    if model.kind == "geometric":
-        return {"kind": "geometric", "delta": f"{model.delta.numerator}/{model.delta.denominator}"}
-    if model.kind == "tabulated":
-        return {"kind": "tabulated",
-                "pmf": {str(t): f"{p.numerator}/{p.denominator}" for t, p in model.pmf}}
-    raise ValueError(f"{model.kind} model does not serialize; store 'departures' instead")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import (ArrivalOrder, Matching, MatchViolation, OnlineInstance,
-                     Pair, build_online_graph, format_rational, ordered_pair,
-                     validate_matching)  # noqa: F401 (kept importable from engine)
+from .graphs import (ArrivalOrder, MatchViolation, OnlineInstance, Pair,
+                     build_online_graph, format_rational, ordered_pair,
+                     validate_matching)  # noqa: F401 (perfbench/tracer.py wraps both here)
 from .departures import sample_departures
 from .offline import offline_optimum
 
@@ -118,10 +118,6 @@ class MarketView:
     def deadline(self) -> int:
         return self._instance.deadline
 
-    @property
-    def lookahead(self) -> int:
-        return self._windows.lookahead
-
     def roles(self) -> dict[int, str] | None:
         return self._instance.roles
 
@@ -199,9 +195,6 @@ class RunResult:
     collected: Fraction
     trace: tuple[tuple, ...]
     bits_used: int
-
-    def matching(self, instance: OnlineInstance) -> Matching:
-        return Matching.from_pairs(build_online_graph(instance), self.pairs)
 
 
 def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
@@ -319,44 +312,42 @@ EXHAUSTIVE_ORDER_CAP = 8
 
 
 def competitive_report(instances, policies, arrival_model: str = "fixed",
-                       seeds: int = 0, max_flips: int = 20,
-                       base_seed: int = 0) -> list[ReportRow]:
+                       seeds: int = 0, base_seed: int = 0) -> list[ReportRow]:
     """Expected policy value vs offline optimum per (instance, policy).
 
     arrival_model "fixed" keeps each instance's own order; "uniform"
     averages over arrival orders, exhaustively for n <= 8 when seeds == 0,
     else by Monte Carlo over `seeds` sampled orders. Coin randomness is
     enumerated exactly when it fits the flip cap, else averaged over seeds.
+    Both inputs are lists of pairs: (name, instance) and (name, factory).
     """
     if arrival_model not in ("fixed", "uniform"):
         raise ValueError("arrival_model is 'fixed' or 'uniform'")
     rows = []
-    for idx, (instance_id, instance) in enumerate(_as_named(instances)):
+    for idx, (instance_id, instance) in enumerate(instances):
         orders, exhaustive = _order_family(instance, arrival_model, seeds,
                                            _derive_seed(base_seed, f"orders-{idx}"))
         off_total = Fraction(0)
         for order in orders:
             off_total += offline_optimum(instance.with_order(order)).weight
         off_value = off_total / len(orders)
-        for policy_name, factory in _as_named(policies):
+        for policy_name, factory in policies:
             alg_total = Fraction(0)
             exact = exhaustive
             samples = 0
             for k, order in enumerate(orders):
                 variant = instance.with_order(order)
                 if not seeds:
-                    policy = factory() if callable(factory) else factory
                     try:
-                        alg_total += exact_expectation(variant, policy, max_flips)
+                        alg_total += exact_expectation(variant, factory())
                         continue
                     except BranchingLimitExceeded:
                         pass  # too many coins to enumerate: sample one run
                 exact = False
                 runs = max(seeds, 1)
                 for s in range(runs):
-                    policy = factory() if callable(factory) else factory
                     alg_total += simulate(
-                        variant, policy,
+                        variant, factory(),
                         seed=_derive_seed(base_seed, f"run-{idx}-{k}-{s}")
                     ).collected / runs
                 samples += runs
@@ -400,17 +391,6 @@ def _order_family(instance, arrival_model, seeds, seed):
         rng.shuffle(slots)
         orders.append(ArrivalOrder(tuple(slots)))
     return orders, False
-
-
-def _as_named(items):
-    named = []
-    for i, item in enumerate(items):
-        if isinstance(item, tuple) and len(item) == 2:
-            named.append(item)
-        else:
-            label = getattr(item, "name", None) or f"item-{i}"
-            named.append((label, item))
-    return named
 
 
 def _derive_seed(seed: int, label: str) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .graphs import ArrivalOrder, OnlineInstance, WeightedGraph, as_rational
 
@@ -22,11 +23,9 @@ class NamedInstance:
     instance: OnlineInstance
 
 
-def _check_range(name, value, low, high, strict=True):
-    ok = (low < value < high) if strict else (low <= value <= high)
-    if not ok:
-        bound = "()" if strict else "[]"
-        raise ValueError(f"{name}={value} outside {bound[0]}{low}, {high}{bound[1]}")
+def _check_range(name, value, low, high):
+    if not low < value < high:
+        raise ValueError(f"{name}={value} outside ({low}, {high})")
 
 
 def make_instance(name: str, **params) -> NamedInstance:
@@ -45,13 +44,7 @@ def make_instance(name: str, **params) -> NamedInstance:
     }
     if name not in builders:
         raise ValueError(f"unknown instance name {name!r}")
-    return builders[name](**{k: _coerce(v) for k, v in params.items()})
-
-
-def _coerce(value):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return as_rational(value)
+    return builders[name](**{k: as_rational(v) for k, v in params.items()})
 
 
 def _basic_tradeoff(y=Fraction(2)) -> NamedInstance:
@@ -109,17 +102,68 @@ def _random_order_3cycle(v12=Fraction(0), v23=Fraction(0), v31=Fraction(1)) -> N
 # ---------------------------------------------------------------------------
 # The two-knob adversary games. When seller 1 turns critical the algorithm
 # matches it to buyer 3 with probability p (knowing only w); the adversary
-# then reveals x. Works over Fractions and over sympy expressions alike.
+# then reveals x. Works over Fractions and over RootFive alike.
+
+def _lifted(op):
+    """A binary operator of RootFive; an int or Fraction operand is lifted."""
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RootFive(other)
+        return op(self, other) if isinstance(other, RootFive) else NotImplemented
+    return method
+
+
+@total_ordering
+@dataclass(frozen=True, eq=False)
+class RootFive:
+    """The exact number a + b·√5 with rational a and b, an element of Q(√5).
+
+    The golden-ratio weight (√5 − 1)/2 lives here. The order is exact: the
+    sign of a + b√5 is the sign of a when a² > 5b², else the sign of b.
+    """
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+
+    @_lifted
+    def __add__(self, o):
+        return RootFive(self.a + o.a, self.b + o.b)
+
+    @_lifted
+    def __sub__(self, o):
+        return RootFive(self.a - o.a, self.b - o.b)
+
+    @_lifted
+    def __mul__(self, o):
+        return RootFive(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    @_lifted
+    def __truediv__(self, o):
+        norm = o.a * o.a - 5 * o.b * o.b  # zero only when o is zero
+        return self * RootFive(o.a / norm, -o.b / norm)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __rsub__ = _lifted(lambda self, o: o - self)
+
+    @_lifted
+    def __eq__(self, o):
+        return (self.a, self.b) == (o.a, o.b)
+
+    @_lifted
+    def __lt__(self, o):
+        a, b = self.a - o.a, self.b - o.b
+        return (a if a * a > 5 * b * b else b) < 0
+
 
 def game_value(w, p, x):
     """Algorithm-to-offline ratio for match probability p and adversary x."""
     online = p * (w + x) + (1 - p) * 1
-    offline = _max2(w + x, 1)
+    offline = max(w + x, 1)
     return online / offline
-
-
-def _max2(a, b):
-    return a if bool(a >= b) else b
 
 
 def optimal_online_bounds(family: str, mode: str, w=None, x_values=(0, 1)):
@@ -144,12 +188,7 @@ def optimal_online_bounds(family: str, mode: str, w=None, x_values=(0, 1)):
         candidates = [0, 1] + _crossings(w, xs)
     else:
         raise ValueError("mode is 'deterministic' or 'randomized'")
-    best = None
-    for p in candidates:
-        value = _min_over(game_value(w, p, x) for x in xs)
-        if best is None or bool(value > best):
-            best = value
-    return best
+    return max(min(game_value(w, p, x) for x in xs) for p in candidates)
 
 
 def _crossings(w, xs):
@@ -161,30 +200,19 @@ def _crossings(w, xs):
             fa0, fa1 = game_value(w, 0, a), game_value(w, 1, a)
             fb0, fb1 = game_value(w, 0, b), game_value(w, 1, b)
             denom = (fa1 - fa0) - (fb1 - fb0)
-            if bool(denom != 0):
+            if denom != 0:
                 p = (fb0 - fa0) / denom
-                if bool(p >= 0) and bool(p <= 1):
+                if 0 <= p <= 1:
                     out.append(p)
     return out
 
 
-def _min_over(values):
-    best = None
-    for v in values:
-        if best is None or bool(v < best):
-            best = v
-    return best
-
-
 def golden_ratio_fixed_point():
-    """The deterministic family's optimum at its hardest weight, symbolically.
+    """The deterministic family's optimum at its hardest weight, exactly.
 
     At w* = (sqrt(5)-1)/2 the two pure policies tie: max(w, 1/(1+w)) = w*.
-    Returns (w*, bound(w*)) as exact sympy expressions.
+    Returns (w*, bound(w*)) as exact RootFive values.
     """
-    import sympy
-
-    w = (sympy.sqrt(5) - 1) / 2
-    bound = optimal_online_bounds("constrained-deterministic-lb",
-                                  "deterministic", w=w)
-    return w, sympy.simplify(bound)
+    w = RootFive(Fraction(-1, 2), Fraction(1, 2))
+    return w, optimal_online_bounds("constrained-deterministic-lb",
+                                    "deterministic", w=w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .departures import DepartureModel, departure_model_to_json, parse_departure_model
+from .departures import DepartureModel, deterministic, geometric, tabulated
 
 Pair = tuple[int, int]
 
@@ -81,9 +81,6 @@ class WeightedGraph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -311,6 +308,41 @@ def validate_matching(instance: OnlineInstance, matching, schedule: dict[Pair, i
 
 _INSTANCE_FIELDS = {"n", "d", "edges", "sigma", "departures", "departure_model"}
 
+_MAX_INSTANCE_N = 10**6  # checked before a file without "sigma" gets an identity order
+
+_MODEL_FIELD = {"deterministic": "d", "geometric": "delta", "tabulated": "pmf"}
+
+
+def parse_departure_model(data: dict) -> DepartureModel:
+    """Parse the instance-file form, e.g. {"kind": "geometric", "delta": "1/2"}."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValueError("departure_model must be an object with a 'kind'")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _MODEL_FIELD:
+        raise ValueError(f"unknown departure_model kind {kind!r}")
+    field = _MODEL_FIELD[kind]
+    if set(data) != {"kind", field}:
+        raise ValueError(f"{kind} departure_model takes exactly {field!r}")
+    value = data[field]
+    if kind == "deterministic":
+        return deterministic(int(value))
+    if kind == "geometric":
+        return geometric(as_rational(value))
+    if not isinstance(value, dict):
+        raise ValueError("tabulated departure_model needs 'pmf' as an object")
+    return tabulated({int(t): as_rational(p) for t, p in value.items()})
+
+
+def departure_model_to_json(model: DepartureModel) -> dict:
+    if model.kind == "deterministic":
+        return {"kind": "deterministic", "d": model.d}
+    if model.kind == "geometric":
+        return {"kind": "geometric", "delta": format_rational(model.delta)}
+    if model.kind == "tabulated":
+        return {"kind": "tabulated",
+                "pmf": {str(t): format_rational(p) for t, p in model.pmf}}
+    raise ValueError(f"{model.kind} model does not serialize; store 'departures' instead")
+
 
 def instance_to_json(instance: OnlineInstance) -> dict:
     data: dict = {
@@ -338,6 +370,8 @@ def instance_from_json(data: dict) -> OnlineInstance:
         d = int(data["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError("instance needs integer 'n' and 'd'") from exc
+    if n > _MAX_INSTANCE_N:
+        raise InstanceFormatError(f"n = {n} exceeds the limit of {_MAX_INSTANCE_N}")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise InstanceFormatError("'edges' must be a list")

@@ -93,12 +93,7 @@ def batch_index(slot: int, d: int) -> int:
 
 def batched_graph(sigma, n: int, d: int) -> WeightedGraph:
     """Edge (i, j) iff i and j fall in the same (d+1)-slot batch."""
-    slots = _slots(sigma, n)
-    weights = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if batch_index(slots[i - 1], d) == batch_index(slots[j - 1], d):
-            weights[(i, j)] = ONE
-    return WeightedGraph(n, weights)
+    return batching_from_order(sigma, n, d).mask()
 
 
 # ---------------------------------------------------------------------------

@@ -322,9 +322,6 @@ class AuctionMarket:
     def matched_buyer(self, s: int) -> int | None:
         return self.match_sb.get(s)
 
-    def matching_value(self) -> Fraction:
-        return sum((self.edges[(s, b)] for s, b in self.match_sb.items()), Fraction(0))
-
     def dual_total(self) -> Fraction:
         return sum(self.prices.values(), Fraction(0)) + sum(self.margins.values(), Fraction(0))
 

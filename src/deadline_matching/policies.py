@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import MarketView, OnlinePolicy
-from .graphs import OnlineInstance, WeightedGraph, build_online_graph, ordered_pair
+from .graphs import OnlineInstance, WeightedGraph, build_online_graph
 from .offline import AuctionMarket, max_weight_matching_exact
 
 SELLER = "seller"
@@ -41,19 +41,15 @@ def infer_roles(instance: OnlineInstance) -> dict[int, str]:
 
 
 class _RoleBased(OnlinePolicy):
-    def __init__(self, roles: dict[int, str] | None = None):
-        self._declared_roles = dict(roles) if roles is not None else None
-
     def reset(self, view: MarketView, rng):
         super().reset(view, rng)
         self.roles = self._roles(view)
 
     def _roles(self, view: MarketView) -> dict[int, str]:
-        roles = self._declared_roles or view.roles()
+        roles = view.roles()
         if roles is None:
             raise NonBipartiteError(
-                f"{self.name} needs declared seller/buyer roles "
-                "(instance metadata or constructor argument)")
+                f"{self.name} needs seller/buyer roles declared on the instance")
         return roles
 
     def _check_bipartite_arrival(self, v: int):
@@ -348,8 +344,8 @@ class PatientBaseline(OnlinePolicy):
 
 # Spec-facing constructors -----------------------------------------------
 
-def greedy_free_disposal(roles: dict[int, str] | None = None) -> FreeDisposalGreedy:
-    return FreeDisposalGreedy(roles)
+def greedy_free_disposal() -> FreeDisposalGreedy:
+    return FreeDisposalGreedy()
 
 
 def naive_greedy() -> NaiveGreedy:
@@ -364,8 +360,8 @@ def pg_stochastic() -> PostponedGreedy:
     return PostponedGreedy(departure_guard=True)
 
 
-def dda(roles: dict[int, str] | None = None) -> DynamicDeferredAcceptance:
-    return DynamicDeferredAcceptance(roles)
+def dda() -> DynamicDeferredAcceptance:
+    return DynamicDeferredAcceptance()
 
 
 def batching(lookahead: int = 0) -> BatchingPolicy:

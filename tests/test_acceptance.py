@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 from itertools import permutations
 
-from deadline_matching import (arrival_window_matching_value,
+from deadline_matching import (RootFive, arrival_window_matching_value,
                                batched_matching_value, batching,
                                competitive_report, cycle_power, dda,
                                enumerate_branches, exact_expectation,
@@ -173,10 +173,8 @@ def test_criterion_6_lower_bounds():
     randomized = optimal_online_bounds("constrained-randomized-lb", "randomized")
     check(lines, "6 randomized bound", randomized == F(4, 5),
           f"max-min over the 2x2 game = {randomized}")
-    import sympy
     wstar, bound = golden_ratio_fixed_point()
-    golden_ok = (sympy.simplify(bound - wstar) == 0
-                 and sympy.simplify(wstar - (sympy.sqrt(5) - 1) / 2) == 0)
+    golden_ok = bound == wstar and wstar == RootFive(F(-1, 2), F(1, 2))
     check(lines, "6 deterministic bound", golden_ok,
           f"fixed point at w* = {wstar}")
     v = F(1, 1000)

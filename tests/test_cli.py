@@ -192,6 +192,22 @@ class TestMalformedInput:
                                   "--target", "cycle:8:1")
         assert "period must be positive" in err
 
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "tabulated", "pmf": [1, 2]}, "'pmf' as an object"),
+        ({"kind": "tabulated", "pmf": {"0": "1/0"}}, "zero denominator"),
+        ({"kind": "geometric", "delta": "1/0"}, "zero denominator"),
+    ])
+    def test_malformed_departure_model(self, capsys, tmp_path, model, message):
+        path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, 1]],
+                                     "departure_model": model})
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert message in err
+
+    def test_vertex_count_beyond_the_cap(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"n": 10**30, "d": 1, "edges": []})
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert "exceeds the limit" in err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--gallery", "basic-tradeoff", "--policy", "pg", "--seeds", "0"],
         ["simulate", "--gallery", "basic-tradeoff", "--policy", "pg", "--seeds", "-1"],

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deadline_matching import (dda, exact_expectation, game_value,
+from deadline_matching import (RootFive, dda, exact_expectation, game_value,
                                golden_ratio_fixed_point, greedy_free_disposal,
                                make_instance, offline_optimum,
                                optimal_online_bounds, patient_baseline,
@@ -63,10 +70,9 @@ class TestOptimalOnlineBounds:
                                          "deterministic", w=w) == expected
 
     def test_golden_ratio_fixed_point(self):
-        import sympy
         wstar, bound = golden_ratio_fixed_point()
-        assert sympy.simplify(bound - wstar) == 0
-        assert sympy.simplify(wstar - (sympy.sqrt(5) - 1) / 2) == 0
+        assert bound == wstar
+        assert wstar == RootFive(F(-1, 2), F(1, 2))
 
     def test_degenerate_adversary(self):
         assert optimal_online_bounds("constrained-randomized-lb", "randomized",
@@ -82,3 +88,59 @@ class TestOptimalOnlineBounds:
                 ratio = value / offline_optimum(inst).weight
                 worst = ratio if worst is None else min(worst, ratio)
             assert worst <= bound
+
+
+small = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+roots = st.builds(RootFive, small, small)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def decimal_value(x):
+    """a + b*sqrt(5) to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x.a.numerator) / x.a.denominator
+                + Decimal(x.b.numerator) / x.b.denominator * Decimal(5).sqrt())
+
+
+class TestRootFive:
+    @PROPERTY
+    @given(roots, roots, roots)
+    def test_field_identities(self, x, y, z):
+        assert x + y - y == x
+        assert x * (y + z) == x * y + x * z
+        assert 1 - x == -1 * (x - 1)
+        if y != 0:
+            assert (x * y) / y == x
+            assert (x / y) * y == x
+
+    @PROPERTY
+    @given(roots, roots)
+    def test_equal_exactly_when_the_coefficients_are(self, x, y):
+        assert (x == y) == ((x.a, x.b) == (y.a, y.b))
+        assert (x == x.a) == (x.b == 0)
+
+    @PROPERTY
+    @given(roots, roots, st.integers(-3, 3))
+    def test_order_agrees_with_sixty_digits(self, x, y, k):
+        if x != y:
+            assert (x < y) == (decimal_value(x) < decimal_value(y))
+            assert (x > y) == (decimal_value(x) > decimal_value(y))
+        assert (x < k) == (decimal_value(x) < k)
+        assert (k < x) == (k < decimal_value(x))
+
+
+def test_package_imports_only_the_standard_library():
+    """With site-packages off, the package and its CLI import, and the golden
+    ratio is solved, using nothing outside the standard library."""
+    code = ("import sys, deadline_matching, deadline_matching.cli\n"
+            "deadline_matching.golden_ratio_fixed_point()\n"
+            "tops = {name.split('.')[0] for name in sys.modules}\n"
+            "print(sorted(tops - set(sys.stdlib_module_names)"
+            " - {'__main__', 'deadline_matching'}))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

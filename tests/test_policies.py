@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
-                               WeightedGraph, batching, dda, exact_expectation,
-                               greedy_free_disposal, infer_roles, make_instance,
-                               make_policy, naive_greedy, offline_optimum,
-                               patient_baseline, postponed_greedy, simulate,
-                               verify_offline_dual)
+                               WeightedGraph, batched_matching_value, batching,
+                               dda, exact_expectation, greedy_free_disposal,
+                               infer_roles, make_instance, make_policy,
+                               max_weight_matching_exact, naive_greedy,
+                               offline_optimum, patient_baseline,
+                               postponed_greedy, simulate, verify_offline_dual)
 from helpers import random_constrained_bipartite, random_instance
 
 
@@ -202,6 +205,27 @@ class TestBatching:
                 bi = (inst.order.slot_of(i) + width - 1) // width
                 bj = (inst.order.slot_of(j) + width - 1) // width
                 assert bi == bj
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 12), d=st.integers(0, 3), l=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_collects_the_certified_batched_value(self, n, d, l, seed):
+        # The covering certificates bound batched_matching_value; the policy
+        # must collect exactly that, as the union of each batch's optimum.
+        inst = random_instance(random.Random(seed), n, d)
+        result = simulate(inst, batching(l))
+        slots = inst.order.slots
+        assert result.collected == batched_matching_value(inst.graph, slots, d + l)
+        by_slot = sorted(inst.graph.vertices(), key=lambda v: slots[v - 1])
+        expected = set()
+        for start in range(0, n, d + l + 1):
+            batch = sorted(by_slot[start:start + d + l + 1])
+            local = WeightedGraph(len(batch), {
+                (i + 1, j + 1): inst.graph.weight(u, v)
+                for i, u in enumerate(batch) for j, v in enumerate(batch) if u < v})
+            expected |= {(batch[i - 1], batch[j - 1])
+                         for i, j in max_weight_matching_exact(local).pairs}
+        assert result.pairs == expected
 
     def test_partial_final_batch_not_stranded(self):
         # d=2: windows {1,2,3} and the partial {4,5}, closed at the last arrival
