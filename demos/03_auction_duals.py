@@ -25,7 +25,7 @@ p_f, q_f, q_i = policy.conservation_sums()
 print(f"  sum p^f = {p_f}, sum q^f = {q_f}, sum q^i = {q_i}  "
       f"(p^f + q^f == q^i: {p_f + q_f == q_i})")
 
-# --- the incremental market is a warm-startable exact solver ---------------
+# --- inserting buyers one at a time solves the market exactly --------------
 sellers, buyers = [1, 2], [3, 4]
 weights = {(1, 3): F(3, 5), (2, 3): F(1), (1, 4): F(2), (2, 4): F(1, 2)}
 matching, prices, margins = hungarian_bipartite(sellers, buyers, weights)

@@ -6,20 +6,20 @@ batching under random arrival order, and covering-LP certificates with an
 exact simplex backend.
 """
 
-from .departures import (DepartureModel, deterministic, explicit, geometric,
+from .departures import (DepartureModel, deterministic, geometric,
                          hazard_alpha, sample_departures, tabulated)
-from .engine import (BranchingLimitExceeded, MarketView, OnlinePolicy,
-                     ReportRow, RunResult, competitive_report,
+from .engine import (BranchingLimitExceeded, MarketView, MatchViolation,
+                     OnlinePolicy, ReportRow, RunResult, competitive_report,
                      enumerate_branches, exact_expectation, simulate,
-                     write_report_csv)
+                     validate_matching, write_report_csv)
 from .gallery import (NamedInstance, RootFive, game_value,
                       golden_ratio_fixed_point, make_instance,
                       optimal_online_bounds)
 from .graphs import (ArrivalOrder, InstanceFormatError, Matching,
-                     MatchViolation, OnlineInstance, WeightedGraph,
-                     as_rational, build_online_graph, format_rational,
-                     instance_from_json, instance_to_json, load_instance,
-                     matching_weight, save_instance, validate_matching)
+                     OnlineInstance, WeightedGraph, as_rational,
+                     build_online_graph, format_rational, instance_from_json,
+                     instance_to_json, load_instance, matching_weight,
+                     save_instance)
 from .masks import (PeriodicBatching, batched_graph, batching_from_order,
                     combine, contract_cycle_mask, cycle_power, is_cover,
                     multiply, path_power, enumerate_periodic_batchings,

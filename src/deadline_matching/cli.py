@@ -35,7 +35,7 @@ def _parse_params(items):
         if "=" not in item:
             raise SystemExit(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key] = Fraction(value)
+        params[key] = value  # make_instance parses it exactly
     return params
 
 

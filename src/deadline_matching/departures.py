@@ -18,14 +18,15 @@ class DepartureModel:
       * ``geometric`` -- i.i.d. offsets with P[X = t] = delta * (1-delta)**t
         for t = 0, 1, 2, ...; memoryless in discrete time and equal to the
         deterministic model in distribution only when delta -> 1,
-      * ``explicit`` -- a fixed per-vertex list of offsets,
       * ``tabulated`` -- i.i.d. offsets drawn from a finite pmf table.
+
+    Fixed per-vertex offsets are not a model: they are an instance's
+    ``departures``.
     """
 
     kind: str
     d: int | None = None
     delta: Fraction | None = None
-    offsets: tuple[int, ...] | None = None
     pmf: tuple[tuple[int, Fraction], ...] | None = None
 
     def __post_init__(self):
@@ -35,9 +36,6 @@ class DepartureModel:
         elif self.kind == "geometric":
             if self.delta is None or not (0 < self.delta < 1):
                 raise ValueError("geometric model needs delta in (0, 1)")
-        elif self.kind == "explicit":
-            if self.offsets is None or any(t < 0 for t in self.offsets):
-                raise ValueError("explicit model needs offsets >= 0")
         elif self.kind == "tabulated":
             if not self.pmf:
                 raise ValueError("tabulated model needs a pmf table")
@@ -47,14 +45,6 @@ class DepartureModel:
         else:
             raise ValueError(f"unknown departure model kind {self.kind!r}")
 
-    def pmf_table(self) -> dict[int, Fraction]:
-        """Finite pmf for models with enumerable support; geometric has none."""
-        if self.kind == "deterministic":
-            return {self.d: Fraction(1)}
-        if self.kind == "tabulated":
-            return dict(self.pmf)
-        raise ValueError(f"{self.kind} model has no finite pmf table")
-
 
 def deterministic(d: int) -> DepartureModel:
     return DepartureModel("deterministic", d=d)
@@ -62,10 +52,6 @@ def deterministic(d: int) -> DepartureModel:
 
 def geometric(delta) -> DepartureModel:
     return DepartureModel("geometric", delta=Fraction(delta))
-
-
-def explicit(offsets) -> DepartureModel:
-    return DepartureModel("explicit", offsets=tuple(int(t) for t in offsets))
 
 
 def tabulated(pmf) -> DepartureModel:
@@ -82,10 +68,6 @@ def sample_departures(model: DepartureModel, n: int, seed: int) -> tuple[int, ..
     """
     if model.kind == "deterministic":
         return tuple([model.d] * n)
-    if model.kind == "explicit":
-        if len(model.offsets) != n:
-            raise ValueError(f"explicit model has {len(model.offsets)} offsets, instance has {n}")
-        return model.offsets
     rng = random.Random(seed)
     if model.kind == "geometric":
         # inverse CDF of the failures-before-success convention
@@ -117,9 +99,7 @@ def hazard_alpha(model: DepartureModel, horizon: int) -> Fraction:
         # By memorylessness X - g | X >= g is again geometric, so the value is
         # sum_t delta(1-delta)^t * P[Y >= t] = 1 / (2 - delta) for every gap.
         return Fraction(1, 1) / (2 - model.delta)
-    if model.kind == "explicit":
-        raise ValueError("hazard_alpha needs a distributional model, not explicit offsets")
-    pmf = model.pmf_table()
+    pmf = dict(model.pmf)
     tail = _tail_table(pmf)
     best: Fraction | None = None
     for g in range(1, horizon):

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import (ArrivalOrder, MatchViolation, OnlineInstance, Pair,
-                     build_online_graph, format_rational, ordered_pair,
-                     validate_matching)  # noqa: F401 (perfbench/tracer.py wraps both here)
+from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
+                     build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
+                     format_rational, ordered_pair)
 from .departures import sample_departures
 from .offline import offline_optimum
 
@@ -38,12 +39,11 @@ class Event:
         return (self.time, 0 if self.kind == ARRIVAL else 1, self.vertex)
 
 
-def event_schedule(instance: OnlineInstance, departures: tuple[int, ...]) -> list[Event]:
+def event_schedule(windows: PresenceWindows) -> list[Event]:
     events = []
-    for v in instance.graph.vertices():
-        slot = instance.order.slot_of(v)
+    for v, (slot, critical) in enumerate(zip(windows.slots, windows.critical), start=1):
         events.append(Event(slot, ARRIVAL, v))
-        events.append(Event(slot + departures[v - 1], CRITICAL, v))
+        events.append(Event(critical, CRITICAL, v))
     return sorted(events, key=Event.sort_key)
 
 
@@ -90,8 +90,7 @@ class MarketView:
     def __init__(self, instance: OnlineInstance, departures: tuple[int, ...],
                  lookahead: int):
         self._instance = instance
-        self._windows = windows = instance.windows(departures, lookahead)
-        self._critical = [s + t for s, t in zip(windows.slots, windows.offsets)]
+        self._windows = instance.windows(departures, lookahead)
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self._present: set[int] = set()  # arrived and unmatched; pruned lazily
@@ -131,7 +130,7 @@ class MarketView:
 
     def departure_time(self, v: int) -> int:
         """Known only once the critical event has been reached."""
-        t = self._critical[v - 1]
+        t = self._windows.critical[v - 1]
         if v not in self._arrived or t > self.now:
             raise LookupError(f"vertex {v}'s departure is not yet known")
         return t
@@ -139,7 +138,7 @@ class MarketView:
     def has_departed(self, v: int) -> bool:
         if v not in self._arrived:
             return False
-        return self._critical[v - 1] < self.now
+        return self._windows.critical[v - 1] < self.now
 
     def is_matched(self, v: int) -> bool:
         return v in self._matched
@@ -147,7 +146,7 @@ class MarketView:
     def present(self) -> list[int]:
         """Arrived, not past their departure period, not matched away, in
         ascending order."""
-        critical, now = self._critical, self.now
+        critical, now = self._windows.critical, self.now
         self._present = {v for v in self._present if critical[v - 1] >= now}
         return sorted(self._present)
 
@@ -198,12 +197,51 @@ class RunResult:
 
 
 def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
+    """Each vertex's departure offset in the run with this seed: the
+    instance's `departures`, else its model's draw for the seed, else the
+    deadline. The one place offsets come from."""
     if instance.departures is not None:
         return instance.departures
     if instance.departure_model is not None:
         return sample_departures(instance.departure_model, instance.n,
                                  _derive_seed(seed, "departures"))
     return tuple([instance.deadline] * instance.n)
+
+
+@dataclass(frozen=True)
+class MatchViolation:
+    pair: Pair
+    time: int | None
+    reasons: tuple[str, ...]
+
+    def __str__(self):
+        at = f" at time {self.time}" if self.time is not None else ""
+        return f"pair {self.pair}{at} invalid: {', '.join(self.reasons)}"
+
+
+def validate_matching(instance: OnlineInstance, matching, schedule: dict[Pair, int],
+                      lookahead: int = 0, seed: int = 0) -> MatchViolation | None:
+    """Check a matched pair set with its match times against the online rules.
+
+    Each pair must be disjoint from the others and satisfy the presence-window
+    rule (`PresenceWindows`) under the offsets of the run with this seed (see
+    `realized_departures`; `simulate` takes the same seed), with the given
+    lookahead allowance. Returns None when everything checks out, otherwise
+    the first violated pair (by match time) with every violated condition
+    listed.
+    """
+    pairs = matching.pairs if isinstance(matching, Matching) else frozenset(
+        ordered_pair(i, j) for i, j in matching)
+    uses = Counter(v for pair in pairs for v in pair)
+    overlap = {v for v, count in uses.items() if count > 1}
+    windows = instance.windows(realized_departures(instance, seed), lookahead)
+    for pair in sorted(pairs, key=lambda p: (schedule.get(p, -1), p)):
+        if pair not in schedule:
+            return MatchViolation(pair, None, ("no match time scheduled",))
+        reasons = windows.violations(pair, schedule[pair], overlap)
+        if reasons:
+            return MatchViolation(pair, schedule[pair], reasons)
+    return None
 
 
 def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
@@ -222,7 +260,7 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     pairs: dict[Pair, int] = {}
     collected = Fraction(0)
     trace: list[tuple] = []
-    for event in event_schedule(instance, departures):
+    for event in event_schedule(view._windows):
         view._advance(event.time)
         if event.kind == ARRIVAL:
             view._mark_arrived(event.vertex)
@@ -247,27 +285,26 @@ class BranchingLimitExceeded(ValueError):
     pass
 
 
-def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy,
-                       max_flips: int = 20):
+MAX_FLIPS = 20  # fair bits per run that exact enumeration accepts: 2**20 leaves
+
+
+def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
     """Yield (bits, RunResult) over the policy's full fair-coin tree.
 
-    Refuses runs that consume more than max_flips bits (2**max_flips leaves).
-    The departures must be fixed: a model that samples them is not enumerable.
+    Refuses runs that consume more than MAX_FLIPS bits. The departures must
+    be fixed: a model that samples them is not enumerable.
     """
     model = instance.departure_model
-    if instance.departures is None and model is not None:
-        if model.kind in ("geometric", "tabulated"):
-            raise BranchingLimitExceeded(
-                "stochastic departure models are not exactly enumerable")
+    if model is not None and model.kind != "deterministic":
+        raise BranchingLimitExceeded("stochastic departure models are not exactly enumerable")
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         try:
             result = simulate(instance, policy, bits=ScriptedBits(prefix))
         except OutOfBits:
-            if len(prefix) >= max_flips:
-                raise BranchingLimitExceeded(
-                    f"policy consumed more than {max_flips} fair bits")
+            if len(prefix) >= MAX_FLIPS:
+                raise BranchingLimitExceeded(f"policy consumed more than {MAX_FLIPS} fair bits")
             stack.append(prefix + (1,))
             stack.append(prefix + (0,))
             continue
@@ -275,11 +312,10 @@ def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy,
         yield prefix, result
 
 
-def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy,
-                      max_flips: int = 20) -> Fraction:
+def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
     """Exact expected collected value over the policy's fair coin flips."""
     total = Fraction(0)
-    for bits, result in enumerate_branches(instance, policy, max_flips):
+    for bits, result in enumerate_branches(instance, policy):
         total += result.collected * Fraction(1, 2 ** len(bits))
     return total
 

@@ -7,6 +7,7 @@ values for the deterministic and randomized adversary families.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -44,6 +45,11 @@ def make_instance(name: str, **params) -> NamedInstance:
     }
     if name not in builders:
         raise ValueError(f"unknown instance name {name!r}")
+    known = inspect.signature(builders[name]).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"{name} has no parameter {', '.join(map(repr, unknown))}; "
+                         f"it takes {', '.join(known)}")
     return builders[name](**{k: as_rational(v) for k, v in params.items()})
 
 

@@ -8,7 +8,6 @@ of tolerances. Vertices and arrival slots are 1-based.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +33,13 @@ def as_rational(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_integer(value) -> int:
+    """Coerce ints and integer strings to int; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot interpret {value!r} as an integer")
+    return int(value)
 
 
 def format_rational(value: Fraction) -> str:
@@ -120,9 +126,11 @@ class OnlineInstance:
     """A weighted graph arriving over time, with a deadline model.
 
     ``deadline`` is the deterministic number of periods a vertex stays after
-    arrival; ``departures`` optionally overrides it per vertex (realized
-    offsets d_i). ``roles`` optionally declares a seller/buyer side per vertex
-    for constrained bipartite inputs; it is in-memory metadata only.
+    arrival. Either ``departures`` fixes a realized offset per vertex or
+    ``departure_model`` draws the offsets per run, never both;
+    `engine.realized_departures` resolves a run's offsets. ``roles``
+    optionally declares a seller/buyer side per vertex for constrained
+    bipartite inputs; it is in-memory metadata only.
     """
 
     graph: WeightedGraph
@@ -138,6 +146,8 @@ class OnlineInstance:
         if self.order.n != self.graph.n:
             raise ValueError("arrival order and graph disagree on n")
         if self.departures is not None:
+            if self.departure_model is not None:
+                raise ValueError("give either departures or departure_model, not both")
             deps = tuple(int(t) for t in self.departures)
             if len(deps) != self.graph.n:
                 raise ValueError("departures must list one offset per vertex")
@@ -154,19 +164,13 @@ class OnlineInstance:
     def n(self) -> int:
         return self.graph.n
 
-    def departure_offset(self, v: int) -> int:
-        return self.departures[v - 1] if self.departures is not None else self.deadline
-
-    def critical_time(self, v: int) -> int:
-        """Last period at which v can still be matched; it departs at its end."""
-        return self.order.slot_of(v) + self.departure_offset(v)
-
     def with_order(self, order: ArrivalOrder) -> "OnlineInstance":
         return replace(self, order=order)
 
     def windows(self, offsets=None, lookahead: int = 0) -> "PresenceWindows":
         """The presence-window rule on this arrival order. Offsets default to
-        the deadline for every vertex, whatever `departures` holds."""
+        the deadline for every vertex, whatever `departures` holds; a run's
+        offsets come from `engine.realized_departures`."""
         return PresenceWindows(self.order.slots, self.deadline, offsets, lookahead)
 
 
@@ -179,10 +183,12 @@ class PresenceWindows:
     vertex a and a later arrival b share an edge of the online graph iff
     slot(b) - slot(a) <= reach(a). The deadline caps the reach because it
     defines which edges exist; a realized departure only shortens a window.
-    A pair may be matched at tick t iff max slot <= t <= min critical time +
-    lookahead, a vertex's critical time being slot + offset. The lookahead
-    allowance models a policy that knows the next arrivals; it is 0 in the
-    base model. Offsets default to d for every vertex: the deadline graph.
+    ``critical`` holds each vertex's critical time, slot + offset: the last
+    period at which it can be matched; it departs at its end. A pair may be
+    matched at tick t iff max slot <= t <= min critical time + lookahead. The
+    lookahead allowance models a policy that knows the next arrivals; it is 0
+    in the base model. Offsets default to d for every vertex: the deadline
+    graph.
     """
 
     def __init__(self, slots, deadline: int, offsets=None, lookahead: int = 0):
@@ -190,6 +196,7 @@ class PresenceWindows:
         self.offsets = tuple(offsets) if offsets is not None else (deadline,) * len(self.slots)
         self.lookahead = lookahead
         self.reach = [min(t, deadline) + lookahead for t in self.offsets]
+        self.critical = [s + t for s, t in zip(self.slots, self.offsets)]
 
     def live(self, u: int, v: int) -> bool:
         gap = self.slots[v - 1] - self.slots[u - 1]
@@ -212,7 +219,7 @@ class PresenceWindows:
                            f"exceeds the window {self.reach[(i if si < sj else j) - 1]})")
         if t < max(si, sj):
             reasons.append("matched before both arrived")
-        ci, cj = si + self.offsets[i - 1], sj + self.offsets[j - 1]
+        ci, cj = self.critical[i - 1], self.critical[j - 1]
         if t > min(ci, cj) + self.lookahead:
             late = i if ci <= cj else j
             reasons.append(f"matched after vertex {late} departed at time {min(ci, cj)}")
@@ -268,41 +275,6 @@ def matching_weight(graph: WeightedGraph, matching) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class MatchViolation:
-    pair: Pair
-    time: int | None
-    reasons: tuple[str, ...]
-
-    def __str__(self):
-        at = f" at time {self.time}" if self.time is not None else ""
-        return f"pair {self.pair}{at} invalid: {', '.join(self.reasons)}"
-
-
-def validate_matching(instance: OnlineInstance, matching, schedule: dict[Pair, int],
-                      lookahead: int = 0) -> MatchViolation | None:
-    """Check a matched pair set with its match times against the online rules.
-
-    Each pair must be disjoint from the others and satisfy the presence-window
-    rule (`PresenceWindows`) under the instance's departure offsets, with the
-    given lookahead allowance. Returns None when everything checks out,
-    otherwise the first violated pair (by match time) with every violated
-    condition listed.
-    """
-    pairs = matching.pairs if isinstance(matching, Matching) else frozenset(
-        ordered_pair(i, j) for i, j in matching)
-    uses = Counter(v for pair in pairs for v in pair)
-    overlap = {v for v, count in uses.items() if count > 1}
-    windows = instance.windows(instance.departures, lookahead)
-    for pair in sorted(pairs, key=lambda p: (schedule.get(p, -1), p)):
-        if pair not in schedule:
-            return MatchViolation(pair, None, ("no match time scheduled",))
-        reasons = windows.violations(pair, schedule[pair], overlap)
-        if reasons:
-            return MatchViolation(pair, schedule[pair], reasons)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Instance files
 
@@ -325,7 +297,7 @@ def parse_departure_model(data: dict) -> DepartureModel:
         raise ValueError(f"{kind} departure_model takes exactly {field!r}")
     value = data[field]
     if kind == "deterministic":
-        return deterministic(int(value))
+        return deterministic(as_integer(value))
     if kind == "geometric":
         return geometric(as_rational(value))
     if not isinstance(value, dict):
@@ -338,10 +310,7 @@ def departure_model_to_json(model: DepartureModel) -> dict:
         return {"kind": "deterministic", "d": model.d}
     if model.kind == "geometric":
         return {"kind": "geometric", "delta": format_rational(model.delta)}
-    if model.kind == "tabulated":
-        return {"kind": "tabulated",
-                "pmf": {str(t): format_rational(p) for t, p in model.pmf}}
-    raise ValueError(f"{model.kind} model does not serialize; store 'departures' instead")
+    return {"kind": "tabulated", "pmf": {str(t): format_rational(p) for t, p in model.pmf}}
 
 
 def instance_to_json(instance: OnlineInstance) -> dict:
@@ -366,8 +335,8 @@ def instance_from_json(data: dict) -> OnlineInstance:
     if unknown:
         raise InstanceFormatError(f"unknown instance fields: {sorted(unknown)}")
     try:
-        n = int(data["n"])
-        d = int(data["d"])
+        n = as_integer(data["n"])
+        d = as_integer(data["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError("instance needs integer 'n' and 'd'") from exc
     if n > _MAX_INSTANCE_N:
@@ -381,21 +350,32 @@ def instance_from_json(data: dict) -> OnlineInstance:
             raise InstanceFormatError(f"edge entry {entry!r} is not [i, j, weight]")
         i, j, w = entry
         try:
-            weights[ordered_pair(int(i), int(j))] = as_rational(w)
+            weights[ordered_pair(as_integer(i), as_integer(j))] = as_rational(w)
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"bad edge entry {entry!r}: {exc}") from exc
-    sigma = data.get("sigma")
-    departures = data.get("departures")
     try:
         model = (parse_departure_model(data["departure_model"])
                  if "departure_model" in data else None)
-        order = ArrivalOrder(tuple(sigma)) if sigma is not None else ArrivalOrder.identity(n)
-        return OnlineInstance(
-            WeightedGraph(n, weights), order, d,
-            departures=tuple(departures) if departures is not None else None,
-            departure_model=model)
+        sigma = _integer_list(data, "sigma")
+        order = ArrivalOrder(sigma) if sigma is not None else ArrivalOrder.identity(n)
+        return OnlineInstance(WeightedGraph(n, weights), order, d,
+                              departures=_integer_list(data, "departures"),
+                              departure_model=model)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(str(exc)) from exc
+
+
+def _integer_list(data: dict, field: str) -> tuple[int, ...] | None:
+    """The integers listed under `field`, or None when the field is absent."""
+    values = data.get(field)
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise TypeError(f"'{field}' must be a list of integers")
+    try:
+        return tuple(as_integer(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'{field}': {exc}") from None
 
 
 def save_instance(instance: OnlineInstance, path) -> None:

@@ -257,12 +257,10 @@ class AuctionMarket:
         self.match_bs: dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
-    def add_seller(self, s: int, price: Fraction = Fraction(0)):
+    def add_seller(self, s: int):
         if s in self.prices or s in self.margins:
             raise ValueError(f"vertex {s} already in the market")
-        if price < 0:
-            raise ValueError("prices are nonnegative")
-        self.prices[s] = Fraction(price)
+        self.prices[s] = Fraction(0)
 
     def add_buyer(self, b: int, edges: dict[int, Fraction]) -> Fraction:
         """Insert a buyer with its seller edges and rebalance; returns q_b.
@@ -425,49 +423,20 @@ class AuctionMarket:
             node = parent.get(b)
 
 
-def hungarian_bipartite(sellers, buyers, weights: dict[Pair, Fraction],
-                        prices: dict[int, Fraction] | None = None,
-                        margins: dict[int, Fraction] | None = None,
-                        matching: dict[int, int] | None = None):
+def hungarian_bipartite(sellers, buyers, weights: dict[Pair, Fraction]):
     """Maximum-weight bipartite matching with optimal duals, exact.
 
-    Warm-startable: pass prices/margins/matching from a previous solve over a
-    subset of the buyers; they must be feasible and complementary for the
-    current subgraph or the call is rejected. Remaining buyers are inserted
-    one at a time (the incremental procedure DDA uses). Returns
-    (Matching, prices, margins).
+    Buyers are inserted one at a time (the incremental procedure DDA uses).
+    Returns (Matching, prices, margins).
     """
     sellers = list(sellers)
     buyers = list(buyers)
     weights = {(s, b): Fraction(w) for (s, b), w in weights.items()
                if s in set(sellers) and b in set(buyers)}
     market = AuctionMarket()
-    prices = dict(prices or {})
-    margins = dict(margins or {})
-    matching = dict(matching or {})
     for s in sellers:
-        market.add_seller(s, prices.get(s, Fraction(0)))
-    warm = [b for b in buyers if b in margins]
-    cold = [b for b in buyers if b not in margins]
-    for b in warm:
-        q = Fraction(margins[b])
-        if q < 0:
-            raise ValueError("warm-start margins must be nonnegative")
-        market.margins[b] = q
-        for s in sellers:
-            w = Fraction(weights.get((s, b), 0))
-            if w > 0:
-                market.edges[(s, b)] = w
-                if market.prices[s] + q < w:
-                    raise ValueError(f"warm-start duals infeasible on ({s}, {b})")
-    for s, b in matching.items():
-        market.match_sb[s] = b
-        market.match_bs[b] = s
-    try:
-        market.check_optimal()
-    except AssertionError as exc:
-        raise ValueError(f"warm start rejected: {exc}") from exc
-    for b in cold:
+        market.add_seller(s)
+    for b in buyers:
         market.add_buyer(b, {s: w for (s, bb), w in weights.items() if bb == b})
     market.check_optimal()
     graph_pairs = [(s, b) for s, b in market.match_sb.items()]

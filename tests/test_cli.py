@@ -203,6 +203,36 @@ class TestMalformedInput:
         err = self.one_line_error(capsys, "offline", "--instance", path)
         assert message in err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n": 2.7, "d": 1.9, "edges": [], "departures": [0.5, 1.2]}, "integer 'n' and 'd'"),
+        ({"n": 2, "d": True, "edges": []}, "integer 'n' and 'd'"),
+        ({"n": 2, "d": 1, "edges": [[1.0, 2, 1]]}, "as an integer"),
+        ({"n": 2, "d": 1, "edges": [], "sigma": [2.0, 1.0]}, "'sigma'"),
+        ({"n": 2, "d": 1, "edges": [], "departures": [0.5, 1.2]}, "'departures'"),
+        ({"n": 2, "d": 1, "edges": [], "departures": [False, 1]}, "'departures'"),
+        ({"n": 2, "d": 1, "edges": [], "departure_model": {"kind": "deterministic", "d": 2.5}},
+         "as an integer"),
+    ])
+    def test_integer_fields_refuse_floats_and_booleans(self, capsys, tmp_path, data, message):
+        path = self.write(tmp_path, data)
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert message in err
+
+    def test_departures_and_a_departure_model_together(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, 1]], "departures": [0, 4],
+                                     "departure_model": {"kind": "deterministic", "d": 2}})
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert "not both" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["offline", "--gallery", "basic-tradeoff", "--param", "y=1/0"], "zero denominator"),
+        (["gallery", "--name", "basic-tradeoff", "--param", "y=1/0"], "zero denominator"),
+        (["offline", "--gallery", "basic-tradeoff", "--param", "z=1"], "no parameter 'z'"),
+    ])
+    def test_bad_gallery_parameters(self, capsys, argv, message):
+        err = self.one_line_error(capsys, *argv)
+        assert message in err
+
     def test_vertex_count_beyond_the_cap(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 10**30, "d": 1, "edges": []})
         err = self.one_line_error(capsys, "offline", "--instance", path)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
-                               deterministic, explicit, geometric,
+                               deterministic, geometric,
                                hazard_alpha, instance_from_json,
                                instance_to_json, pg_stochastic,
                                postponed_greedy, realized_offline_optimum,
@@ -26,8 +26,8 @@ class TestSampling:
                               ArrivalOrder.identity(2), 1, departures=(0, 4))
         again = instance_from_json(instance_to_json(inst))
         assert again.departures == (0, 4)
-        model = explicit(again.departures)
-        assert sample_departures(model, 2, 99) == (0, 4)
+        from deadline_matching.engine import realized_departures
+        assert realized_departures(again, 99) == (0, 4)
 
     def test_reproducible_by_seed(self):
         a = sample_departures(geometric(F(1, 3)), 50, 7)

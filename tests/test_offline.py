@@ -206,28 +206,6 @@ class TestHungarian:
             # strong duality, exactly
             assert sum(p.values(), F(0)) + sum(q.values(), F(0)) == best
 
-    def test_warm_start_equals_scratch(self):
-        rng = random.Random(18)
-        for _ in range(15):
-            ns, nb = rng.randint(1, 4), rng.randint(2, 5)
-            sellers = list(range(1, ns + 1))
-            buyers = list(range(ns + 1, ns + nb + 1))
-            w = {(s, b): F(rng.randint(0, 9), rng.choice([1, 2]))
-                 for s in sellers for b in buyers}
-            m1, p1, q1 = hungarian_bipartite(sellers, buyers[:-1], w)
-            match1 = {}
-            for a, b in m1.pairs:
-                s, bb = (a, b) if a in sellers else (b, a)
-                match1[s] = bb
-            m2, _, _ = hungarian_bipartite(sellers, buyers, w,
-                                           prices=p1, margins=q1, matching=match1)
-            assert m2.weight == self.brute(sellers, buyers, w)
-
-    def test_infeasible_warm_start_rejected(self):
-        w = {(1, 2): F(5)}
-        with pytest.raises(ValueError, match="warm start|infeasible"):
-            hungarian_bipartite([1], [2], w, prices={1: F(0)}, margins={2: F(1)})
-
     def test_insertion_conserves_preexisting_dual_mass(self):
         rng = random.Random(19)
         for _ in range(20):

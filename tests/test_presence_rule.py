@@ -3,8 +3,9 @@
 Each property writes the rule out by hand and checks one of its users
 against it: the weights a policy sees through `MarketView`, the edge sets of
 `build_online_graph` and `realized_online_graph`, the on-the-spot pair
-check in `simulate`, which must agree with `validate_matching`, and the
-present set that `MarketView.present()` keeps as the run goes.
+check in `simulate`, which must agree with `validate_matching` under every
+source of departure offsets, and the present set that `MarketView.present()`
+keeps as the run goes.
 """
 
 import dataclasses
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, MarketView, OnlineInstance,
                                OnlinePolicy, WeightedGraph, build_online_graph,
-                               make_policy, realized_online_graph,
-                               simulate, validate_matching)
+                               deterministic, geometric, make_policy,
+                               realized_online_graph, simulate, tabulated,
+                               validate_matching)
+from deadline_matching.engine import realized_departures
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -38,6 +41,30 @@ def instances(draw):
     departures = tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     return OnlineInstance(WeightedGraph(n, weights), ArrivalOrder(slots), d,
                           departures=departures)
+
+
+@st.composite
+def modelled_instances(draw):
+    """An instance from `instances()` whose offsets come from any source
+    `realized_departures` knows: the deadline, the instance's `departures`,
+    or a deterministic(k) (k may differ from d), tabulated or geometric
+    model."""
+    instance = draw(instances())
+    source = draw(st.sampled_from(
+        ("deadline", "departures", "deterministic", "tabulated", "geometric")))
+    if source == "departures":
+        return instance
+    model = None
+    if source == "deterministic":
+        model = deterministic(draw(st.integers(0, 6)))
+    elif source == "tabulated":
+        support = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+        masses = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                               max_size=len(support)))
+        model = tabulated({t: F(m, sum(masses)) for t, m in zip(support, masses)})
+    elif source == "geometric":
+        model = geometric(draw(st.sampled_from((F(1, 2), F(1, 3), F(3, 4)))))
+    return dataclasses.replace(instance, departures=None, departure_model=model)
 
 
 def live_by_formula(instance, offsets, lookahead=0):
@@ -125,7 +152,7 @@ class ScriptedEmitter(OnlinePolicy):
 
 @st.composite
 def scripted_runs(draw):
-    instance = draw(instances())
+    instance = draw(modelled_instances())
     n = instance.n
     plan = {}
     if n >= 2:
@@ -181,11 +208,11 @@ def present_by_formula(view, critical):
 
 
 @st.composite
-def market_runs(draw):
-    """An instance from `instances()`, in half the cases cut down to a
+def market_runs(draw, base=instances()):
+    """An instance from `base`, in half the cases cut down to a
     role-constrained market (edges only from an earlier seller to a later
     buyer) so that the role-based policies run too."""
-    instance = draw(instances())
+    instance = draw(base)
     if draw(st.booleans()):
         sellers = draw(st.sets(st.integers(1, instance.n)))
         slot = instance.order.slot_of
@@ -240,3 +267,26 @@ def test_present_set_follows_the_written_out_definition(instance, spec, lookahea
     with patch.object(MarketView, "present",
                       lambda view: present_by_formula(view, critical)):
         assert run_outcome(instance, reference, seed) == outcome
+
+
+@PROPERTY
+@given(market_runs(modelled_instances()), st.integers(0, 3))
+def test_validate_matching_accepts_every_completed_run(instance, seed):
+    for spec in POLICY_SPECS + ("batching:1", "batching:2"):
+        policy = make_policy(spec)
+        try:
+            r = simulate(instance, policy, seed=seed)
+        except ValueError:  # a refused input or a pair after a departure
+            continue
+        verdict = validate_matching(instance, r.pairs, r.schedule, policy.lookahead, seed=seed)
+        assert verdict is None, (spec, verdict)
+
+
+def test_validate_matching_reads_the_departure_model():
+    # deterministic(3) keeps vertex 1 past the deadline's critical time 2
+    instance = OnlineInstance(WeightedGraph(2, {(1, 2): F(1)}), ArrivalOrder.identity(2), 1,
+                              departure_model=deterministic(3))
+    r = simulate(instance, make_policy("patient"))
+    assert r.schedule == {(1, 2): 4}
+    assert validate_matching(instance, r.pairs, r.schedule) is None
+    assert instance.windows(realized_departures(instance, 0)).critical == [4, 5]
