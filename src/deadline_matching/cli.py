@@ -81,24 +81,31 @@ def _add_instance_flags(parser):
 
 
 def cmd_simulate(args) -> int:
+    """Report every policy in turn: its line on stdout, or its error on
+    stderr. Exits 1 if any policy failed."""
     name, instance = _resolve_instance(args)
     opt = offline_optimum(instance).weight
+    failed = False
     for spec in args.policy.split(","):
-        policy = make_policy(spec)
-        if args.exact:
-            value = exact_expectation(instance, policy)
-            mode = "exact"
-        else:
-            total = Fraction(0)
-            for s in range(args.seeds):
-                policy = make_policy(spec)
-                total += simulate(instance, policy, seed=args.seed + s).collected
-            value = total / args.seeds
-            mode = f"{args.seeds} runs"
+        try:
+            value, mode = _policy_value(instance, spec, args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+            continue
         ratio = _fmt(value / opt) if opt else "n/a"
         print(f"instance={name} policy={spec} ({mode}) "
               f"E={_fmt(value)} OPT={_fmt(opt)} ratio={ratio}")
-    return 0
+    return 1 if failed else 0
+
+
+def _policy_value(instance, spec: str, args) -> tuple[Fraction, str]:
+    if args.exact:
+        return exact_expectation(instance, make_policy(spec)), "exact"
+    total = Fraction(0)
+    for s in range(args.seeds):
+        total += simulate(instance, make_policy(spec), seed=args.seed + s).collected
+    return total / args.seeds, f"{args.seeds} runs"
 
 
 def cmd_sweep(args) -> int:

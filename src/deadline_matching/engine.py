@@ -7,6 +7,15 @@ through a MarketView, which reveals an edge weight exactly when the
 presence-window rule (`graphs.PresenceWindows`) allows a match; randomness
 comes from a stream of fair bits so that expectations can be enumerated
 exactly.
+
+`enumerate_branches` replays the run once per coin prefix and yields every
+leaf. `exact_expectation` instead makes one forward pass over the event
+schedule with a table of worlds, one per distinct policy state: a world
+that needs a bit it does not have splits, re-running only the current
+event's callback, and worlds whose `OnlinePolicy.state_key()` agree after an
+event merge, since their futures are the same. Merging is what keeps the
+table small: naive-greedy's 2^n coin tree collapses to the role, price and
+tentative-buyer patterns of the vertices still present.
 """
 
 from __future__ import annotations
@@ -108,6 +117,18 @@ class MarketView:
         self._matched.update(pair)
         self._present.difference_update(pair)
 
+    def clone(self) -> "MarketView":
+        """An independent copy of the run's progress; the instance and the
+        windows are shared, since no run changes them."""
+        other = MarketView.__new__(MarketView)
+        other._instance = self._instance
+        other._windows = self._windows
+        other._arrived = set(self._arrived)
+        other._matched = set(self._matched)
+        other._present = set(self._present)
+        other.now = self.now
+        return other
+
     # policy-facing API
     @property
     def n(self) -> int:
@@ -150,6 +171,13 @@ class MarketView:
         self._present = {v for v in self._present if critical[v - 1] >= now}
         return sorted(self._present)
 
+    def alive(self) -> list[int]:
+        """Arrived vertices, matched or not, that some pair could still use
+        at a tick >= now (critical time plus lookahead), in ascending order."""
+        windows, now = self._windows, self.now
+        critical, lookahead = windows.critical, windows.lookahead
+        return sorted(v for v in self._arrived if critical[v - 1] + lookahead >= now)
+
     def weight(self, u: int, v: int) -> Fraction:
         if u not in self._arrived or v not in self._arrived:
             raise LookupError("weights to vertices that have not arrived are hidden")
@@ -170,7 +198,16 @@ class MarketView:
 
 
 class OnlinePolicy:
-    """Base class: hooks return pairs to finalize at the current tick."""
+    """Base class: hooks return pairs to finalize at the current tick.
+
+    A policy that flips coins can let `exact_expectation` merge its coin
+    branches by defining `state_key()` and `clone()` together.
+    `state_key()` returns a hashable value that is equal for two runs at the
+    same point of the schedule only if every future hook call behaves the
+    same in both: the same emitted pairs, coin use and errors. `clone()`
+    returns an independent copy, view included. The base `state_key()`
+    returns None: no merging, one replay per coin prefix.
+    """
 
     name = "policy"
     lookahead = 0
@@ -179,6 +216,22 @@ class OnlinePolicy:
         self.view = view
         self.rng = rng
         self.log: list[tuple] = []
+
+    def state_key(self):
+        return None
+
+    def clone(self) -> "OnlinePolicy":
+        """Copy the base fields; a subclass that defines `state_key()` copies
+        its own state fields on top. Fields are copied by name, never the
+        whole instance dictionary, so hooks wrapped on this object stay
+        with it."""
+        other = type(self).__new__(type(self))
+        other.name = self.name
+        other.lookahead = self.lookahead
+        other.view = self.view.clone()
+        other.rng = self.rng
+        other.log = list(self.log)
+        return other
 
     def on_arrival(self, v: int):
         return ()
@@ -269,16 +322,25 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
             emitted = policy.on_critical(event.vertex)
         trace.append((event.time, event.kind, event.vertex))
         for raw in emitted or ():
-            pair = ordered_pair(*raw)
-            reasons = view._windows.violations(pair, event.time, view._matched)
-            if reasons:
-                raise ValueError(f"policy {policy.name} emitted "
-                                 f"{MatchViolation(pair, event.time, reasons)}")
-            view._mark_matched(pair)
+            pair = _accept(policy, raw, event.time)
             pairs[pair] = event.time
             collected += instance.graph.weight(*pair)
             trace.append((event.time, "match", pair))
     return RunResult(frozenset(pairs), dict(pairs), collected, tuple(trace), rng.used)
+
+
+def _accept(policy: OnlinePolicy, raw, time: int) -> Pair:
+    """Check an emitted pair on the spot and mark it matched in the policy's
+    view: both endpoints unmatched and the presence-window rule kept at this
+    tick. An invalid pair aborts the run with a ValueError."""
+    view = policy.view
+    pair = ordered_pair(*raw)
+    reasons = view._windows.violations(pair, time, view._matched)
+    if reasons:
+        raise ValueError(f"policy {policy.name} emitted "
+                         f"{MatchViolation(pair, time, reasons)}")
+    view._mark_matched(pair)
+    return pair
 
 
 class BranchingLimitExceeded(ValueError):
@@ -288,15 +350,19 @@ class BranchingLimitExceeded(ValueError):
 MAX_FLIPS = 20  # fair bits per run that exact enumeration accepts: 2**20 leaves
 
 
+def _require_fixed_departures(instance: OnlineInstance):
+    model = instance.departure_model
+    if model is not None and model.kind != "deterministic":
+        raise BranchingLimitExceeded("stochastic departure models are not exactly enumerable")
+
+
 def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
     """Yield (bits, RunResult) over the policy's full fair-coin tree.
 
     Refuses runs that consume more than MAX_FLIPS bits. The departures must
     be fixed: a model that samples them is not enumerable.
     """
-    model = instance.departure_model
-    if model is not None and model.kind != "deterministic":
-        raise BranchingLimitExceeded("stochastic departure models are not exactly enumerable")
+    _require_fixed_departures(instance)
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
@@ -313,11 +379,95 @@ def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
 
 
 def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
-    """Exact expected collected value over the policy's fair coin flips."""
+    """Exact expected collected value over the policy's fair coin flips.
+
+    A policy that flips no coin costs one `simulate` run. Otherwise, if the
+    policy defines `state_key()` (see `OnlinePolicy`), one forward pass over
+    the event schedule carries a table {state key: (probability, flip
+    count, world)}, where a world is a cloned policy with its own view and
+    a probability is kept as an integer mass out of 2**MAX_FLIPS:
+    - At each event every world runs the event's callback on a clone taken
+      before the event. A callback that asks for a bit the world does not
+      have splits it: each child re-runs only that callback, with one more
+      scripted bit, and gets half the probability per bit.
+    - The value a child collects at the event counts toward the expectation
+      with the child's probability.
+    - After the event, children with equal keys merge: their probabilities
+      add, and the merged world carries the largest flip count of the paths
+      merged into it, so MAX_FLIPS refuses exactly the runs
+      `enumerate_branches` refuses.
+
+    Without `state_key()` the expectation is the leaf sum over
+    `enumerate_branches`. The leaf sum is also the fallback when the pass
+    meets a ValueError (an invalid emitted pair, the flip cap, a refused
+    input), so errors and their messages are the ones the per-branch
+    replays raise.
+    """
+    _require_fixed_departures(instance)
+    try:
+        return simulate(instance, policy, bits=ScriptedBits(())).collected
+    except OutOfBits:
+        pass
+    if policy.state_key() is not None:
+        try:
+            return _merged_expectation(instance, policy)
+        except ValueError:
+            pass  # the leaf sum raises the error the replays meet first
     total = Fraction(0)
     for bits, result in enumerate_branches(instance, policy):
         total += result.collected * Fraction(1, 2 ** len(bits))
     return total
+
+
+def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
+    """The forward pass of `exact_expectation`."""
+    view = MarketView(instance, realized_departures(instance, 0), policy.lookahead)
+    policy.reset(view, ScriptedBits(()))
+    events = event_schedule(view._windows)
+    weight = instance.graph.weight
+    # a path with f flips has mass 2**(MAX_FLIPS - f), so every halving
+    # below is exact
+    worlds = {None: (1 << MAX_FLIPS, 0, policy)}  # key -> (mass, flips, world)
+    total = Fraction(0)  # sum of mass * collected weight
+    for index, event in enumerate(events):
+        # keys are taken at the next event's tick, so vertices whose windows
+        # close in between no longer keep worlds apart
+        next_time = events[index + 1].time if index + 1 < len(events) else event.time
+        merged: dict = {}
+        for mass, flips, world in worlds.values():
+            scripts = [()]
+            while scripts:
+                script = scripts.pop()
+                child = world.clone()
+                child.rng = ScriptedBits(script)
+                view = child.view
+                view._advance(event.time)
+                try:
+                    if event.kind == ARRIVAL:
+                        view._mark_arrived(event.vertex)
+                        emitted = child.on_arrival(event.vertex)
+                    else:
+                        emitted = child.on_critical(event.vertex)
+                except OutOfBits:
+                    if flips + len(script) >= MAX_FLIPS:
+                        raise BranchingLimitExceeded(
+                            f"policy consumed more than {MAX_FLIPS} fair bits")
+                    scripts.append(script + (1,))
+                    scripts.append(script + (0,))
+                    continue
+                share = mass >> len(script)
+                for raw in emitted or ():
+                    total += share * weight(*_accept(child, raw, event.time))
+                view._advance(next_time)
+                key = child.state_key()
+                used = flips + len(script)
+                first = merged.get(key)
+                if first is None:
+                    merged[key] = (share, used, child)
+                else:
+                    merged[key] = (first[0] + share, max(first[1], used), first[2])
+        worlds = merged
+    return total / (1 << MAX_FLIPS)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class ArrivalOrder:
     slots: tuple[int, ...]
 
     def __post_init__(self):
-        slots = tuple(int(s) for s in self.slots)
+        slots = tuple(as_integer(s) for s in self.slots)
         n = len(slots)
         if sorted(slots) != list(range(1, n + 1)):
             raise ValueError("arrival order must be a permutation of 1..n")
@@ -141,14 +141,16 @@ class OnlineInstance:
     roles: dict[int, str] | None = None
 
     def __post_init__(self):
-        if self.deadline < 0:
+        deadline = as_integer(self.deadline)
+        if deadline < 0:
             raise ValueError("deadline must be >= 0")
+        object.__setattr__(self, "deadline", deadline)
         if self.order.n != self.graph.n:
             raise ValueError("arrival order and graph disagree on n")
         if self.departures is not None:
             if self.departure_model is not None:
                 raise ValueError("give either departures or departure_model, not both")
-            deps = tuple(int(t) for t in self.departures)
+            deps = tuple(as_integer(t) for t in self.departures)
             if len(deps) != self.graph.n:
                 raise ValueError("departures must list one offset per vertex")
             if any(t < 0 for t in deps):

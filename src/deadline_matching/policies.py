@@ -81,6 +81,25 @@ class _BestMarginBids(OnlinePolicy):
         self.tentative: dict[int, int | None] = {}
         self.initial_margin: dict[int, Fraction] = {}
 
+    def clone(self):
+        other = super().clone()
+        other.prices = dict(self.prices)
+        other.tentative = dict(self.tentative)
+        other.initial_margin = dict(self.initial_margin)
+        return other
+
+    def state_key(self):
+        """Per vertex still alive: matched or not, its price and its
+        tentative buyer, plus the subclass's `_sides`. Initial margins, like
+        the log, are history."""
+        alive = self.view.alive()
+        is_matched, prices, tentative = self.view.is_matched, self.prices, self.tentative
+        return (tuple((v, is_matched(v), prices.get(v), tentative.get(v)) for v in alive),
+                self._sides(alive))
+
+    def _sides(self, alive: list[int]) -> tuple:
+        raise NotImplementedError
+
     def _add_seller(self, s: int):
         self.prices[s] = Fraction(0)
         self.tentative[s] = None
@@ -123,6 +142,14 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
     def on_critical(self, v: int):
         buyer = self.tentative.get(v)  # only sellers hold tentative buyers
         return [(v, buyer)] if buyer is not None else ()
+
+    def clone(self):
+        other = super().clone()
+        other.roles = dict(self.roles)
+        return other
+
+    def _sides(self, alive):
+        return tuple(map(self.roles.get, alive))
 
 
 class NaiveGreedy(FreeDisposalGreedy):
@@ -168,6 +195,20 @@ class PostponedGreedy(_BestMarginBids):
         super().reset(view, rng)
         self.status: dict[int, str] = {}
         self.active: set[int] = set()
+
+    def clone(self):
+        other = super().clone()
+        other.departure_guard = self.departure_guard
+        other.status = dict(self.status)
+        other.active = set(self.active)
+        return other
+
+    def _sides(self, alive):
+        """Each alive vertex's side and its tentative partner's, which the
+        vertex's critical event reads and may set even after the partner
+        has departed."""
+        status, tentative = self.status, self.tentative
+        return tuple((status.get(v), status.get(tentative.get(v))) for v in alive)
 
     def on_arrival(self, k: int):
         self._bid(k, sorted(self.active))

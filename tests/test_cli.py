@@ -43,6 +43,21 @@ class TestSimulate:
         assert code == 0
         assert out.count("E=1/1") == 2
 
+    def test_every_policy_is_reported_after_a_failure(self, capsys, tmp_path):
+        # vertex 1 departs at time 2, before pg and naive-greedy finalize (1, 2)
+        path = tmp_path / "departing.json"
+        path.write_text(json.dumps({
+            "n": 4, "d": 2, "edges": [[1, 2, 2], [2, 4, 1], [3, 4, 3]],
+            "sigma": [2, 1, 4, 3], "departures": [0, 3, 1, 2]}))
+        code, out, err = run(capsys, "simulate", "--instance", str(path),
+                             "--policy", "patient,pg,naive-greedy", "--exact")
+        assert code == 1
+        assert out.splitlines() == [f"instance={path} policy=patient (exact) "
+                                    "E=5/1 OPT=5/1 ratio=1/1"]
+        assert err.splitlines() == [
+            f"error: policy {name} emitted pair (1, 2) at time 4 invalid: "
+            "matched after vertex 1 departed at time 2" for name in ("pg", "naive-greedy")]
+
 
 class TestVerifyCert:
     def test_corruption_detected(self, capsys, tmp_path):

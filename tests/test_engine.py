@@ -1,18 +1,23 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
-                               OnlineInstance, OnlinePolicy, WeightedGraph,
-                               batching, competitive_report,
+                               NaiveGreedy, OnlineInstance, OnlinePolicy,
+                               WeightedGraph, batching, competitive_report,
                                enumerate_branches, exact_expectation,
-                               geometric, make_instance, naive_greedy,
-                               offline_optimum, patient_baseline,
-                               pg_stochastic, postponed_greedy, simulate,
-                               tabulated, write_report_csv)
+                               geometric, make_instance, make_policy,
+                               naive_greedy, offline_optimum,
+                               patient_baseline, pg_stochastic,
+                               postponed_greedy, simulate, tabulated,
+                               write_report_csv)
 from deadline_matching.engine import ScriptedBits
-from helpers import random_instance
+from deadline_matching.policies import POLICY_FACTORIES
+from helpers import random_constrained_bipartite, random_instance
 
 
 def zero_instance(n=5, d=2):
@@ -170,6 +175,77 @@ class TestExactExpectation:
             inst = OnlineInstance(graph, ArrivalOrder.identity(2), 2, departure_model=model)
             with pytest.raises(BranchingLimitExceeded, match="not exactly enumerable"):
                 exact_expectation(inst, patient_baseline())
+
+
+def leaf_sum(instance, policy):
+    """The per-branch oracle: sum of collected * 2^-len(bits) over every leaf."""
+    return sum((result.collected * F(1, 2 ** len(bits))
+                for bits, result in enumerate_branches(instance, policy)), F(0))
+
+
+def outcome(compute):
+    """The value, or the type and message of the ValueError raised."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class FlipHungry(NaiveGreedy):
+    """Naive-greedy that throws 20 coins away when vertex 7 arrives, which
+    passes the flip cap; its state key still merges branches."""
+
+    def on_arrival(self, v):
+        for _ in range(20 if v == 7 else 0):
+            self.rng.flip()
+        return super().on_arrival(v)
+
+
+MERGE_FACTORIES = [(spec, lambda spec=spec: make_policy(spec))
+                   for spec in (*POLICY_FACTORIES, "batching:1")] + [("flip-hungry", FlipHungry)]
+
+
+@st.composite
+def coin_instances(draw):
+    """n <= 9, d in 0..4, general or role-constrained, with or without
+    explicit departure offsets."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from((random_instance, random_constrained_bipartite)))
+    instance = make(rng, n, d)
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        instance = dataclasses.replace(instance, departures=tuple(offsets))
+    return instance
+
+
+class TestMergedExpectation:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(coin_instances())
+    def test_equals_the_leaf_sum(self, instance):
+        for spec, factory in MERGE_FACTORIES:
+            merged = outcome(lambda: exact_expectation(instance, factory()))
+            assert merged == outcome(lambda: leaf_sum(instance, factory())), spec
+
+    def test_both_paths_raise_alike(self):
+        departing = OnlineInstance(
+            WeightedGraph(4, {(1, 2): F(2), (2, 4): F(1), (3, 4): F(3)}),
+            ArrivalOrder((2, 1, 4, 3)), 2, departures=(0, 3, 1, 2))
+        hungry = random_instance(random.Random(29), 7, 2)
+        for instance, factory, error in ((departing, postponed_greedy, ValueError),
+                                         (hungry, FlipHungry, BranchingLimitExceeded)):
+            with pytest.raises(error) as merged:
+                exact_expectation(instance, factory())
+            with pytest.raises(error) as leaves:
+                leaf_sum(instance, factory())
+            assert (merged.type, str(merged.value)) == (leaves.type, str(leaves.value))
+
+    def test_naive_greedy_at_twelve_vertices(self):
+        # the replay needs 4,096 leaves; the pass merges them as it goes
+        instance = random_instance(random.Random(12), 12, 2)
+        value = exact_expectation(instance, naive_greedy())
+        assert value == leaf_sum(instance, naive_greedy()) == F(579, 64)
 
 
 class TestCompetitiveReport:

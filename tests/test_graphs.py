@@ -48,6 +48,29 @@ class TestArrivalOrder:
             ArrivalOrder((1, 1, 3))
 
 
+class TestInMemoryIntegers:
+    """The constructors refuse floats and booleans, as instance files do,
+    instead of truncating them."""
+
+    def test_floats_and_booleans_refused(self):
+        graph = WeightedGraph(2, {(1, 2): 1})
+        with pytest.raises(TypeError, match="1.9"):
+            OnlineInstance(graph, ArrivalOrder((1.9, 2.2)), 1.5, departures=(0.5, True))
+        with pytest.raises(TypeError, match="1.5"):
+            OnlineInstance(graph, ArrivalOrder((1, 2)), 1.5)
+        with pytest.raises(TypeError, match="True"):
+            OnlineInstance(graph, ArrivalOrder((1, 2)), True)
+        for departures in ((0.5, 1), (0, True)):
+            with pytest.raises(TypeError):
+                OnlineInstance(graph, ArrivalOrder((1, 2)), 1, departures=departures)
+
+    def test_integers_kept(self):
+        inst = OnlineInstance(WeightedGraph(2, {(1, 2): 1}), ArrivalOrder((2, 1)), 1,
+                              departures=(0, 3))
+        assert inst.order.slots == (2, 1) and inst.deadline == 1
+        assert inst.departures == (0, 3)
+
+
 class TestBuildOnlineGraph:
     def test_two_edge_path_loses_long_edge(self):
         # d = 1 with identity order: no edge between the first and third arrival
