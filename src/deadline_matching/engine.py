@@ -14,7 +14,7 @@ schedule with a table of worlds, one per distinct policy state: a world
 that needs a bit it does not have splits, re-running only the current
 event's callback, and worlds whose `OnlinePolicy.state_key()` agree after an
 event merge, since their futures are the same. Merging is what keeps the
-table small: naive-greedy's 2^n coin tree collapses to the role, price and
+table small: naive-greedy's 2^n coin tree collapses to the role and
 tentative-buyer patterns of the vertices still present.
 """
 
@@ -205,8 +205,10 @@ class OnlinePolicy:
     `state_key()` returns a hashable value that is equal for two runs at the
     same point of the schedule only if every future hook call behaves the
     same in both: the same emitted pairs, coin use and errors. `clone()`
-    returns an independent copy, view included. The base `state_key()`
-    returns None: no merging, one replay per coin prefix.
+    returns an independent copy, view included, of the state that hooks
+    read; history that no hook reads (the log, initial margins) starts
+    empty, so a copy costs the same late in a run as early. The base
+    `state_key()` returns None: no merging, one replay per coin prefix.
     """
 
     name = "policy"
@@ -221,16 +223,16 @@ class OnlinePolicy:
         return None
 
     def clone(self) -> "OnlinePolicy":
-        """Copy the base fields; a subclass that defines `state_key()` copies
-        its own state fields on top. Fields are copied by name, never the
-        whole instance dictionary, so hooks wrapped on this object stay
-        with it."""
+        """Copy the base fields, with an empty log; a subclass that defines
+        `state_key()` copies its own state fields on top. Fields are copied
+        by name, never the whole instance dictionary, so hooks wrapped on
+        this object stay with it."""
         other = type(self).__new__(type(self))
         other.name = self.name
         other.lookahead = self.lookahead
         other.view = self.view.clone()
         other.rng = self.rng
-        other.log = list(self.log)
+        other.log = []
         return other
 
     def on_arrival(self, v: int):
@@ -348,6 +350,7 @@ class BranchingLimitExceeded(ValueError):
 
 
 MAX_FLIPS = 20  # fair bits per run that exact enumeration accepts: 2**20 leaves
+MAX_WORLDS = 2 ** 10  # worlds the forward pass holds at once (about 8 KB each at n = 13)
 
 
 def _require_fixed_departures(instance: OnlineInstance):
@@ -381,15 +384,20 @@ def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
 def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
     """Exact expected collected value over the policy's fair coin flips.
 
-    A policy that flips no coin costs one `simulate` run. Otherwise, if the
-    policy defines `state_key()` (see `OnlinePolicy`), one forward pass over
-    the event schedule carries a table {state key: (probability, flip
-    count, world)}, where a world is a cloned policy with its own view and
-    a probability is kept as an integer mass out of 2**MAX_FLIPS:
+    One `simulate` run first walks the all-zero branch, the one
+    `enumerate_branches` replays first. A policy that flips no coin costs
+    just that run. If the branch needs more than MAX_FLIPS bits, or emits
+    an invalid pair, the error is the one the replays would meet first, and
+    it is raised at once. Otherwise, if the policy defines `state_key()`
+    (see `OnlinePolicy`), one forward pass over the event schedule carries
+    a table {state key: (probability, flip count, world)}, where a world is
+    a cloned policy with its own view and a probability is kept as an
+    integer mass out of 2**MAX_FLIPS:
     - At each event every world runs the event's callback on a clone taken
       before the event. A callback that asks for a bit the world does not
       have splits it: each child re-runs only that callback, with one more
-      scripted bit, and gets half the probability per bit.
+      scripted bit, and gets half the probability per bit. Before the tick
+      of the first coin, the lone world runs in place.
     - The value a child collects at the event counts toward the expectation
       with the child's probability.
     - After the event, children with equal keys merge: their probabilities
@@ -401,16 +409,25 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
     `enumerate_branches`. The leaf sum is also the fallback when the pass
     meets a ValueError (an invalid emitted pair, the flip cap, a refused
     input), so errors and their messages are the ones the per-branch
-    replays raise.
+    replays raise. It is also the fallback when the table outgrows
+    MAX_WORLDS, so memory stays bounded where merging does not keep up:
+    the replays hold one run at a time. Either fallback pays for the pass
+    up to that point on top of the replays.
     """
     _require_fixed_departures(instance)
+    zeros = _ZeroBranch(policy)
     try:
-        return simulate(instance, policy, bits=ScriptedBits(())).collected
+        first = simulate(instance, policy, bits=zeros)
     except OutOfBits:
-        pass
+        raise BranchingLimitExceeded(
+            f"policy consumed more than {MAX_FLIPS} fair bits") from None
+    if first.bits_used == 0:
+        return first.collected
     if policy.state_key() is not None:
         try:
-            return _merged_expectation(instance, policy)
+            merged = _merged_expectation(instance, policy, zeros.first_tick)
+            if merged is not None:
+                return merged
         except ValueError:
             pass  # the leaf sum raises the error the replays meet first
     total = Fraction(0)
@@ -419,35 +436,55 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
     return total
 
 
-def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
-    """The forward pass of `exact_expectation`."""
+class _ZeroBranch(ScriptedBits):
+    """Up to MAX_FLIPS zero bits: the branch `enumerate_branches` walks
+    first, so the replays meet its error, or its refusal when it needs more
+    bits, before any other. Remembers the tick of its first coin."""
+
+    def __init__(self, policy: OnlinePolicy):
+        super().__init__((0,) * MAX_FLIPS)
+        self._policy = policy
+        self.first_tick = None
+
+    def flip(self) -> int:
+        if self.first_tick is None:
+            self.first_tick = self._policy.view.now
+        return super().flip()
+
+
+def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
+                        first_coin: int) -> Fraction:
+    """The forward pass of `exact_expectation`, or None once the table
+    outgrows MAX_WORLDS. Events before tick `first_coin`, which the
+    all-zero branch got past without a coin, run on the lone world in
+    place: it cannot split there, so it needs no copy."""
     view = MarketView(instance, realized_departures(instance, 0), policy.lookahead)
     policy.reset(view, ScriptedBits(()))
     events = event_schedule(view._windows)
     weight = instance.graph.weight
     # a path with f flips has mass 2**(MAX_FLIPS - f), so every halving
     # below is exact
-    worlds = {None: (1 << MAX_FLIPS, 0, policy)}  # key -> (mass, flips, world)
+    worlds = [(1 << MAX_FLIPS, 0, policy)]  # (mass, flips, world)
     total = Fraction(0)  # sum of mass * collected weight
+    no_bits = ScriptedBits(())  # never advances: its first flip raises
     for index, event in enumerate(events):
-        # keys are taken at the next event's tick, so vertices whose windows
-        # close in between no longer keep worlds apart
-        next_time = events[index + 1].time if index + 1 < len(events) else event.time
-        merged: dict = {}
-        for mass, flips, world in worlds.values():
+        time, vertex, arrival = event.time, event.vertex, event.kind == ARRIVAL
+        in_place = time < first_coin
+        children = []
+        for mass, flips, world in worlds:
             scripts = [()]
             while scripts:
                 script = scripts.pop()
-                child = world.clone()
-                child.rng = ScriptedBits(script)
+                child = world if in_place else world.clone()
+                child.rng = ScriptedBits(script) if script else no_bits
                 view = child.view
-                view._advance(event.time)
+                view._advance(time)
                 try:
-                    if event.kind == ARRIVAL:
-                        view._mark_arrived(event.vertex)
-                        emitted = child.on_arrival(event.vertex)
+                    if arrival:
+                        view._mark_arrived(vertex)
+                        emitted = child.on_arrival(vertex)
                     else:
-                        emitted = child.on_critical(event.vertex)
+                        emitted = child.on_critical(vertex)
                 except OutOfBits:
                     if flips + len(script) >= MAX_FLIPS:
                         raise BranchingLimitExceeded(
@@ -457,16 +494,25 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
                     continue
                 share = mass >> len(script)
                 for raw in emitted or ():
-                    total += share * weight(*_accept(child, raw, event.time))
-                view._advance(next_time)
+                    total += share * weight(*_accept(child, raw, time))
+                children.append((share, flips + len(script), child))
+        if len(children) > 1:  # a lone world has nothing to merge with
+            # keys are taken at the next event's tick, so vertices whose
+            # windows close in between no longer keep worlds apart
+            next_time = events[index + 1].time if index + 1 < len(events) else time
+            merged: dict = {}
+            for share, used, child in children:
+                child.view._advance(next_time)
                 key = child.state_key()
-                used = flips + len(script)
                 first = merged.get(key)
                 if first is None:
                     merged[key] = (share, used, child)
                 else:
                     merged[key] = (first[0] + share, max(first[1], used), first[2])
-        worlds = merged
+            children = list(merged.values())
+            if len(children) > MAX_WORLDS:
+                return None  # merging does not keep up: leave it to the replays
+        worlds = children
     return total / (1 << MAX_FLIPS)
 
 

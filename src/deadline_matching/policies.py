@@ -85,17 +85,17 @@ class _BestMarginBids(OnlinePolicy):
         other = super().clone()
         other.prices = dict(self.prices)
         other.tentative = dict(self.tentative)
-        other.initial_margin = dict(self.initial_margin)
+        other.initial_margin = {}
         return other
 
     def state_key(self):
-        """Per vertex still alive: matched or not, its price and its
-        tentative buyer, plus the subclass's `_sides`. Initial margins, like
-        the log, are history."""
+        """Per vertex still alive: matched or not and its tentative buyer,
+        plus the subclass's `_sides`. A seller's price is the weight to its
+        tentative buyer, or 0 without one, so the buyer stands for it.
+        Initial margins, like the log, are history."""
         alive = self.view.alive()
-        is_matched, prices, tentative = self.view.is_matched, self.prices, self.tentative
-        return (tuple((v, is_matched(v), prices.get(v), tentative.get(v)) for v in alive),
-                self._sides(alive))
+        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
+                tuple(map(self.tentative.get, alive)), self._sides(alive))
 
     def _sides(self, alive: list[int]) -> tuple:
         raise NotImplementedError
@@ -207,8 +207,9 @@ class PostponedGreedy(_BestMarginBids):
         """Each alive vertex's side and its tentative partner's, which the
         vertex's critical event reads and may set even after the partner
         has departed."""
-        status, tentative = self.status, self.tentative
-        return tuple((status.get(v), status.get(tentative.get(v))) for v in alive)
+        status = self.status
+        return (tuple(map(status.get, alive)),
+                tuple(map(status.get, map(self.tentative.get, alive))))
 
     def on_arrival(self, k: int):
         self._bid(k, sorted(self.active))

@@ -15,6 +15,7 @@ from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
                                patient_baseline, pg_stochastic,
                                postponed_greedy, simulate, tabulated,
                                write_report_csv)
+from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import random_constrained_bipartite, random_instance
@@ -201,8 +202,21 @@ class FlipHungry(NaiveGreedy):
         return super().on_arrival(v)
 
 
+class SellerHungry(NaiveGreedy):
+    """Naive-greedy that throws 20 coins away when vertex 7 arrives as a
+    seller. The all-zero branch makes every vertex a buyer and stays under
+    the flip cap, so the forward pass, not the first run, meets the cap."""
+
+    def on_arrival(self, v):
+        emitted = super().on_arrival(v)
+        for _ in range(20 if v == 7 and self.roles[v] == "seller" else 0):
+            self.rng.flip()
+        return emitted
+
+
 MERGE_FACTORIES = [(spec, lambda spec=spec: make_policy(spec))
-                   for spec in (*POLICY_FACTORIES, "batching:1")] + [("flip-hungry", FlipHungry)]
+                   for spec in (*POLICY_FACTORIES, "batching:1")] + [
+    ("flip-hungry", FlipHungry), ("seller-hungry", SellerHungry)]
 
 
 @st.composite
@@ -234,12 +248,22 @@ class TestMergedExpectation:
             ArrivalOrder((2, 1, 4, 3)), 2, departures=(0, 3, 1, 2))
         hungry = random_instance(random.Random(29), 7, 2)
         for instance, factory, error in ((departing, postponed_greedy, ValueError),
-                                         (hungry, FlipHungry, BranchingLimitExceeded)):
+                                         (hungry, FlipHungry, BranchingLimitExceeded),
+                                         (hungry, SellerHungry, BranchingLimitExceeded)):
             with pytest.raises(error) as merged:
                 exact_expectation(instance, factory())
             with pytest.raises(error) as leaves:
                 leaf_sum(instance, factory())
             assert (merged.type, str(merged.value)) == (leaves.type, str(leaves.value))
+
+    def test_a_full_table_hands_over_to_the_leaf_sum(self, monkeypatch):
+        # with room for one world, every split outgrows the table
+        monkeypatch.setattr(engine, "MAX_WORLDS", 1)
+        rng = random.Random(31)
+        for n in range(1, 8):
+            instance = random_instance(rng, n, 2)
+            for factory in (naive_greedy, postponed_greedy):
+                assert exact_expectation(instance, factory()) == leaf_sum(instance, factory())
 
     def test_naive_greedy_at_twelve_vertices(self):
         # the replay needs 4,096 leaves; the pass merges them as it goes
