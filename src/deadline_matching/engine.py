@@ -34,26 +34,15 @@ from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindo
 from .departures import sample_departures
 from .offline import offline_optimum
 
-ARRIVAL = "arrival"
-CRITICAL = "critical"
 
-
-@dataclass(frozen=True)
-class Event:
-    time: int
-    kind: str
-    vertex: int
-
-    def sort_key(self):
-        return (self.time, 0 if self.kind == ARRIVAL else 1, self.vertex)
-
-
-def event_schedule(windows: PresenceWindows) -> list[Event]:
+def event_schedule(windows: PresenceWindows) -> list[tuple[int, int, int]]:
+    """The run's events as sorted (time, kind, vertex) tuples, kind 0 an
+    arrival and 1 a critical event, so arrivals come first at a tick."""
     events = []
     for v, (slot, critical) in enumerate(zip(windows.slots, windows.critical), start=1):
-        events.append(Event(slot, ARRIVAL, v))
-        events.append(Event(critical, CRITICAL, v))
-    return sorted(events, key=Event.sort_key)
+        events.append((slot, 0, v))
+        events.append((critical, 1, v))
+    return sorted(events)
 
 
 class BitStream:
@@ -315,34 +304,38 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     pairs: dict[Pair, int] = {}
     collected = Fraction(0)
     trace: list[tuple] = []
-    for event in event_schedule(view._windows):
-        view._advance(event.time)
-        if event.kind == ARRIVAL:
-            view._mark_arrived(event.vertex)
-            emitted = policy.on_arrival(event.vertex)
-        else:
-            emitted = policy.on_critical(event.vertex)
-        trace.append((event.time, event.kind, event.vertex))
-        for raw in emitted or ():
-            pair = _accept(policy, raw, event.time)
-            pairs[pair] = event.time
+    for time, kind, vertex in event_schedule(view._windows):
+        accepted = _step(policy, time, kind, vertex)
+        trace.append((time, ("arrival", "critical")[kind], vertex))
+        for pair in accepted:
+            pairs[pair] = time
             collected += instance.graph.weight(*pair)
-            trace.append((event.time, "match", pair))
+            trace.append((time, "match", pair))
     return RunResult(frozenset(pairs), dict(pairs), collected, tuple(trace), rng.used)
 
 
-def _accept(policy: OnlinePolicy, raw, time: int) -> Pair:
-    """Check an emitted pair on the spot and mark it matched in the policy's
-    view: both endpoints unmatched and the presence-window rule kept at this
-    tick. An invalid pair aborts the run with a ValueError."""
+def _step(policy: OnlinePolicy, time: int, kind: int, vertex: int) -> list[Pair]:
+    """Run one event of the schedule on the policy and its view; return the
+    pairs it matched. Each emitted pair is checked on the spot and marked
+    matched: both endpoints unmatched and the presence-window rule kept at
+    this tick. An invalid pair aborts the run with a ValueError."""
     view = policy.view
-    pair = ordered_pair(*raw)
-    reasons = view._windows.violations(pair, time, view._matched)
-    if reasons:
-        raise ValueError(f"policy {policy.name} emitted "
-                         f"{MatchViolation(pair, time, reasons)}")
-    view._mark_matched(pair)
-    return pair
+    view._advance(time)
+    if kind == 0:
+        view._mark_arrived(vertex)
+        emitted = policy.on_arrival(vertex)
+    else:
+        emitted = policy.on_critical(vertex)
+    accepted = []
+    for raw in emitted or ():
+        pair = ordered_pair(*raw)
+        reasons = view._windows.violations(pair, time, view._matched)
+        if reasons:
+            raise ValueError(f"policy {policy.name} emitted "
+                             f"{MatchViolation(pair, time, reasons)}")
+        view._mark_matched(pair)
+        accepted.append(pair)
+    return accepted
 
 
 class BranchingLimitExceeded(ValueError):
@@ -467,8 +460,7 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
     worlds = [(1 << MAX_FLIPS, 0, policy)]  # (mass, flips, world)
     total = Fraction(0)  # sum of mass * collected weight
     no_bits = ScriptedBits(())  # never advances: its first flip raises
-    for index, event in enumerate(events):
-        time, vertex, arrival = event.time, event.vertex, event.kind == ARRIVAL
+    for index, (time, kind, vertex) in enumerate(events):
         in_place = time < first_coin
         children = []
         for mass, flips, world in worlds:
@@ -477,14 +469,8 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
                 script = scripts.pop()
                 child = world if in_place else world.clone()
                 child.rng = ScriptedBits(script) if script else no_bits
-                view = child.view
-                view._advance(time)
                 try:
-                    if arrival:
-                        view._mark_arrived(vertex)
-                        emitted = child.on_arrival(vertex)
-                    else:
-                        emitted = child.on_critical(vertex)
+                    accepted = _step(child, time, kind, vertex)
                 except OutOfBits:
                     if flips + len(script) >= MAX_FLIPS:
                         raise BranchingLimitExceeded(
@@ -493,13 +479,13 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
                     scripts.append(script + (0,))
                     continue
                 share = mass >> len(script)
-                for raw in emitted or ():
-                    total += share * weight(*_accept(child, raw, time))
+                for pair in accepted:
+                    total += share * weight(*pair)
                 children.append((share, flips + len(script), child))
         if len(children) > 1:  # a lone world has nothing to merge with
             # keys are taken at the next event's tick, so vertices whose
             # windows close in between no longer keep worlds apart
-            next_time = events[index + 1].time if index + 1 < len(events) else time
+            next_time = events[index + 1][0] if index + 1 < len(events) else time
             merged: dict = {}
             for share, used, child in children:
                 child.view._advance(next_time)

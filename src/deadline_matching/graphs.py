@@ -282,7 +282,9 @@ def matching_weight(graph: WeightedGraph, matching) -> Fraction:
 
 _INSTANCE_FIELDS = {"n", "d", "edges", "sigma", "departures", "departure_model"}
 
-_MAX_INSTANCE_N = 10**6  # checked before a file without "sigma" gets an identity order
+# the largest n an instance or certificate file may declare, checked before
+# anything of size n is built
+MAX_FILE_N = 10**6
 
 _MODEL_FIELD = {"deterministic": "d", "geometric": "delta", "tabulated": "pmf"}
 
@@ -341,8 +343,8 @@ def instance_from_json(data: dict) -> OnlineInstance:
         d = as_integer(data["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError("instance needs integer 'n' and 'd'") from exc
-    if n > _MAX_INSTANCE_N:
-        raise InstanceFormatError(f"n = {n} exceeds the limit of {_MAX_INSTANCE_N}")
+    if n > MAX_FILE_N:
+        raise InstanceFormatError(f"n = {n} exceeds the limit of {MAX_FILE_N}")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise InstanceFormatError("'edges' must be a list")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import ArrivalOrder, Pair, WeightedGraph, ordered_pair
+from .graphs import ArrivalOrder, Pair, WeightedGraph, as_integer, ordered_pair
 
 ONE = Fraction(1)
 
@@ -230,7 +230,7 @@ class PeriodicBatching:
         if period < 1:
             raise ValueError(f"period must be positive, got {period}")
         batches = {b for gen in generators
-                   for b in shift_orbit([int(v) for v in gen], period, n)}
+                   for b in shift_orbit([as_integer(v) for v in gen], period, n)}
         return cls(n, batch_size, period, tuple(batches))
 
 

@@ -56,36 +56,33 @@ def solve_min_geq(c, rows, rhs) -> LPSolution:
         art[i] = one
         tableau.append(row + surplus + art + [b])
     total_cols = n + 2 * m
-    basis = [n + m + i for i in range(m)]  # artificials
+    art_start = n + m
+    basis = [art_start + i for i in range(m)]  # artificials
+    # Below the constraints sit the objective rows of phase 2 and phase 1:
+    # each holds every column's reduced cost, then minus the objective
+    # value, and every pivot keeps them current. Phase 2 charges the
+    # artificials nothing, so its row starts as c. Phase 1 charges each
+    # artificial 1, so its row starts with every basis row subtracted.
+    phase1 = [zero] * art_start + [one] * m + [zero]
+    for row in tableau:
+        phase1 = [v - w for v, w in zip(phase1, row)]
+    tableau.append(c + [zero] * (2 * m + 1))
+    tableau.append(phase1)
 
     def pivot(r, col):
         piv = tableau[r][col]
         tableau[r] = [v / piv for v in tableau[r]]
-        for k in range(m):
+        for k in range(len(tableau)):
             if k != r and tableau[k][col] != 0:
                 f = tableau[k][col]
                 tableau[k] = [v - f * w for v, w in zip(tableau[k], tableau[r])]
         basis[r] = col
 
-    def reduced_costs(costs):
-        z = [zero] * (total_cols + 1)
-        for r, bv in enumerate(basis):
-            cb = costs[bv]
-            if cb != 0:
-                for k in range(total_cols + 1):
-                    z[k] += cb * tableau[r][k]
-        return [costs[k] - z[k] for k in range(total_cols)], z[total_cols]
-
-    def run_phase(costs, banned):
+    def run_phase(eligible):
+        """Pivot until the last row prices no column below `eligible` negative."""
         while True:
-            red, _ = reduced_costs(costs)
-            entering = None
-            for j in range(total_cols):
-                if j in banned:
-                    continue
-                if red[j] < 0:
-                    entering = j  # Bland: lowest index
-                    break
+            red = tableau[-1]
+            entering = next((j for j in range(eligible) if red[j] < 0), None)  # Bland
             if entering is None:
                 return
             leaving, best, best_var = None, None, None
@@ -100,14 +97,11 @@ def solve_min_geq(c, rows, rhs) -> LPSolution:
             pivot(leaving, entering)
 
     # Phase 1: drive the artificials to zero.
-    phase1 = [zero] * (n + m) + [one] * m
-    run_phase(phase1, banned=set())
-    _, z = reduced_costs(phase1)
-    if z != 0:
+    run_phase(total_cols)
+    if tableau.pop()[total_cols] != 0:
         raise InfeasibleLP("no feasible point")
     # Remove artificials from the basis where possible; fully zero rows are
     # redundant constraints and can stay parked on their artificial.
-    art_start = n + m
     for r in range(m):
         if basis[r] >= art_start:
             for j in range(art_start):
@@ -115,10 +109,9 @@ def solve_min_geq(c, rows, rhs) -> LPSolution:
                     pivot(r, j)
                     break
 
-    # Phase 2.
-    phase2 = c + [zero] * (2 * m)
-    run_phase(phase2, banned=set(range(art_start, total_cols)))
-    red, zval = reduced_costs(phase2)
+    # Phase 2, with the artificials barred from entering.
+    run_phase(art_start)
+    red = tableau[m]
 
     x = [zero] * n
     for r, bv in enumerate(basis):
@@ -133,7 +126,7 @@ def solve_min_geq(c, rows, rhs) -> LPSolution:
             y_i = -y_i
         duals.append(y_i)
     value = sum((ci * xi for ci, xi in zip(c, x)), zero)
-    assert value == zval
+    assert value == -red[total_cols]
     return LPSolution(value, tuple(x), tuple(duals))
 
 

@@ -207,6 +207,27 @@ class TestMalformedInput:
                                   "--target", "cycle:8:1")
         assert "period must be positive" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 8.9, "as an integer"),
+        ("d", True, "as an integer"),
+        ("n", 10**30, "exceeds the limit"),
+    ])
+    def test_certificate_header_fields(self, capsys, tmp_path, field, value, message):
+        data = self.certificate(capsys, tmp_path)
+        data[field] = value
+        path = self.write(tmp_path, data)
+        err = self.one_line_error(capsys, "verify-cert", "--cert", path,
+                                  "--target", "cycle:8:1")
+        assert message in err
+
+    def test_certificate_batch_entries_refuse_floats(self, capsys, tmp_path):
+        data = self.certificate(capsys, tmp_path)
+        data["columns"][0]["batches"][0] = [1.7, 2.2]
+        path = self.write(tmp_path, data)
+        err = self.one_line_error(capsys, "verify-cert", "--cert", path,
+                                  "--target", "cycle:8:1")
+        assert "as an integer" in err
+
     @pytest.mark.parametrize("model, message", [
         ({"kind": "tabulated", "pmf": [1, 2]}, "'pmf' as an object"),
         ({"kind": "tabulated", "pmf": {"0": "1/0"}}, "zero denominator"),

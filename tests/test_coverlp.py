@@ -15,7 +15,7 @@ from deadline_matching import (CoverCertificate, arrival_window_matching_value,
                                save_certificate, solve_cover_lp,
                                solve_cover_lp_direct, verify_certificate)
 from deadline_matching.coverlp import (certificate_from_json, certificate_to_json,
-                                      realizing_permutation)
+                                      contraction_bound, realizing_permutation)
 from helpers import random_complete_graph
 
 
@@ -84,6 +84,17 @@ class TestSolveCoverLP:
         result = solve_cover_lp("lp-prime", 2)
         assert result.alpha == 4
         assert verify_certificate(result.certificate, cycle_power(8, 2)).ok
+
+    def test_prime_variant_k5_certifies_deadlines_9_and_10(self):
+        result = solve_cover_lp("lp-prime", 5)
+        assert (result.alpha, result.column_count, result.orbit_count) == (F(145, 51), 32256, 3252)
+        assert verify_certificate(result.certificate, cycle_power(20, 5)).ok
+        # random-order batching is 0.279-competitive at deadline d if alpha_d <= 1000/279
+        alphas = {2: F(4), 3: F(3), 4: F(44, 15), 5: result.alpha}
+        certified = {d: contraction_bound(d, alphas)[0] for d in (6, 9, 10, 13, 22)}
+        assert certified == {6: F(21, 5), 9: F(145, 51), 10: F(1595, 459),
+                             13: F(4), 22: F(253, 70)}
+        assert [d for d, alpha in certified.items() if alpha > F(1000, 279)] == [6, 13, 22]
 
     def test_certificates_always_verify(self):
         for variant, parameter in (("lp", 2), ("lp-prime", 3)):

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching.simplex import (InfeasibleLP, LPSolution, UnboundedLP,
                                        certify_min_geq, solve_min_geq)
@@ -66,6 +69,72 @@ class TestSolver:
         certify_min_geq(sol, c, rows, rhs)
         assert sol.value == F(3, 2)
 
+    def test_unbounded(self):
+        # min -x subject to x >= 1 falls without bound
+        with pytest.raises(UnboundedLP):
+            solve_min_geq([F(-1)], [[F(1)]], [F(1)])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_min_geq([F(1)], [[F(1), F(2)]], [F(1)])
+
+
+def solve_square(matrix, rhs):
+    """The unique solution of a square system by Gaussian elimination over
+    Fractions, or None when the matrix is singular."""
+    size = len(matrix)
+    aug = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][size] / aug[r][r] for r in range(size)]
+
+
+def vertex_minimum(c, rows, rhs):
+    """min c.x over A x >= b, x >= 0 by brute force: every point where n of
+    the m + n constraints are tight and independent, kept if feasible. None
+    when there is no feasible vertex. With x >= 0 the region has vertices
+    whenever it is nonempty, and c >= 0 bounds it below, so the minimum is
+    attained at one."""
+    n = len(c)
+    constraints = list(zip(rows, rhs))
+    constraints += [([int(k == j) for k in range(n)], 0) for j in range(n)]
+    best = None
+    for tight in combinations(constraints, n):
+        x = solve_square([row for row, _ in tight], [b for _, b in tight])
+        if x is None or any(sum(a * v for a, v in zip(row, x)) < b for row, b in constraints):
+            continue
+        value = sum(ci * v for ci, v in zip(c, x))
+        if best is None or value < best:
+            best = value
+    return best
+
+
+@st.composite
+def small_lps(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return c, rows, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_lps())
+def test_solver_agrees_with_vertex_enumeration(lp):
+    c, rows, rhs = lp
+    best = vertex_minimum(c, rows, rhs)
+    if best is None:
+        with pytest.raises(InfeasibleLP):
+            solve_min_geq(c, rows, rhs)
+        return
+    solution = solve_min_geq(c, rows, rhs)
+    assert solution.value == best
+    certify_min_geq(solution, c, rows, rhs)
