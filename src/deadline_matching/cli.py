@@ -19,7 +19,7 @@ from .coverlp import (certified_inflation, contract_expand, extend_cover,
 from .engine import (competitive_report, exact_expectation, simulate,
                      write_report_csv, BranchingLimitExceeded)
 from .gallery import make_instance
-from .graphs import format_rational, instance_to_json, load_instance
+from .graphs import format_rational, instance_to_json, load_instance, save_instance
 from .masks import cycle_power
 from .offline import offline_optimum
 from .policies import infer_roles, make_policy
@@ -65,12 +65,17 @@ def _resolve_instance(args):
         instance, name = named.instance, named.name
     else:
         raise SystemExit("need --instance PATH or --gallery NAME")
+    return name, _with_roles(instance)
+
+
+def _with_roles(instance):
+    """The instance with seller/buyer roles inferred when it declares none."""
     if instance.roles is None:
         try:
-            instance = dataclasses.replace(instance, roles=infer_roles(instance))
+            return dataclasses.replace(instance, roles=infer_roles(instance))
         except ValueError:
             pass  # not constrained bipartite; role-based policies will refuse
-    return name, instance
+    return instance
 
 
 def _add_instance_flags(parser):
@@ -111,10 +116,10 @@ def _policy_value(instance, spec: str, args) -> tuple[Fraction, str]:
 def cmd_sweep(args) -> int:
     instances = []
     for path in args.instance or ():
-        instances.append((path, load_instance(path)))
+        instances.append((path, _with_roles(load_instance(path))))
     if args.gallery:
         named = make_instance(args.gallery, **_parse_params(args.param))
-        instances.append((named.name, named.instance))
+        instances.append((named.name, _with_roles(named.instance)))
     if not instances:
         raise SystemExit("sweep needs at least one --instance or --gallery")
     policies = [(spec, (lambda s=spec: make_policy(s)))
@@ -215,13 +220,11 @@ def cmd_lookahead_cert(args) -> int:
 
 def cmd_gallery(args) -> int:
     named = make_instance(args.name, **_parse_params(args.param))
-    payload = json.dumps(instance_to_json(named.instance), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        save_instance(named.instance, args.out)
         print(f"instance '{named.name}' written to {args.out}")
     else:
-        print(payload)
+        print(json.dumps(instance_to_json(named.instance), indent=2))
     return 0
 
 

@@ -145,7 +145,14 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
         raise ValueError(f"unknown LP variant {variant!r}")
 
     columns = enumerate_periodic_batchings(n, p, d)
-    reps = sorted({min(rotation_keys(col.batches, p, n)) for col in columns})
+    unmet = {col.batches for col in columns}  # not yet in an orbit met earlier
+    reps = []
+    for col in columns:
+        if col.batches in unmet:
+            keys = rotation_keys(col.batches, p, n)
+            unmet.difference_update(keys)
+            reps.append(min(keys))
+    reps.sort()
     firsts = {}  # class vector -> its first representative
     for rep in reps:
         firsts.setdefault(tuple(_class_counts(rep, n, power)), rep)
@@ -202,16 +209,10 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
     n, p, size = pb.n, pb.period, pb.batch_size
     if n % size:
         raise ValueError("boundary batches have no realizing block order")
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    for batch in pb.batches:
-        if batch in seen:
-            continue
-        orbit = shift_orbit(batch, p, n)
-        if len(set(orbit)) != n // p:
+    reps = pb.generator_batches()
+    for batch in reps:
+        if len(set(shift_orbit(batch, p, n))) != n // p:
             raise ValueError("a batch orbit is shorter than n/p; not realizable")
-        seen.update(orbit)
-        reps.append(batch)
     if len(reps) != p // size:
         raise ValueError("orbit count disagrees with blocks per period")
     # the j-th representative fills slots j*size+1..(j+1)*size; the map from
@@ -369,8 +370,12 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
 
 
 def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple, int]:
-    """Bijection batches -> blocks commuting with the +2(d+1) shift if possible."""
+    """Bijection batches -> blocks commuting with the +2(d+1) shift if possible.
+
+    The r batches each take one of the r blocks, so while the orbit walk
+    stays among the batches a block is free for every unassigned one."""
     period = 2 * (d + 1)
+    members = set(batches)
     assignment: dict[tuple, int] = {}
     free_blocks = set(range(r))
     for batch in batches:
@@ -380,15 +385,14 @@ def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple,
         beta = min(free_blocks)
         cur = batch
         while cur not in assignment:
-            if beta not in free_blocks:
-                # orbit length mismatch; fall back to arbitrary bijection
+            if cur not in members or beta not in free_blocks:
+                # the shift leaves the batches or the orbit length mismatches
+                # the blocks; fall back to an arbitrary bijection
                 return {b: i for i, b in enumerate(batches)}
             assignment[cur] = beta
             free_blocks.discard(beta)
             cur = rotate(cur, period, n)
             beta = (beta + 2) % r
-    if len(assignment) != len(batches):
-        return {b: i for i, b in enumerate(batches)}
     return assignment
 
 

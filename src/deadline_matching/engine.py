@@ -389,28 +389,26 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
     - At each event every world runs the event's callback on a clone taken
       before the event. A callback that asks for a bit the world does not
       have splits it: each child re-runs only that callback, with one more
-      scripted bit, and gets half the probability per bit. Before the tick
-      of the first coin, the lone world runs in place.
+      scripted bit, and gets half the probability per bit.
     - The value a child collects at the event counts toward the expectation
       with the child's probability.
     - After the event, children with equal keys merge: their probabilities
       add, and the merged world carries the largest flip count of the paths
-      merged into it, so MAX_FLIPS refuses exactly the runs
+      merged into it, so the pass meets the flip cap on exactly the inputs
       `enumerate_branches` refuses.
 
     Without `state_key()` the expectation is the leaf sum over
     `enumerate_branches`. The leaf sum is also the fallback when the pass
-    meets a ValueError (an invalid emitted pair, the flip cap, a refused
-    input), so errors and their messages are the ones the per-branch
+    meets a ValueError (an invalid emitted pair, a refused input) or the
+    flip cap, so errors and their messages are the ones the per-branch
     replays raise. It is also the fallback when the table outgrows
     MAX_WORLDS, so memory stays bounded where merging does not keep up:
     the replays hold one run at a time. Either fallback pays for the pass
     up to that point on top of the replays.
     """
     _require_fixed_departures(instance)
-    zeros = _ZeroBranch(policy)
     try:
-        first = simulate(instance, policy, bits=zeros)
+        first = simulate(instance, policy, bits=ScriptedBits((0,) * MAX_FLIPS))
     except OutOfBits:
         raise BranchingLimitExceeded(
             f"policy consumed more than {MAX_FLIPS} fair bits") from None
@@ -418,7 +416,7 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
         return first.collected
     if policy.state_key() is not None:
         try:
-            merged = _merged_expectation(instance, policy, zeros.first_tick)
+            merged = _merged_expectation(instance, policy)
             if merged is not None:
                 return merged
         except ValueError:
@@ -429,28 +427,10 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
     return total
 
 
-class _ZeroBranch(ScriptedBits):
-    """Up to MAX_FLIPS zero bits: the branch `enumerate_branches` walks
-    first, so the replays meet its error, or its refusal when it needs more
-    bits, before any other. Remembers the tick of its first coin."""
-
-    def __init__(self, policy: OnlinePolicy):
-        super().__init__((0,) * MAX_FLIPS)
-        self._policy = policy
-        self.first_tick = None
-
-    def flip(self) -> int:
-        if self.first_tick is None:
-            self.first_tick = self._policy.view.now
-        return super().flip()
-
-
-def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
-                        first_coin: int) -> Fraction:
+def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction | None:
     """The forward pass of `exact_expectation`, or None once the table
-    outgrows MAX_WORLDS. Events before tick `first_coin`, which the
-    all-zero branch got past without a coin, run on the lone world in
-    place: it cannot split there, so it needs no copy."""
+    outgrows MAX_WORLDS or a path passes MAX_FLIPS: the leaf sum then
+    takes over, and raises the refusal the replays meet first."""
     view = MarketView(instance, realized_departures(instance, 0), policy.lookahead)
     policy.reset(view, ScriptedBits(()))
     events = event_schedule(view._windows)
@@ -461,20 +441,18 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy,
     total = Fraction(0)  # sum of mass * collected weight
     no_bits = ScriptedBits(())  # never advances: its first flip raises
     for index, (time, kind, vertex) in enumerate(events):
-        in_place = time < first_coin
         children = []
         for mass, flips, world in worlds:
             scripts = [()]
             while scripts:
                 script = scripts.pop()
-                child = world if in_place else world.clone()
+                child = world.clone()
                 child.rng = ScriptedBits(script) if script else no_bits
                 try:
                     accepted = _step(child, time, kind, vertex)
                 except OutOfBits:
                     if flips + len(script) >= MAX_FLIPS:
-                        raise BranchingLimitExceeded(
-                            f"policy consumed more than {MAX_FLIPS} fair bits")
+                        return None
                     scripts.append(script + (1,))
                     scripts.append(script + (0,))
                     continue

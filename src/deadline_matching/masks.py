@@ -298,11 +298,9 @@ def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatchin
             residues = {v % p for v in batch}
             if len(residues) != size:
                 continue
+            # distinct residues keep the cells disjoint and inside `remaining`
             cells = shift_orbit(batch, p, n)
-            flat = [v for cell in cells for v in cell]
-            if len(set(flat)) != len(flat) or any(v not in remaining for v in flat):
-                continue
-            recurse(remaining - set(flat), placed + cells)
+            recurse(remaining.difference(*cells), placed + cells)
 
     recurse(set(range(1, n + 1)), [])
     return results

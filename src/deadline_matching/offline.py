@@ -358,8 +358,6 @@ class AuctionMarket:
                     for s in sorted(self.prices):
                         if s in red_set or not self._tight(s, b):
                             continue
-                        if self.match_bs.get(b) == s:
-                            continue
                         parent[s] = b
                         if s not in self.match_sb:
                             augment_from = s
@@ -386,7 +384,7 @@ class AuctionMarket:
             candidates = [
                 self.prices[s] + self.margins[b] - w
                 for (s, b), w in self.edges.items()
-                if b in blue_set and s not in red_set and self.match_bs.get(b) != s
+                if b in blue_set and s not in red_set
             ]
             delta2 = min((c for c in candidates if c > 0), default=None)
             delta = delta1 if delta2 is None else min(delta1, delta2)

@@ -36,6 +36,15 @@ class TestSimulate:
         assert "OPT=19/10" in out
         assert "ratio=5/19" in out
 
+    def test_monte_carlo_runs(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--gallery", "basic-tradeoff",
+                           "--param", "y=2", "--policy", "naive-greedy,batching",
+                           "--seeds", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "instance=basic-tradeoff policy=naive-greedy (3 runs) E=2/1 OPT=2/1 ratio=1/1",
+            "instance=basic-tradeoff policy=batching (3 runs) E=1/1 OPT=2/1 ratio=1/2"]
+
     def test_multiple_policies(self, capsys):
         code, out, _ = run(capsys, "simulate", "--gallery", "basic-tradeoff",
                            "--param", "y=2", "--policy", "batching,patient",
@@ -104,6 +113,16 @@ class TestCertificatePipeline:
                            "--l", "1", "--out", str(look))
         assert code == 0 and "alpha = 2/1" in out
 
+    def test_contract_prints_the_inflation_off_the_batch_size(self, capsys, tmp_path):
+        base, lifted = tmp_path / "p3.json", tmp_path / "lifted.json"
+        run(capsys, "cover-lp", "--variant", "lp-prime", "--k", "3", "--out", str(base))
+        code, out, _ = run(capsys, "contract-cert", "--cert", str(base),
+                           "--d", "4", "--out", str(lifted))  # v = 5 mod 3 = 2
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "subset-family inflation: certified 10/3, squared-loss formula 25/9",
+            "alpha = 10/1"]
+
 
 class TestGalleryAndSweep:
     def test_gallery_emits_loadable_instance(self, capsys, tmp_path):
@@ -129,6 +148,30 @@ class TestGalleryAndSweep:
         lines = out1.read_text().splitlines()
         assert lines[0].startswith("instance_id,policy")
         assert len(lines) == 3
+
+    def test_sweep_from_the_gallery(self, capsys, tmp_path):
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--gallery", "pg-tightness",
+                         "--policy", "pg,greedy", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text().splitlines()[1:] == [
+            "pg-tightness,pg,fixed,4,2,exact,1/2,19/10,5/19",
+            "pg-tightness,greedy,fixed,4,2,exact,1/1,19/10,10/19"]
+
+    def test_sweep_infers_roles_like_simulate(self, capsys, tmp_path):
+        # instance files carry no roles; greedy and dda need them inferred
+        inst_path = tmp_path / "pgt.json"
+        run(capsys, "gallery", "--name", "pg-tightness", "--out", str(inst_path))
+        code, out, _ = run(capsys, "simulate", "--instance", str(inst_path),
+                           "--policy", "greedy,dda", "--exact")
+        assert code == 0 and out.count("E=1/1") == 2
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--instance", str(inst_path),
+                           "--policy", "greedy,dda", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_text().splitlines()[1:] == [
+            f"{inst_path},{name},fixed,4,2,exact,1/1,19/10,10/19"
+            for name in ("greedy", "dda")]
 
 
 class TestErrors:

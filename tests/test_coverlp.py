@@ -221,6 +221,14 @@ class TestTransformComposition:
         assert lifted.alpha == k3.alpha * certified_inflation(4, 3)
         assert verify_certificate(lifted, cycle_power(20, 4)).ok
 
+    def test_extend_then_lift_off_the_period(self):
+        # n = 14 is no multiple of the period 4, so the extended cover has
+        # period n and the +6 shift of the lift leaves its batches
+        extended = extend_cover(solve_cover_lp("lp-prime", 2).certificate, 14)
+        lifted = contract_expand(extended, 2)
+        assert (lifted.n, lifted.alpha) == (21, 36)
+        assert verify_certificate(lifted, cycle_power(21, 2)).ok
+
 
 class TestLookaheadCover:
     def test_reference_values(self):

@@ -317,3 +317,22 @@ class TestCompetitiveReport:
         with pytest.raises(ValueError, match="n <= 8"):
             competitive_report([("big", inst)], [("patient", patient_baseline)],
                                arrival_model="uniform")
+
+    def test_flip_cap_falls_back_to_one_sampled_run(self):
+        # naive-greedy flips once per arrival: 44 coins pass the cap of 20
+        units = OnlineInstance(WeightedGraph(44, {(2 * i - 1, 2 * i): F(1)
+                                                  for i in range(1, 23)}),
+                               ArrivalOrder.identity(44), 1)
+        rows = competitive_report([("units", units)],
+                                  [("naive-greedy", naive_greedy),
+                                   ("patient", patient_baseline)])
+        assert [(row.samples_or_exact, row.alg_value, row.off_value) for row in rows] == [
+            ("1", 6, 22), ("exact", 22, 22)]
+
+    def test_zero_optimum_leaves_the_ratio_empty(self, tmp_path):
+        rows = competitive_report([("zero", zero_instance(3, 1))],
+                                  [("patient", patient_baseline)])
+        assert rows[0].ratio is None
+        path = tmp_path / "zero.csv"
+        write_report_csv(rows, path)
+        assert path.read_text().splitlines()[1] == "zero,patient,fixed,3,1,exact,0/1,0/1,"
