@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
+from .graphs import (ZERO, ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
                      format_rational, ordered_pair)
 from .departures import sample_departures
@@ -171,7 +171,7 @@ class MarketView:
         if u not in self._arrived or v not in self._arrived:
             raise LookupError("weights to vertices that have not arrived are hidden")
         if not self._windows.live(u, v):
-            return Fraction(0)
+            return ZERO
         return self._instance.graph.weight(u, v)
 
     def revealed_neighbors(self, v: int) -> dict[int, Fraction]:

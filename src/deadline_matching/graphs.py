@@ -10,11 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from pathlib import Path
 
 from .departures import DepartureModel, deterministic, geometric, tabulated
 
 Pair = tuple[int, int]
+
+ZERO = Fraction(0)  # the weight of every absent edge
 
 
 class InstanceFormatError(ValueError):
@@ -78,7 +82,14 @@ class WeightedGraph:
         object.__setattr__(self, "weights", normalized)
 
     def weight(self, i: int, j: int) -> Fraction:
-        return self.weights.get(ordered_pair(i, j), Fraction(0))
+        return self.weights.get(ordered_pair(i, j), ZERO)
+
+    @cached_property
+    def scaled(self) -> tuple[dict[Pair, int], int]:
+        """The weights as integers over the LCM of all their denominators,
+        and that scale; built on first use and kept with the graph."""
+        scale = lcm(*(w.denominator for w in self.weights.values()))
+        return {e: w.numerator * (scale // w.denominator) for e, w in self.weights.items()}, scale
 
     def edges(self):
         """Positive-weight edges as (i, j, weight) with i < j."""

@@ -1,17 +1,17 @@
 """Exact offline benchmarks: optimal matchings and bipartite auction duals.
 
-Matchings come from two exact DPs on weights scaled to integers by the LCM
-of their denominators, which keeps every comparison and tie: a bandwidth DP
-along the arrival order, O(n * 2^d * d), and a subset DP over general graphs,
-O(2^n * n). Every `Matching` returned has, among the maximum-weight ones, the
-lexicographically smallest sorted pair list.
+Matchings come from two exact DPs on `WeightedGraph.scaled`, the weights as
+integers over the LCM of all the graph's denominators, scaled once per graph
+and not once per call; a common scale keeps every comparison and tie. They
+are a bandwidth DP along the arrival order, O(n * 2^d * d), and a subset DP
+over general graphs, O(2^n * n). Every `Matching` returned has, among the
+maximum-weight ones, the lexicographically smallest sorted pair list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
                      WeightedGraph, build_online_graph, ordered_pair)
@@ -23,25 +23,21 @@ class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
 
 
-def _scaled(weights: list[Fraction]) -> tuple[list[int], int]:
-    """The weights as integers over their least common denominator, and it."""
-    scale = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (scale // w.denominator) for w in weights], scale
-
-
 def _subset_dp(graph: WeightedGraph, verts):
-    """dp[mask]: best scaled matching value on the vertices verts[i] with bit
-    i set in `mask`; returns dp, the scaled adjacency lists and the scale."""
+    """dp[mask]: best scaled matching value on the ascending vertices
+    verts[i] with bit i set in `mask`, over `graph.scaled`; returns dp and
+    the scaled adjacency lists."""
     k = len(verts)
     if k > EXACT_MATCHING_CAP:
         raise SizeLimitError(f"n={k} exceeds the exact cap of {EXACT_MATCHING_CAP}")
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(e, w) for e, w in graph.weights.items() if e[0] in index and e[1] in index]
-    ints, scale = _scaled([w for _, w in edges])
+    ints = graph.scaled[0]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for ((i, j), _), w in zip(edges, ints):
-        adj[index[i]].append((index[j], w))
-        adj[index[j]].append((index[i], w))
+    for i, u in enumerate(verts):
+        for j in range(i + 1, k):
+            w = ints.get((u, verts[j]))
+            if w is not None:
+                adj[i].append((j, w))
+                adj[j].append((i, w))
     dp = [0] * (1 << k)
     for mask in range(1, 1 << k):
         low = (mask & -mask).bit_length() - 1
@@ -54,20 +50,20 @@ def _subset_dp(graph: WeightedGraph, verts):
                 if cand > best:
                     best = cand
         dp[mask] = best
-    return dp, adj, scale
+    return dp, adj
 
 
 def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
     """Optimal matching value of the subgraph induced by `vertices` (default: all)."""
-    verts = sorted(vertices) if vertices is not None else graph.vertices()
-    dp, _, scale = _subset_dp(graph, verts)
-    return Fraction(dp[-1], scale)
+    verts = sorted(set(vertices)) if vertices is not None else graph.vertices()
+    dp, _ = _subset_dp(graph, verts)
+    return Fraction(dp[-1], graph.scaled[1])
 
 
 def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
     """Maximum-weight matching of a general graph by the subset DP. Refuses
     graphs beyond the cap rather than silently approximating."""
-    dp, adj, _ = _subset_dp(graph, graph.vertices())
+    dp, adj = _subset_dp(graph, graph.vertices())
     pairs: list[Pair] = []
     mask = len(dp) - 1
     while mask:  # the lowest vertex takes its smallest partner that keeps the optimum
@@ -83,41 +79,37 @@ def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
     return Matching.from_pairs(graph, pairs)
 
 
-def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int],
-             value) -> tuple[int, int]:
-    """Best total, and the scale, of `value(u, v, w)` over matchings of the
-    live edges, w being the scaled weight of edge (u, v). An edge is live when
-    its earlier endpoint u reaches the later one: slot gap <= reach[u - 1]
-    (`PresenceWindows.reach`, at most d). The state after slot t has one bit
-    per arrived vertex that is unmatched and has a live edge to a later
-    arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
+def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int], tie=None) -> int:
+    """Best scaled total over matchings of the live edges, an edge (u, v)
+    counting as its weight w in `graph.scaled` (scaled once per graph, not
+    once per call) or as `tie(u, v, w)` when a tie-break key is given. One
+    set-up pass lists each slot's live edges and the drop masks. An edge is
+    live when its earlier endpoint u reaches the later one: slot gap <=
+    reach[u - 1] (`PresenceWindows.reach`, capped at d). The state after slot
+    t has one bit per arrived vertex that is unmatched and has a live edge to
+    a later arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
     n = graph.n
     if min(d, n - 1) >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {d} on n={n} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
     inverse = [0] * n
     for v, s in enumerate(slots, start=1):
         inverse[s - 1] = v
-    weights = graph.weights
-    back: list[list] = [[] for _ in range(n)]  # per slot: (distance, vertex, weight)
+    ints = graph.scaled[0]
+    back: list[list] = [[] for _ in range(n)]  # per slot: (state bit, value) per live edge
     last = list(range(n))  # last[s]: latest slot with a live edge to slot s
-    for t, v in enumerate(inverse):
-        for dist in range(1, min(d, t) + 1):
-            u = inverse[t - dist]
-            w = weights.get((u, v) if u < v else (v, u))
+    for dist in range(1, min(d, n - 1) + 1):
+        bit = 1 << (dist - 1)
+        for s, (u, v) in enumerate(zip(inverse, inverse[dist:])):  # slots s and s + dist
+            w = ints.get((u, v) if u < v else (v, u))
             if w is not None and dist <= reach[u - 1]:
-                back[t].append((dist, u, w))
-                last[t - dist] = t
-    ints, scale = _scaled([w for row in back for _, _, w in row])
+                back[s + dist].append((bit, w if tie is None else tie(u, v, w)))
+                last[s] = s + dist
     drop = [0] * n  # bits of the vertices whose last live edge is at slot t
     for s, t in enumerate(last):
         drop[t] |= 1 << (t - s)
-    scaled = iter(ints)
     states = {0: 0}
-    for t, v in enumerate(inverse):
-        edges = []
-        for dist, u, _ in back[t]:
-            edges.append((1 << (dist - 1), value(u, v, next(scaled))))
-        keep = ~drop[t]
+    for edges, gone in zip(back, drop):
+        keep = ~gone
         nxt: dict[int, int] = {}
         for mask, total in states.items():
             up = mask << 1
@@ -131,7 +123,7 @@ def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int],
                     if nxt.get(key, -1) < cand:
                         nxt[key] = cand
         states = nxt
-    return states[0], scale
+    return states[0]
 
 
 def offline_optimum(instance: OnlineInstance) -> Matching:
@@ -150,12 +142,12 @@ def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matchin
     n = instance.n
     b = n.bit_length()
     shift = b * n
-    best, scale = _band_dp(instance.graph, windows.slots, instance.deadline, windows.reach,
-                           lambda u, v, w: w << shift | (n + 1 - max(u, v)) << b * (n - min(u, v)))
+    best = _band_dp(instance.graph, windows.slots, instance.deadline, windows.reach,
+                    lambda u, v, w: w << shift | (n + 1 - max(u, v)) << b * (n - min(u, v)))
     digits = format(best & ((1 << shift) - 1), f"0{shift}b")
     ends = [int(digits[i * b:(i + 1) * b], 2) for i in range(n)]
     pairs = [(i, n + 1 - end) for i, end in enumerate(ends, start=1) if end]
-    return Matching(frozenset(pairs), Fraction(best >> shift, scale))
+    return Matching(frozenset(pairs), Fraction(best >> shift, instance.graph.scaled[1]))
 
 
 def realized_online_graph(instance: OnlineInstance,
@@ -175,8 +167,7 @@ def realized_offline_optimum(instance: OnlineInstance,
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
     """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP."""
-    best, scale = _band_dp(graph, slots, d, [d] * graph.n, lambda u, v, w: w)
-    return Fraction(best, scale)
+    return Fraction(_band_dp(graph, slots, d, [d] * graph.n), graph.scaled[1])
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -186,20 +177,18 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     inverse = [0] * n
     for v, s in enumerate(slots, start=1):
         inverse[s - 1] = v
-    total = Fraction(0)
-    weight = graph.weight
+    ints, scale = graph.scaled
+    total = 0
     for start in range(0, n, d + 1):
-        batch = inverse[start:start + d + 1]
-        if len(batch) < 2:
-            continue
+        batch = sorted(inverse[start:start + d + 1])
         if len(batch) == 2:
-            total += weight(batch[0], batch[1])
+            total += ints.get(tuple(batch), 0)
         elif len(batch) == 3:
             a, b, c = batch
-            total += max(weight(a, b), weight(a, c), weight(b, c))
-        else:
-            total += max_weight_matching_value(graph, batch)
-    return total
+            total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))
+        elif len(batch) > 3:
+            total += _subset_dp(graph, batch)[0][-1]
+    return Fraction(total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +416,20 @@ def hungarian_bipartite(sellers, buyers, weights: dict[Pair, Fraction]):
     Buyers are inserted one at a time (the incremental procedure DDA uses).
     Returns (Matching, prices, margins).
     """
-    sellers = list(sellers)
-    buyers = list(buyers)
-    weights = {(s, b): Fraction(w) for (s, b), w in weights.items()
-               if s in set(sellers) and b in set(buyers)}
+    sellers, buyers = list(sellers), list(buyers)
+    seller_set, by_buyer = set(sellers), {b: {} for b in buyers}
+    for (s, b), w in weights.items():  # each buyer's sellers in the order given
+        if s in seller_set and b in by_buyer:
+            by_buyer[b][s] = Fraction(w)
     market = AuctionMarket()
     for s in sellers:
         market.add_seller(s)
     for b in buyers:
-        market.add_buyer(b, {s: w for (s, bb), w in weights.items() if bb == b})
+        market.add_buyer(b, by_buyer[b])
     market.check_optimal()
     graph_pairs = [(s, b) for s, b in market.match_sb.items()]
     n = max([*sellers, *buyers], default=0)
-    graph = WeightedGraph(n, {ordered_pair(s, b): w for (s, b), w in weights.items() if w > 0})
+    graph = WeightedGraph(n, {ordered_pair(s, b): w for b, edges in by_buyer.items()
+                              for s, w in edges.items() if w > 0})
     return (Matching.from_pairs(graph, graph_pairs),
             dict(market.prices), dict(market.margins))

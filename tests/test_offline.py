@@ -222,3 +222,16 @@ class TestHungarian:
                 after = market.dual_total() - market.margins[buyer]
                 assert before == after
                 market.check_optimal()
+
+    def test_foreign_edges_are_dropped_and_buyer_order_is_kept(self):
+        # Edges to seller 4 or 9 and to buyer 8 lie outside the market, and
+        # buyers list their sellers unsorted. Two optima tie at 29/6 (1-5,
+        # 3-6, 2-7 against 3-5, 2-6, 1-7); the pins fix which one is returned.
+        w = {(3, 5): F(2), (1, 5): F(2), (9, 5): F(7), (2, 6): F(3, 2), (3, 6): F(5, 2),
+             (1, 6): F(3, 2), (1, 8): F(6), (2, 7): F(1, 3), (1, 7): F(4, 3),
+             (3, 7): F(1, 2), (4, 7): F(9)}
+        m, p, q = hungarian_bipartite([3, 1, 2], [6, 5, 7], w)
+        assert m.sorted_pairs() == ((1, 5), (2, 7), (3, 6))
+        assert m.weight == F(29, 6)
+        assert list(p.items()) == [(3, F(1)), (1, F(1)), (2, F(0))]
+        assert list(q.items()) == [(6, F(3, 2)), (5, F(1)), (7, F(1, 3))]
