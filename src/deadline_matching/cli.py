@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: greedy,naive-greedy,pg,dda,batching[:l],patient")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
-                       help="enumerate the policy's coin flips exactly")
+                       help="exact expectation: one forward pass over merged coin states")
     group.add_argument("--seeds", type=_at_least(1), default=1,
                        help="Monte Carlo runs when not exact")
     p.set_defaults(func=cmd_simulate)

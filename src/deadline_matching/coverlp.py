@@ -228,12 +228,14 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
 
 
 def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
-    """Extend a periodic cover of C_{n1}^d to a verified cover of C_n^d.
+    """Extend a periodic cover of C_{n1}^P to a verified cover of C_n^P.
 
-    When n is a multiple of the period the weights carry over unchanged.
-    Otherwise the columns are rebuilt u = floor(n/p) times with a block of
-    n mod p extra vertices parked at the tail slots, at weight lambda/(u-2),
-    which multiplies alpha by u/(u-2); this needs u >= 3.
+    P is the largest power up to d+1 that the input covers at n1. When n is
+    a multiple of the period the weights carry over unchanged. Otherwise the
+    columns are rebuilt u = floor(n/p) times with a block of n mod p extra
+    vertices parked at the tail slots, at weight lambda/(u-2), which
+    multiplies alpha by u/(u-2); this needs u >= 3. A result that does not
+    cover C_n^P raises a ValueError naming its first uncovered edge.
     """
     n1, p, d = cert.n, cert.period, cert.d
     if n < n1:
@@ -252,27 +254,38 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
         for head, lam in heads:
             order = periodic_extension(head, p, n)
             new_cols.append((batching_from_order(order, n, d, period=p), lam))
-        return CoverCertificate(n, d, p, cert.alpha, tuple(new_cols))
-    u, v = divmod(n, p)
-    if u < 3:
-        raise ValueError(f"n={n} gives u={u} < 3 full periods; too small to extend")
-    new_cols = []
-    scale = Fraction(1, u - 2)
-    for head, lam in heads:
-        tilde = periodic_extension(head, p, p * u)
-        for x in range(1, u + 1):
-            cut = p * x
-            sigma = [0] * n
-            for i in range(1, n + 1):
-                if i <= cut:
-                    sigma[i - 1] = tilde[i - 1]
-                elif i <= cut + v:
-                    sigma[i - 1] = i + (u - x) * p  # parked at the tail slots
-                else:
-                    sigma[i - 1] = tilde[i - v - 1]
-            new_cols.append((batching_from_order(sigma, n, d, period=n), lam * scale))
-    alpha = cert.alpha * u * scale
-    return CoverCertificate(n, d, n, alpha, tuple(new_cols))
+        extended = CoverCertificate(n, d, p, cert.alpha, tuple(new_cols))
+    else:
+        u, v = divmod(n, p)
+        if u < 3:
+            raise ValueError(f"n={n} gives u={u} < 3 full periods; too small to extend")
+        new_cols = []
+        scale = Fraction(1, u - 2)
+        for head, lam in heads:
+            tilde = periodic_extension(head, p, p * u)
+            for x in range(1, u + 1):
+                cut = p * x
+                sigma = [0] * n
+                for i in range(1, n + 1):
+                    if i <= cut:
+                        sigma[i - 1] = tilde[i - 1]
+                    elif i <= cut + v:
+                        sigma[i - 1] = i + (u - x) * p  # parked at the tail slots
+                    else:
+                        sigma[i - 1] = tilde[i - v - 1]
+                new_cols.append((batching_from_order(sigma, n, d, period=n), lam * scale))
+        extended = CoverCertificate(n, d, n, cert.alpha * u * scale, tuple(new_cols))
+    mask = cert.combined_mask()
+    power = next((P for P in range(min(d + 1, (n1 - 1) // 2), 0, -1)
+                  if not cover_deficits(mask, cycle_power(n1, P))), None)
+    if power is None:
+        raise ValueError(f"the certificate covers no power of the {n1}-cycle")
+    report = verify_certificate(extended, cycle_power(n, power))
+    if not report.ok:
+        edge, deficit = report.uncovered[0]
+        raise ValueError(f"the extension to n={n} does not cover C_{n}^{power}: "
+                         f"edge {edge} uncovered by {deficit}")
+    return extended
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ schedule with a table of worlds, one per distinct policy state: a world
 that needs a bit it does not have splits, re-running only the current
 event's callback, and worlds whose `OnlinePolicy.state_key()` agree after an
 event merge, since their futures are the same. Merging is what keeps the
-table small: naive-greedy's 2^n coin tree collapses to the role and
-tentative-buyer patterns of the vertices still present.
+table small, so the pass has no coin cap: naive-greedy's 2^n coin tree
+collapses to the role and tentative-buyer patterns of the vertices present.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ class MarketView:
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self._present: set[int] = set()  # arrived and unmatched; pruned lazily
+        self._alive: set[int] = set()  # arrived; pruned lazily
         self.now = 0
 
     # engine-side hooks
@@ -101,6 +102,7 @@ class MarketView:
     def _mark_arrived(self, v: int):
         self._arrived.add(v)
         self._present.add(v)
+        self._alive.add(v)
 
     def _mark_matched(self, pair: Pair):
         self._matched.update(pair)
@@ -115,6 +117,7 @@ class MarketView:
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
         other._present = set(self._present)
+        other._alive = set(self._alive)
         other.now = self.now
         return other
 
@@ -165,7 +168,8 @@ class MarketView:
         at a tick >= now (critical time plus lookahead), in ascending order."""
         windows, now = self._windows, self.now
         critical, lookahead = windows.critical, windows.lookahead
-        return sorted(v for v in self._arrived if critical[v - 1] + lookahead >= now)
+        self._alive = {v for v in self._alive if critical[v - 1] + lookahead >= now}
+        return sorted(self._alive)
 
     def weight(self, u: int, v: int) -> Fraction:
         if u not in self._arrived or v not in self._arrived:
@@ -342,7 +346,7 @@ class BranchingLimitExceeded(ValueError):
     pass
 
 
-MAX_FLIPS = 20  # fair bits per run that exact enumeration accepts: 2**20 leaves
+MAX_FLIPS = 20  # fair bits per branch that the leaf sum replays: 2**20 leaves
 MAX_WORLDS = 2 ** 10  # worlds the forward pass holds at once (about 8 KB each at n = 13)
 
 
@@ -377,107 +381,87 @@ def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
 def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
     """Exact expected collected value over the policy's fair coin flips.
 
-    One `simulate` run first walks the all-zero branch, the one
-    `enumerate_branches` replays first. A policy that flips no coin costs
-    just that run. If the branch needs more than MAX_FLIPS bits, or emits
-    an invalid pair, the error is the one the replays would meet first, and
-    it is raised at once. Otherwise, if the policy defines `state_key()`
-    (see `OnlinePolicy`), one forward pass over the event schedule carries
-    a table {state key: (probability, flip count, world)}, where a world is
-    a cloned policy with its own view and a probability is kept as an
-    integer mass out of 2**MAX_FLIPS:
-    - At each event every world runs the event's callback on a clone taken
-      before the event. A callback that asks for a bit the world does not
-      have splits it: each child re-runs only that callback, with one more
-      scripted bit, and gets half the probability per bit.
-    - The value a child collects at the event counts toward the expectation
-      with the child's probability.
-    - After the event, children with equal keys merge: their probabilities
-      add, and the merged world carries the largest flip count of the paths
-      merged into it, so the pass meets the flip cap on exactly the inputs
-      `enumerate_branches` refuses.
-
-    Without `state_key()` the expectation is the leaf sum over
-    `enumerate_branches`. The leaf sum is also the fallback when the pass
-    meets a ValueError (an invalid emitted pair, a refused input) or the
-    flip cap, so errors and their messages are the ones the per-branch
-    replays raise. It is also the fallback when the table outgrows
-    MAX_WORLDS, so memory stays bounded where merging does not keep up:
-    the replays hold one run at a time. Either fallback pays for the pass
-    up to that point on top of the replays.
+    1. One `simulate` run with no bits: a policy that asks for no coin
+       costs just that run.
+    2. If the policy defines `state_key()` (see `OnlinePolicy`), one forward
+       pass over the event schedule carries a table of worlds: cloned
+       policies, each with its own view and an integer mass over a common
+       2**depth. At each event every world runs the callback on a clone; a
+       callback that asks for a bit the world lacks splits it, each child
+       re-running only that callback with one more scripted bit at half the
+       mass, and the depth grows by the event's deepest split. A child's
+       collected value counts with its mass. After the event, children with
+       equal keys merge and their masses add: runs whose states agree have
+       the same future. An invalid pair raises at the event where it is
+       emitted. Every world is cloned at every event, so the pass costs
+       O(events x worlds x n).
+    3. Otherwise, or when the pass hands over, the leaf sum over
+       `enumerate_branches`, with its flip cap. The pass hands over when
+       the merged table outgrows MAX_WORLDS or one event creates more than
+       2 * MAX_WORLDS children, so memory stays bounded where merging does
+       not keep up.
     """
     _require_fixed_departures(instance)
     try:
-        first = simulate(instance, policy, bits=ScriptedBits((0,) * MAX_FLIPS))
+        return simulate(instance, policy, bits=ScriptedBits(())).collected
     except OutOfBits:
-        raise BranchingLimitExceeded(
-            f"policy consumed more than {MAX_FLIPS} fair bits") from None
-    if first.bits_used == 0:
-        return first.collected
+        pass  # the policy flips coins
     if policy.state_key() is not None:
-        try:
-            merged = _merged_expectation(instance, policy)
-            if merged is not None:
-                return merged
-        except ValueError:
-            pass  # the leaf sum raises the error the replays meet first
-    total = Fraction(0)
-    for bits, result in enumerate_branches(instance, policy):
-        total += result.collected * Fraction(1, 2 ** len(bits))
-    return total
+        merged = _merged_expectation(instance, policy)
+        if merged is not None:
+            return merged
+    return sum((result.collected * Fraction(1, 2 ** len(bits))
+                for bits, result in enumerate_branches(instance, policy)), Fraction(0))
 
 
 def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction | None:
-    """The forward pass of `exact_expectation`, or None once the table
-    outgrows MAX_WORLDS or a path passes MAX_FLIPS: the leaf sum then
-    takes over, and raises the refusal the replays meet first."""
+    """The forward pass of `exact_expectation`, or None when it hands over."""
     view = MarketView(instance, realized_departures(instance, 0), policy.lookahead)
     policy.reset(view, ScriptedBits(()))
     events = event_schedule(view._windows)
-    weight = instance.graph.weight
-    # a path with f flips has mass 2**(MAX_FLIPS - f), so every halving
-    # below is exact
-    worlds = [(1 << MAX_FLIPS, 0, policy)]  # (mass, flips, world)
-    total = Fraction(0)  # sum of mass * collected weight
+    weights, scale = instance.graph.scaled
+    worlds = [(1, policy)]  # (mass, world): probability mass / 2**depth
+    depth = 0
+    total = 0  # sum of mass * collected weight, over scale << depth
     no_bits = ScriptedBits(())  # never advances: its first flip raises
     for index, (time, kind, vertex) in enumerate(events):
-        children = []
-        for mass, flips, world in worlds:
+        children = []  # (mass, bits used, pairs matched, world)
+        split = 0
+        for mass, world in worlds:
             scripts = [()]
             while scripts:
                 script = scripts.pop()
                 child = world.clone()
                 child.rng = ScriptedBits(script) if script else no_bits
                 try:
-                    accepted = _step(child, time, kind, vertex)
+                    children.append((mass, len(script), _step(child, time, kind, vertex), child))
                 except OutOfBits:
-                    if flips + len(script) >= MAX_FLIPS:
-                        return None
                     scripts.append(script + (1,))
                     scripts.append(script + (0,))
                     continue
-                share = mass >> len(script)
-                for pair in accepted:
-                    total += share * weight(*pair)
-                children.append((share, flips + len(script), child))
-        if len(children) > 1:  # a lone world has nothing to merge with
-            # keys are taken at the next event's tick, so vertices whose
-            # windows close in between no longer keep worlds apart
-            next_time = events[index + 1][0] if index + 1 < len(events) else time
-            merged: dict = {}
-            for share, used, child in children:
+                if len(children) > 2 * MAX_WORLDS:
+                    return None  # one event splits too far: leave it to the replays
+                split = max(split, len(script))
+        depth += split
+        total <<= split
+        # keys are taken at the next event's tick, so vertices whose windows
+        # close in between no longer keep worlds apart
+        next_time = events[index + 1][0] if index + 1 < len(events) else time
+        merged: dict = {}
+        for mass, bits, accepted, child in children:
+            mass <<= split - bits
+            for pair in accepted:
+                total += mass * weights.get(pair, 0)
+            key = None  # a lone world has nothing to merge with
+            if len(children) > 1:
                 child.view._advance(next_time)
                 key = child.state_key()
-                first = merged.get(key)
-                if first is None:
-                    merged[key] = (share, used, child)
-                else:
-                    merged[key] = (first[0] + share, max(first[1], used), first[2])
-            children = list(merged.values())
-            if len(children) > MAX_WORLDS:
-                return None  # merging does not keep up: leave it to the replays
-        worlds = children
-    return total / (1 << MAX_FLIPS)
+            first = merged.get(key)
+            merged[key] = (mass, child) if first is None else (first[0] + mass, first[1])
+        worlds = list(merged.values())
+        if len(worlds) > MAX_WORLDS:
+            return None  # merging does not keep up: leave it to the replays
+    return Fraction(total, scale << depth)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +497,9 @@ def competitive_report(instances, policies, arrival_model: str = "fixed",
 
     arrival_model "fixed" keeps each instance's own order; "uniform"
     averages over arrival orders, exhaustively for n <= 8 when seeds == 0,
-    else by Monte Carlo over `seeds` sampled orders. Coin randomness is
-    enumerated exactly when it fits the flip cap, else averaged over seeds.
+    else by Monte Carlo over `seeds` sampled orders. With seeds == 0 coin
+    randomness is exact unless `exact_expectation` refuses, else averaged
+    over max(seeds, 1) runs.
     Both inputs are lists of pairs: (name, instance) and (name, factory).
     """
     if arrival_model not in ("fixed", "uniform"):

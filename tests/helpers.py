@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared instance generators for the test suite.
 
 Weights use small power-of-two denominators so exact arithmetic stays fast
 across large sweeps.
@@ -60,3 +60,12 @@ def random_constrained_bipartite(rng: random.Random, n: int, d: int,
                 if w:
                     weights[(i, j)] = w
     return OnlineInstance(WeightedGraph(n, weights), order, d, roles=roles)
+
+
+def unit_pairs(pairs: int = 22) -> OnlineInstance:
+    """Disjoint unit edges (1, 2), (3, 4), ... in arrival order, d = 1:
+    naive-greedy flips one coin per arrival, pg one per pair."""
+    n = 2 * pairs
+    return OnlineInstance(WeightedGraph(n, {(2 * i - 1, 2 * i): Fraction(1)
+                                            for i in range(1, pairs + 1)}),
+                          ArrivalOrder.identity(n), 1)

@@ -5,6 +5,7 @@ import pytest
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
                                load_certificate, load_instance, save_instance)
 from deadline_matching.cli import main
+from helpers import unit_pairs
 
 
 def run(capsys, *argv):
@@ -35,6 +36,15 @@ class TestSimulate:
         assert "E=1/2" in out
         assert "OPT=19/10" in out
         assert "ratio=5/19" in out
+
+    def test_exact_over_the_flip_cap(self, capsys, tmp_path):
+        path = tmp_path / "units.json"
+        save_instance(unit_pairs(), path)  # naive-greedy flips 44 coins
+        code, out, _ = run(capsys, "simulate", "--instance", str(path),
+                           "--policy", "naive-greedy", "--exact")
+        assert code == 0
+        assert out == (f"instance={path} policy=naive-greedy (exact) "
+                       "E=11/2 OPT=22/1 ratio=1/4\n")
 
     def test_monte_carlo_runs(self, capsys):
         code, out, _ = run(capsys, "simulate", "--gallery", "basic-tradeoff",

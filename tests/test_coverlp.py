@@ -166,6 +166,22 @@ class TestExtendCover:
         assert ext.alpha == base.alpha * 3
         assert verify_certificate(ext, cycle_power(21, 2)).ok
 
+    def test_pinned_certificates_at_two_and_three_times_n(self):
+        for variant, parameter in (("lp", 1), ("lp", 2), ("lp-prime", 2),
+                                   ("lp-prime", 3), ("lp-prime", 4)):
+            base = solve_cover_lp(variant, parameter)
+            for n in (2 * base.n, 3 * base.n):
+                ext = extend_cover(base.certificate, n)
+                assert ext.alpha == base.alpha
+                assert verify_certificate(ext, cycle_power(n, base.target_power)).ok
+        # lp 3's columns cover C_16^3 but not the larger cycles
+        base = solve_cover_lp("lp", 3).certificate
+        with pytest.raises(ValueError, match=r"n=32 does not cover C_32\^3: "
+                                             r"edge \(2, 31\) uncovered by 1/12"):
+            extend_cover(base, 32)
+        with pytest.raises(ValueError, match=r"n=48 does not cover C_48\^3: edge"):
+            extend_cover(base, 48)
+
     def test_too_small_u_rejected(self):
         base = solve_cover_lp("lp", 1).certificate
         with pytest.raises(ValueError, match="u"):

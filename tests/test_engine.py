@@ -18,7 +18,7 @@ from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
 from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
 from deadline_matching.policies import POLICY_FACTORIES
-from helpers import random_constrained_bipartite, random_instance
+from helpers import random_constrained_bipartite, random_instance, unit_pairs
 
 
 def zero_instance(n=5, d=2):
@@ -163,6 +163,13 @@ class TestExactExpectation:
         with pytest.raises(BranchingLimitExceeded):
             exact_expectation(inst, CoinEater())
 
+    def test_values_over_the_flip_cap(self):
+        # 44 coins for naive-greedy and 22 for pg; a pair's coins stop
+        # mattering once its window closes, so the worlds merge
+        inst = unit_pairs()
+        assert exact_expectation(inst, naive_greedy()) == F(11, 2)  # w/4 per pair
+        assert exact_expectation(inst, postponed_greedy()) == 11  # w/2 per pair
+
     def test_fixed_departures_are_enumerable(self):
         # fixed offsets, so only the coins branch
         graph = WeightedGraph(3, {(1, 2): F(12), (1, 3): F(4), (2, 3): F(6)})
@@ -193,8 +200,9 @@ def outcome(compute):
 
 
 class FlipHungry(NaiveGreedy):
-    """Naive-greedy that throws 20 coins away when vertex 7 arrives, which
-    passes the flip cap; its state key still merges branches."""
+    """Naive-greedy that throws 20 coins away when vertex 7 arrives: that
+    event splits every world 2^20 ways, so the pass hands over to the leaf
+    sum, which meets the flip cap."""
 
     def on_arrival(self, v):
         for _ in range(20 if v == 7 else 0):
@@ -204,8 +212,7 @@ class FlipHungry(NaiveGreedy):
 
 class SellerHungry(NaiveGreedy):
     """Naive-greedy that throws 20 coins away when vertex 7 arrives as a
-    seller. The all-zero branch makes every vertex a buyer and stays under
-    the flip cap, so the forward pass, not the first run, meets the cap."""
+    seller, so only the worlds where vertex 7 is a seller split that far."""
 
     def on_arrival(self, v):
         emitted = super().on_arrival(v)
@@ -238,9 +245,15 @@ class TestMergedExpectation:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(coin_instances())
     def test_equals_the_leaf_sum(self, instance):
+        # where the leaf sum raises, the pass raises too, though its error
+        # may name a pair at an earlier event than the replays reach first
         for spec, factory in MERGE_FACTORIES:
             merged = outcome(lambda: exact_expectation(instance, factory()))
-            assert merged == outcome(lambda: leaf_sum(instance, factory())), spec
+            leaves = outcome(lambda: leaf_sum(instance, factory()))
+            if isinstance(leaves, F):
+                assert merged == leaves, spec
+            else:
+                assert isinstance(merged, tuple) and issubclass(merged[0], ValueError), spec
 
     def test_both_paths_raise_alike(self):
         departing = OnlineInstance(
@@ -319,15 +332,22 @@ class TestCompetitiveReport:
                                arrival_model="uniform")
 
     def test_flip_cap_falls_back_to_one_sampled_run(self):
-        # naive-greedy flips once per arrival: 44 coins pass the cap of 20
-        units = OnlineInstance(WeightedGraph(44, {(2 * i - 1, 2 * i): F(1)
-                                                  for i in range(1, 23)}),
-                               ArrivalOrder.identity(44), 1)
-        rows = competitive_report([("units", units)],
+        # with d >= n no window closes, so naive-greedy's worlds never merge:
+        # the table outgrows MAX_WORLDS and the leaf sum meets the flip cap
+        path = OnlineInstance(WeightedGraph(21, {(i, i + 1): F(1) for i in range(1, 21)}),
+                              ArrivalOrder.identity(21), 21)
+        rows = competitive_report([("path", path)],
                                   [("naive-greedy", naive_greedy),
                                    ("patient", patient_baseline)])
         assert [(row.samples_or_exact, row.alg_value, row.off_value) for row in rows] == [
-            ("1", 6, 22), ("exact", 22, 22)]
+            ("1", 6, 10), ("exact", 10, 10)]
+
+    def test_rows_over_the_flip_cap_are_exact(self):
+        rows = competitive_report([("units", unit_pairs())],
+                                  [("naive-greedy", naive_greedy),
+                                   ("pg", postponed_greedy)])
+        assert [(row.samples_or_exact, row.alg_value, row.off_value) for row in rows] == [
+            ("exact", F(11, 2), 22), ("exact", 11, 22)]
 
     def test_zero_optimum_leaves_the_ratio_empty(self, tmp_path):
         rows = competitive_report([("zero", zero_instance(3, 1))],
