@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .coverlp import (certified_inflation, contract_expand, extend_cover,
+from .coverlp import (certified_inflation, contract_expand, covered_power, extend_cover,
                       load_certificate, lookahead_cover, quadratic_inflation,
                       save_certificate, solve_cover_lp, verify_certificate)
 from .engine import (competitive_report, exact_expectation, simulate,
@@ -175,11 +175,13 @@ def cmd_verify_cert(args) -> int:
     return 1
 
 
-def _write_and_verify(cert, out, target) -> int:
-    report = verify_certificate(cert, target)
-    if not report.ok:
-        print(f"FAIL: {report}", file=sys.stderr)
-        return 1
+def _write_and_verify(cert, out, target, verified=False) -> int:
+    """Check `cert` against `target` unless `verified`, write it, check it again."""
+    if not verified:
+        report = verify_certificate(cert, target)
+        if not report.ok:
+            print(f"FAIL: {report}", file=sys.stderr)
+            return 1
     save_certificate(cert, out)
     reloaded = load_certificate(out)
     again = verify_certificate(reloaded, target)
@@ -194,9 +196,12 @@ def _write_and_verify(cert, out, target) -> int:
 def cmd_extend_cert(args) -> int:
     cert = load_certificate(args.cert)
     extended = extend_cover(cert, args.n)
-    target = (_load_target(args.target) if args.target
-              else cycle_power(extended.n, extended.d))
-    return _write_and_verify(extended, args.out, target)
+    if args.target:
+        return _write_and_verify(extended, args.out, _load_target(args.target))
+    # the input covers C_n1^power at its own n1, and extend_cover has checked C_n^power
+    power = covered_power(cert) or 0
+    target = cycle_power(extended.n, max(extended.d, power))
+    return _write_and_verify(extended, args.out, target, verified=power >= extended.d)
 
 
 def cmd_contract_cert(args) -> int:
@@ -286,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("extend-cert", help="extend a periodic cover to larger n")
     p.add_argument("--cert", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", help="cycle:N:D (default: the extended header)")
+    p.add_argument("--target", help="cycle:N:D (default: the largest power up to "
+                   "d+1 that the input covers, at least d)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend_cert)
 

@@ -227,15 +227,23 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
     return order
 
 
+def covered_power(cert: CoverCertificate) -> int | None:
+    """The largest power P <= d+1 of the n-cycle that `cert` covers at its
+    own n, or None when it covers none."""
+    mask = cert.combined_mask()
+    return next((P for P in range(min(cert.d + 1, (cert.n - 1) // 2), 0, -1)
+                 if not cover_deficits(mask, cycle_power(cert.n, P))), None)
+
+
 def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
     """Extend a periodic cover of C_{n1}^P to a verified cover of C_n^P.
 
-    P is the largest power up to d+1 that the input covers at n1. When n is
-    a multiple of the period the weights carry over unchanged. Otherwise the
-    columns are rebuilt u = floor(n/p) times with a block of n mod p extra
-    vertices parked at the tail slots, at weight lambda/(u-2), which
-    multiplies alpha by u/(u-2); this needs u >= 3. A result that does not
-    cover C_n^P raises a ValueError naming its first uncovered edge.
+    P is the input's `covered_power`. When n is a multiple of the period the
+    weights carry over unchanged. Otherwise the columns are rebuilt
+    u = floor(n/p) times with a block of n mod p extra vertices parked at the
+    tail slots, at weight lambda/(u-2), which multiplies alpha by u/(u-2);
+    this needs u >= 3. A result that does not cover C_n^P raises a ValueError
+    naming its first uncovered edge.
     """
     n1, p, d = cert.n, cert.period, cert.d
     if n < n1:
@@ -275,9 +283,7 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
                         sigma[i - 1] = tilde[i - v - 1]
                 new_cols.append((batching_from_order(sigma, n, d, period=n), lam * scale))
         extended = CoverCertificate(n, d, n, cert.alpha * u * scale, tuple(new_cols))
-    mask = cert.combined_mask()
-    power = next((P for P in range(min(d + 1, (n1 - 1) // 2), 0, -1)
-                  if not cover_deficits(mask, cycle_power(n1, P))), None)
+    power = covered_power(cert)
     if power is None:
         raise ValueError(f"the certificate covers no power of the {n1}-cycle")
     report = verify_certificate(extended, cycle_power(n, power))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import (ZERO, ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
+from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
                      format_rational, ordered_pair)
 from .departures import sample_departures
@@ -80,7 +80,10 @@ class MarketView:
     A weight is revealed only between vertices that have both arrived
     (information about the future does not exist), and it reads as zero when
     the presence-window rule under the realized departures and the policy's
-    lookahead allowance keeps no edge between them. A lookahead of l models
+    lookahead allowance keeps no edge between them. Weights are integers
+    over `scale`, the graph's common denominator (`WeightedGraph.scaled`):
+    sums and comparisons of them are exact, and a constant compared with
+    them must be scaled too. A lookahead of l models
     knowing the next l arrivals, implemented as a time extension per the
     batching reduction.
     """
@@ -89,6 +92,7 @@ class MarketView:
                  lookahead: int):
         self._instance = instance
         self._windows = instance.windows(departures, lookahead)
+        self._ints, self._scale = instance.graph.scaled
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self._present: set[int] = set()  # arrived and unmatched; pruned lazily
@@ -114,6 +118,7 @@ class MarketView:
         other = MarketView.__new__(MarketView)
         other._instance = self._instance
         other._windows = self._windows
+        other._ints, other._scale = self._ints, self._scale
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
         other._present = set(self._present)
@@ -171,23 +176,22 @@ class MarketView:
         self._alive = {v for v in self._alive if critical[v - 1] + lookahead >= now}
         return sorted(self._alive)
 
-    def weight(self, u: int, v: int) -> Fraction:
+    @property
+    def scale(self) -> int:
+        return self._scale
+
+    def weight(self, u: int, v: int) -> int:
         if u not in self._arrived or v not in self._arrived:
             raise LookupError("weights to vertices that have not arrived are hidden")
         if not self._windows.live(u, v):
-            return ZERO
-        return self._instance.graph.weight(u, v)
+            return 0
+        return self._ints.get(ordered_pair(u, v), 0)
 
-    def revealed_neighbors(self, v: int) -> dict[int, Fraction]:
-        """Positive matchable weights from v to currently present vertices."""
-        out = {}
-        for u in self.present():
-            if u == v:
-                continue
-            w = self.weight(u, v)
-            if w > 0:
-                out[u] = w
-        return out
+    def revealed_neighbors(self, v: int) -> dict[int, int]:
+        """Positive matchable weights from v to currently present vertices,
+        in ascending vertex order."""
+        weight = self.weight
+        return {u: w for u in self.present() if u != v and (w := weight(u, v))}
 
 
 class OnlinePolicy:
@@ -306,16 +310,18 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     view = MarketView(instance, departures, policy.lookahead)
     policy.reset(view, rng)
     pairs: dict[Pair, int] = {}
-    collected = Fraction(0)
+    ints, scale = instance.graph.scaled
+    collected = 0  # over scale
     trace: list[tuple] = []
     for time, kind, vertex in event_schedule(view._windows):
         accepted = _step(policy, time, kind, vertex)
         trace.append((time, ("arrival", "critical")[kind], vertex))
         for pair in accepted:
             pairs[pair] = time
-            collected += instance.graph.weight(*pair)
+            collected += ints.get(pair, 0)
             trace.append((time, "match", pair))
-    return RunResult(frozenset(pairs), dict(pairs), collected, tuple(trace), rng.used)
+    return RunResult(frozenset(pairs), dict(pairs), Fraction(collected, scale),
+                     tuple(trace), rng.used)
 
 
 def _step(policy: OnlinePolicy, time: int, kind: int, vertex: int) -> list[Pair]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
-                     WeightedGraph, build_online_graph, ordered_pair)
+                     WeightedGraph, as_rational, build_online_graph, ordered_pair)
 
 EXACT_MATCHING_CAP = 24  # 2**n subset states; larger inputs are refused
 
@@ -215,7 +215,7 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
     Also reports the dual objective and, when a primal value is claimed,
     whether weak duality (sum >= claimed) holds.
     """
-    lam = {v: Fraction(lambdas.get(v, 0)) for v in instance.graph.vertices()}
+    lam = {v: as_rational(lambdas.get(v, 0)) for v in instance.graph.vertices()}
     if any(x < 0 for x in lam.values()):
         bad = [v for v, x in lam.items() if x < 0]
         raise ValueError(f"dual values must be nonnegative; negative at {bad}")
@@ -236,12 +236,14 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
 # tight edges or raises prices along an alternating tree until a zero-margin
 # buyer is reached. Prices only rise and margins only fall, and the sum of
 # prices and margins over pre-existing vertices is conserved per insertion.
+# The market never divides: it runs on ints (DDA's weights over a common
+# scale) as it does on Fractions, keeping whichever it is given.
 
 class AuctionMarket:
     def __init__(self):
-        self.prices: dict[int, Fraction] = {}
-        self.margins: dict[int, Fraction] = {}
-        self.edges: dict[Pair, Fraction] = {}  # (seller, buyer) -> weight
+        self.prices: dict[int, int | Fraction] = {}
+        self.margins: dict[int, int | Fraction] = {}
+        self.edges: dict[Pair, int | Fraction] = {}  # (seller, buyer) -> weight
         self.match_sb: dict[int, int] = {}
         self.match_bs: dict[int, int] = {}
 
@@ -249,9 +251,9 @@ class AuctionMarket:
     def add_seller(self, s: int):
         if s in self.prices or s in self.margins:
             raise ValueError(f"vertex {s} already in the market")
-        self.prices[s] = Fraction(0)
+        self.prices[s] = 0
 
-    def add_buyer(self, b: int, edges: dict[int, Fraction]) -> Fraction:
+    def add_buyer(self, b: int, edges: dict[int, int | Fraction]) -> int | Fraction:
         """Insert a buyer with its seller edges and rebalance; returns q_b.
 
         The initial margin is max(0, max_s v_sb - p_s): a buyer with no
@@ -260,18 +262,18 @@ class AuctionMarket:
         """
         if b in self.margins or b in self.prices:
             raise ValueError(f"vertex {b} already in the market")
-        clean: dict[int, Fraction] = {}
+        margin = 0
         for s, w in edges.items():
             if s not in self.prices:
                 raise ValueError(f"buyer {b} references unknown seller {s}")
-            w = Fraction(w)
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weight {w!r} of ({s}, {b}) is not an int or a Fraction")
             if w < 0:
                 raise ValueError("weights are nonnegative")
             if w > 0:
-                clean[s] = w
                 self.edges[(s, b)] = w
-        margin = max((w - self.prices[s] for s, w in clean.items()), default=Fraction(0))
-        self.margins[b] = max(Fraction(0), margin)
+                margin = max(margin, w - self.prices[s])
+        self.margins[b] = margin
         if self.margins[b] > 0:
             self._rebalance(b)
         return self.margins[b]
@@ -414,22 +416,22 @@ def hungarian_bipartite(sellers, buyers, weights: dict[Pair, Fraction]):
     """Maximum-weight bipartite matching with optimal duals, exact.
 
     Buyers are inserted one at a time (the incremental procedure DDA uses).
-    Returns (Matching, prices, margins).
+    Weights go through `as_rational`. Returns (Matching, prices, margins).
     """
     sellers, buyers = list(sellers), list(buyers)
     seller_set, by_buyer = set(sellers), {b: {} for b in buyers}
     for (s, b), w in weights.items():  # each buyer's sellers in the order given
         if s in seller_set and b in by_buyer:
-            by_buyer[b][s] = Fraction(w)
+            by_buyer[b][s] = as_rational(w)
     market = AuctionMarket()
     for s in sellers:
         market.add_seller(s)
     for b in buyers:
         market.add_buyer(b, by_buyer[b])
     market.check_optimal()
-    graph_pairs = [(s, b) for s, b in market.match_sb.items()]
     n = max([*sellers, *buyers], default=0)
     graph = WeightedGraph(n, {ordered_pair(s, b): w for b, edges in by_buyer.items()
                               for s, w in edges.items() if w > 0})
-    return (Matching.from_pairs(graph, graph_pairs),
-            dict(market.prices), dict(market.margins))
+    return (Matching.from_pairs(graph, market.match_sb.items()),
+            {s: Fraction(p) for s, p in market.prices.items()},
+            {b: Fraction(q) for b, q in market.margins.items()})

@@ -52,19 +52,37 @@ class _RoleBased(OnlinePolicy):
                 f"{self.name} needs seller/buyer roles declared on the instance")
         return roles
 
-    def _check_bipartite_arrival(self, v: int):
-        # A seller may not see any live edge on arrival: earlier sellers
-        # would break bipartiteness, earlier buyers the arrival constraint.
-        if self.roles[v] == SELLER and self.view.revealed_neighbors(v):
+    def _check_bipartite_arrival(self, v: int) -> dict[int, int]:
+        # Returns v's revealed neighbours. A seller may not see any live edge on
+        # arrival: earlier sellers would break bipartiteness, earlier buyers the
+        # arrival constraint.
+        neighbors = self.view.revealed_neighbors(v)
+        if self.roles[v] == SELLER and neighbors:
             raise NonBipartiteError(
                 f"seller {v} arrives with live edges; input is not "
                 "constrained bipartite")
         if self.roles[v] == BUYER:
-            for u in self.view.revealed_neighbors(v):
+            for u in neighbors:
                 if self.roles[u] != SELLER:
                     raise NonBipartiteError(
                         f"edge between buyers {u} and {v}; input is not "
                         "constrained bipartite")
+        return neighbors
+
+
+class _OverScale:
+    """A policy's record kept in integers over its view's scale, per vertex
+    one value or a list of them; reading it gives Fractions."""
+
+    def __set_name__(self, owner, name):
+        self.field = "_" + name
+
+    def __get__(self, policy, owner=None):
+        if policy is None:
+            return self
+        scale = policy.view.scale
+        return {v: [Fraction(x, scale) for x in value] if isinstance(value, list)
+                else Fraction(value, scale) for v, value in getattr(policy, self.field).items()}
 
 
 class _BestMarginBids(OnlinePolicy):
@@ -73,19 +91,22 @@ class _BestMarginBids(OnlinePolicy):
     Sellers enter at price 0. A buyer bids once, on the seller with the
     largest positive margin (weight minus price); the seller's price rises to
     that weight and its previous tentative buyer is displaced for good.
+    Prices and margins are integers over the view's scale.
     """
+
+    initial_margin = _OverScale()
 
     def reset(self, view, rng):
         super().reset(view, rng)
-        self.prices: dict[int, Fraction] = {}
+        self.prices: dict[int, int] = {}
         self.tentative: dict[int, int | None] = {}
-        self.initial_margin: dict[int, Fraction] = {}
+        self._initial_margin: dict[int, int] = {}
 
     def clone(self):
         other = super().clone()
         other.prices = dict(self.prices)
         other.tentative = dict(self.tentative)
-        other.initial_margin = {}
+        other._initial_margin = {}
         return other
 
     def state_key(self):
@@ -101,23 +122,23 @@ class _BestMarginBids(OnlinePolicy):
         raise NotImplementedError
 
     def _add_seller(self, s: int):
-        self.prices[s] = Fraction(0)
+        self.prices[s] = 0
         self.tentative[s] = None
 
-    def _bid(self, b: int, sellers):
-        """Buyer b bids on `sellers`, scanned in ascending order: only
-        positive margins count, and a tie keeps the lowest seller."""
-        best_s, best_w, best_margin = None, None, Fraction(0)
-        for s in sellers:
-            w = self.view.weight(s, b)
-            margin = w - self.prices[s]
+    def _bid(self, b: int, offers):
+        """Buyer b bids on `offers`, (seller, weight) pairs in ascending seller
+        order: only positive margins count, and a tie keeps the lowest seller."""
+        prices = self.prices
+        best_s, best_w, best_margin = None, 0, 0
+        for s, w in offers:
+            margin = w - prices[s]
             if margin > best_margin:
                 best_s, best_w, best_margin = s, w, margin
-        self.initial_margin[b] = best_margin
+        self._initial_margin[b] = best_margin
         if best_s is not None:
             self.tentative[best_s] = b
-            self.prices[best_s] = best_w
-            self.log.append(("bid", b, best_s, best_margin))
+            prices[best_s] = best_w
+            self.log.append(("bid", b, best_s, Fraction(best_margin, self.view.scale)))
 
 
 class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
@@ -128,15 +149,11 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
     name = "greedy"
 
     def on_arrival(self, v: int):
-        self._check_bipartite_arrival(v)
-        return self._arrive(v)
-
-    def _arrive(self, v: int):
+        neighbors = self._check_bipartite_arrival(v)
         if self.roles[v] == SELLER:
             self._add_seller(v)
         else:
-            roles = self.roles
-            self._bid(v, [s for s in self.view.present() if roles[s] == SELLER])
+            self._bid(v, neighbors.items())  # a buyer's neighbours are sellers
         return ()
 
     def on_critical(self, v: int):
@@ -163,9 +180,15 @@ class NaiveGreedy(FreeDisposalGreedy):
         return {}
 
     def on_arrival(self, v: int):
-        self.roles[v] = SELLER if self.rng.flip() else BUYER
-        self.log.append(("role", v, self.roles[v]))
-        return self._arrive(v)
+        role = self.roles[v] = SELLER if self.rng.flip() else BUYER
+        self.log.append(("role", v, role))
+        if role == SELLER:
+            self._add_seller(v)
+        else:
+            roles = self.roles
+            self._bid(v, [(s, w) for s, w in self.view.revealed_neighbors(v).items()
+                          if roles[s] == SELLER])
+        return ()
 
 
 class PostponedGreedy(_BestMarginBids):
@@ -212,7 +235,8 @@ class PostponedGreedy(_BestMarginBids):
                 tuple(map(status.get, map(self.tentative.get, alive))))
 
     def on_arrival(self, k: int):
-        self._bid(k, sorted(self.active))
+        weight = self.view.weight
+        self._bid(k, [(s, weight(s, k)) for s in sorted(self.active)])
         self._add_seller(k)
         self.status[k] = UNDETERMINED
         self.active.add(k)
@@ -246,15 +270,13 @@ class PostponedGreedy(_BestMarginBids):
 
     def dual_vector(self) -> dict[int, Fraction]:
         """Final seller price plus initial buyer margin, per original vertex."""
-        return {
-            v: self.prices.get(v, Fraction(0)) + self.initial_margin.get(v, Fraction(0))
-            for v in self.status
-        }
+        prices, margins, scale = self.prices, self._initial_margin, self.view.scale
+        return {v: Fraction(prices.get(v, 0) + margins.get(v, 0), scale) for v in self.status}
 
     def price_margin_sums(self) -> tuple[Fraction, Fraction]:
-        total_p = sum(self.prices.values(), Fraction(0))
-        total_q = sum(self.initial_margin.values(), Fraction(0))
-        return total_p, total_q
+        scale = self.view.scale
+        return (Fraction(sum(self.prices.values()), scale),
+                Fraction(sum(self._initial_margin.values()), scale))
 
 
 class DynamicDeferredAcceptance(_RoleBased):
@@ -263,36 +285,37 @@ class DynamicDeferredAcceptance(_RoleBased):
     Every buyer arrival triggers an incremental rebalance of the bipartite
     market; a seller finalizes its tentative buyer at its critical event and
     both leave. Prices only rise, margins only fall, and the pre-existing
-    dual mass is conserved per arrival.
+    dual mass is conserved per arrival. The market runs on the view's
+    integer weights; the records below read as Fractions.
     """
 
     name = "dda"
+    initial_margin, final_price, final_margin = _OverScale(), _OverScale(), _OverScale()
+    price_history, margin_history = _OverScale(), _OverScale()
 
     def reset(self, view, rng):
         super().reset(view, rng)
         self.market = AuctionMarket()
-        self.initial_margin: dict[int, Fraction] = {}
-        self.final_price: dict[int, Fraction] = {}
-        self.final_margin: dict[int, Fraction] = {}
-        self.price_history: dict[int, list[Fraction]] = {}
-        self.margin_history: dict[int, list[Fraction]] = {}
+        self._initial_margin: dict[int, int] = {}
+        self._final_price: dict[int, int] = {}
+        self._final_margin: dict[int, int] = {}
+        self._price_history: dict[int, list[int]] = {}
+        self._margin_history: dict[int, list[int]] = {}
 
     def _snapshot(self):
         for s, p in self.market.prices.items():
-            self.price_history.setdefault(s, []).append(p)
+            self._price_history.setdefault(s, []).append(p)
         for b, q in self.market.margins.items():
-            self.margin_history.setdefault(b, []).append(q)
+            self._margin_history.setdefault(b, []).append(q)
 
     def on_arrival(self, v: int):
-        self._check_bipartite_arrival(v)
+        neighbors = self._check_bipartite_arrival(v)
         if self.roles[v] == SELLER:
             self.market.add_seller(v)
         else:
-            edges = {
-                s: w for s, w in self.view.revealed_neighbors(v).items()
-                if s in self.market.prices
-            }
-            self.initial_margin[v] = self.market.add_buyer(v, edges)
+            # every present seller is in the market: it leaves at its critical
+            # event, after the arrivals of that tick
+            self._initial_margin[v] = self.market.add_buyer(v, neighbors)
         self._snapshot()
         return ()
 
@@ -300,25 +323,23 @@ class DynamicDeferredAcceptance(_RoleBased):
         emitted = []
         if self.roles[v] == SELLER:
             buyer = self.market.matched_buyer(v)
-            self.final_price[v] = self.market.prices[v]
+            self._final_price[v] = self.market.prices[v]
             if buyer is not None:
-                self.final_margin[buyer] = self.market.margins[buyer]
+                self._final_margin[buyer] = self.market.margins[buyer]
                 self.market.remove_pair(v, buyer)
                 emitted.append((v, buyer))
             else:
                 self.market.remove_seller(v)
         elif v in self.market.margins:  # unmatched buyer departs
-            self.final_margin[v] = self.market.margins[v]
+            self._final_margin[v] = self.market.margins[v]
             self.market.remove_buyer(v)
         self._snapshot()
         return emitted
 
     def conservation_sums(self) -> tuple[Fraction, Fraction, Fraction]:
         """(sum of final prices, sum of final margins, sum of initial margins)."""
-        p_f = sum(self.final_price.values(), Fraction(0))
-        q_f = sum(self.final_margin.values(), Fraction(0))
-        q_i = sum(self.initial_margin.values(), Fraction(0))
-        return p_f, q_f, q_i
+        return tuple(Fraction(sum(record.values()), self.view.scale) for record in
+                     (self._final_price, self._final_margin, self._initial_margin))
 
 
 class BatchingPolicy(OnlinePolicy):
@@ -350,18 +371,13 @@ class BatchingPolicy(OnlinePolicy):
         batch, self.members = self.members, []
         if len(batch) < 2:
             return ()
-        index = {u: i + 1 for i, u in enumerate(sorted(batch))}
-        back = {i: u for u, i in index.items()}
-        weights = {}
-        for a in batch:
-            for b in batch:
-                if a < b:
-                    w = self.view.weight(a, b)
-                    if w > 0:
-                        weights[(index[a], index[b])] = w
+        batch, weight = sorted(batch), self.view.weight
+        # vertex i of the batch's own graph is batch[i - 1]
+        weights = {(i, j): w for i, a in enumerate(batch, 1)
+                   for j, b in enumerate(batch[i:], i + 1) if (w := weight(a, b))}
         local = max_weight_matching_exact(WeightedGraph(len(batch), weights))
-        self.log.append(("batch", tuple(sorted(batch))))
-        return [(back[i], back[j]) for i, j in local.sorted_pairs()]
+        self.log.append(("batch", tuple(batch)))
+        return [(batch[i - 1], batch[j - 1]) for i, j in local.sorted_pairs()]
 
 
 class PatientBaseline(OnlinePolicy):
@@ -372,16 +388,8 @@ class PatientBaseline(OnlinePolicy):
     def on_critical(self, v: int):
         if self.view.is_matched(v) or self.view.has_departed(v):
             return ()
-        best_u, best_w = None, Fraction(0)
-        for u in self.view.present():
-            if u == v:
-                continue
-            w = self.view.weight(u, v)
-            if w > best_w:
-                best_u, best_w = u, w
-        if best_u is not None:
-            return [(v, best_u)]
-        return ()
+        neighbors = self.view.revealed_neighbors(v)  # ascending: a tie keeps the lowest
+        return [(v, max(neighbors, key=neighbors.get))] if neighbors else ()
 
 
 # Spec-facing constructors -----------------------------------------------

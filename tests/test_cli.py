@@ -3,7 +3,9 @@ import json
 import pytest
 
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
-                               load_certificate, load_instance, save_instance)
+                               load_certificate, load_instance, save_instance,
+                               verify_certificate)
+from deadline_matching import cli
 from deadline_matching.cli import main
 from helpers import unit_pairs
 
@@ -122,6 +124,25 @@ class TestCertificatePipeline:
         code, out, _ = run(capsys, "lookahead-cert", "--n", "8", "--d", "2",
                            "--l", "1", "--out", str(look))
         assert code == 0 and "alpha = 2/1" in out
+
+    def test_extend_checks_an_lp_prime_certificate_at_power_d_plus_1(
+            self, capsys, tmp_path, monkeypatch):
+        # An lp-prime certificate covers C^{d+1}, which extend_cover verifies;
+        # the CLI checks the file it wrote at that power too, and only once.
+        base = tmp_path / "p2.json"
+        run(capsys, "cover-lp", "--variant", "lp-prime", "--k", "2", "--out", str(base))
+        d = load_certificate(base).d
+        checked = []
+
+        def recording(cert, target):
+            checked.append((target.n, len(target.weights) // target.n))  # (n, power)
+            return verify_certificate(cert, target)
+
+        monkeypatch.setattr(cli, "verify_certificate", recording)
+        code, out, _ = run(capsys, "extend-cert", "--cert", str(base), "--n", "16",
+                           "--out", str(tmp_path / "ext.json"))
+        assert code == 0 and "verified against n=16" in out
+        assert checked == [(16, d + 1)]
 
     def test_contract_prints_the_inflation_off_the_batch_size(self, capsys, tmp_path):
         base, lifted = tmp_path / "p3.json", tmp_path / "lifted.json"

@@ -235,3 +235,40 @@ class TestHungarian:
         assert m.weight == F(29, 6)
         assert list(p.items()) == [(3, F(1)), (1, F(1)), (2, F(0))]
         assert list(q.items()) == [(6, F(3, 2)), (5, F(1)), (7, F(1, 3))]
+
+
+class TestExactInputs:
+    """Floats and booleans are refused where weights and duals come in."""
+
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_hungarian_refuses_inexact_weights(self, bad):
+        with pytest.raises(TypeError):
+            hungarian_bipartite([1], [2], {(1, 2): bad})
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_offline_dual_refuses_inexact_lambdas(self, bad):
+        named = make_instance("basic-tradeoff", y=F(0))
+        with pytest.raises(TypeError):
+            verify_offline_dual(named.instance, {1: F(0), 2: bad, 3: F(0)})
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2"])
+    def test_auction_refuses_what_is_not_an_int_or_a_fraction(self, bad):
+        market = AuctionMarket()
+        market.add_seller(1)
+        with pytest.raises(TypeError):
+            market.add_buyer(2, {1: bad})
+
+    def test_auction_keeps_int_weights_as_ints(self):
+        market = AuctionMarket()
+        market.add_seller(1)
+        assert type(market.add_buyer(2, {1: 3})) is int
+        assert type(market.add_buyer(3, {1: 5})) is int
+        market.check_optimal()
+        assert market.match_sb == {1: 3}
+        assert all(type(x) is int for x in [*market.prices.values(), *market.margins.values()])
+
+    def test_hungarian_returns_fractions_for_int_weights(self):
+        m, p, q = hungarian_bipartite([1, 2], [3], {(1, 3): 2, (2, 3): 1})
+        assert m.pairs == frozenset({(1, 3)}) and m.weight == 2
+        assert all(type(x) is F for x in [*p.values(), *q.values()])
+        assert p == {1: 0, 2: 0} and q == {3: 2}

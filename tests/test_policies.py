@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,11 @@ from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
                                infer_roles, make_instance, make_policy,
                                max_weight_matching_exact, naive_greedy,
                                offline_optimum, patient_baseline,
-                               postponed_greedy, simulate, verify_offline_dual)
+                               postponed_greedy, realized_offline_optimum,
+                               simulate, verify_offline_dual)
+from deadline_matching.departures import geometric
+from deadline_matching.engine import realized_departures
+from deadline_matching.policies import POLICY_FACTORIES
 from helpers import random_constrained_bipartite, random_instance
 
 
@@ -263,3 +268,91 @@ class TestMakePolicy:
         assert make_policy("batching:2").lookahead == 2
         with pytest.raises(ValueError):
             make_policy("mystery")
+
+
+ROLE_SPECS = ("greedy", "dda")  # need declared roles: run on role-constrained inputs
+ALL_SPECS = [*POLICY_FACTORIES, "batching:1"]
+
+
+def _scaled_records(policy, result):
+    """Every number a caller reads after the run, by name."""
+    records = {"collected": result.collected,
+               "bids": [entry[3] for entry in policy.log if entry[0] == "bid"]}
+    for name in ("dual_vector", "price_margin_sums", "conservation_sums"):
+        if hasattr(policy, name):
+            records[name] = getattr(policy, name)()
+    for name in ("initial_margin", "final_price", "final_margin", "price_history",
+                 "margin_history"):
+        if hasattr(policy, name):
+            records[name] = getattr(policy, name)
+    return records
+
+
+def _assert_seven_times(big, small, where):
+    """big == 7 * small exactly, with every number on both sides a Fraction."""
+    if isinstance(big, dict):
+        assert big.keys() == small.keys(), where
+        for key in big:
+            _assert_seven_times(big[key], small[key], f"{where}[{key}]")
+    elif isinstance(big, (list, tuple)):
+        assert len(big) == len(small), where
+        for i, (a, b) in enumerate(zip(big, small)):
+            _assert_seven_times(a, b, f"{where}[{i}]")
+    else:
+        assert type(big) is F and type(small) is F, where
+        assert big == 7 * small, where
+
+
+class TestScaleCovariance:
+    """Policies run on integer weights over the graph's common denominator.
+    Dividing every weight by 7 multiplies that denominator by 7: the runs
+    must be the same, and every reported number exactly 7 times smaller."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 10), d=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           run_seed=st.integers(0, 3))
+    def test_runs_agree_and_values_scale(self, n, d, seed, run_seed):
+        rng = random.Random(seed)
+        inputs = [(random_constrained_bipartite(rng, n, d), ALL_SPECS),
+                  (random_instance(rng, n, d), [s for s in ALL_SPECS if s not in ROLE_SPECS])]
+        for inst, specs in inputs:
+            seventh = dataclasses.replace(inst, graph=WeightedGraph(
+                n, {e: w / 7 for e, w in inst.graph.weights.items()}))
+            if any(w.numerator % 7 for w in inst.graph.weights.values()):
+                assert seventh.graph.scaled[1] == 7 * inst.graph.scaled[1]
+            for spec in specs:
+                big_policy, small_policy = make_policy(spec), make_policy(spec)
+                big = simulate(inst, big_policy, seed=run_seed)
+                small = simulate(seventh, small_policy, seed=run_seed)
+                assert (big.pairs, big.schedule, big.trace, big.bits_used) == (
+                    small.pairs, small.schedule, small.trace, small.bits_used), spec
+                assert ([e if e[0] != "bid" else e[:3] for e in big_policy.log]
+                        == [e if e[0] != "bid" else e[:3] for e in small_policy.log]), spec
+                _assert_seven_times(_scaled_records(big_policy, big),
+                                    _scaled_records(small_policy, small), spec)
+
+
+class TestValueAtMostOptimum:
+    """No policy collects more than the offline optimum of its own run."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 9), d=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_exact_expectation_at_most_opt_with_fixed_departures(self, n, d, seed):
+        # every vertex stays d periods, so OPT is the deadline graph's optimum
+        rng = random.Random(seed)
+        inputs = [(random_constrained_bipartite(rng, n, d), list(POLICY_FACTORIES)),
+                  (random_instance(rng, n, d), [s for s in POLICY_FACTORIES if s not in ROLE_SPECS])]
+        for inst, specs in inputs:
+            opt = offline_optimum(inst).weight
+            for spec in specs:
+                assert exact_expectation(inst, make_policy(spec)) <= opt, spec
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           run_seed=st.integers(0, 2**32 - 1))
+    def test_stochastic_runs_at_most_realized_opt(self, n, d, seed, run_seed):
+        inst = dataclasses.replace(random_instance(random.Random(seed), n, d),
+                                   departure_model=geometric(F(1, 2)))
+        opt = realized_offline_optimum(inst, realized_departures(inst, run_seed)).weight
+        for spec in ("pg-stochastic", "patient"):
+            assert simulate(inst, make_policy(spec), seed=run_seed).collected <= opt, spec
