@@ -25,6 +25,10 @@ from .offline import offline_optimum
 from .policies import infer_roles, make_policy
 
 
+class UsageError(Exception):
+    """A flag combination the command cannot run: one line, exit 2."""
+
+
 def _fmt(value) -> str:
     return format_rational(Fraction(value))
 
@@ -33,7 +37,7 @@ def _parse_params(items):
     params = {}
     for item in items or ():
         if "=" not in item:
-            raise SystemExit(f"--param expects key=value, got {item!r}")
+            raise UsageError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key] = value  # make_instance parses it exactly
     return params
@@ -53,7 +57,7 @@ def _load_target(spec: str):
     kind, *rest = spec.split(":")
     if kind == "cycle" and len(rest) == 2:
         return cycle_power(int(rest[0]), int(rest[1]))
-    raise SystemExit(f"unknown target spec {spec!r}; use cycle:N:D")
+    raise UsageError(f"unknown target spec {spec!r}; use cycle:N:D")
 
 
 def _resolve_instance(args):
@@ -64,7 +68,7 @@ def _resolve_instance(args):
         named = make_instance(args.gallery, **_parse_params(args.param))
         instance, name = named.instance, named.name
     else:
-        raise SystemExit("need --instance PATH or --gallery NAME")
+        raise UsageError("need --instance PATH or --gallery NAME")
     return name, _with_roles(instance)
 
 
@@ -121,7 +125,7 @@ def cmd_sweep(args) -> int:
         named = make_instance(args.gallery, **_parse_params(args.param))
         instances.append((named.name, _with_roles(named.instance)))
     if not instances:
-        raise SystemExit("sweep needs at least one --instance or --gallery")
+        raise UsageError("sweep needs at least one --instance or --gallery")
     policies = [(spec, (lambda s=spec: make_policy(s)))
                 for spec in args.policy.split(",")]
     rows = competitive_report(instances, policies,
@@ -144,11 +148,11 @@ def cmd_offline(args) -> int:
 def cmd_cover_lp(args) -> int:
     if args.variant == "lp":
         if args.d is None:
-            raise SystemExit("--variant lp needs --d")
+            raise UsageError("--variant lp needs --d")
         result = solve_cover_lp("lp", args.d)
     else:
         if args.k is None:
-            raise SystemExit("--variant lp-prime needs --k")
+            raise UsageError("--variant lp-prime needs --k")
         result = solve_cover_lp("lp-prime", args.k)
     print(f"alpha = {_fmt(result.alpha)}")
     print(f"n={result.n} target=cycle:{result.n}:{result.target_power} "
@@ -326,9 +330,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BranchingLimitExceeded, OSError) as exc:
+    except (UsageError, ValueError, BranchingLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

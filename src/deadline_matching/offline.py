@@ -232,8 +232,9 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
 
 # ---------------------------------------------------------------------------
 # Incremental maximum-weight bipartite matching with exact dual prices.
-# Buyers are inserted one at a time; each insertion either augments along
-# tight edges or raises prices along an alternating tree until a zero-margin
+# Buyers are inserted one at a time, each with its bids (seller edges kept
+# with the buyer, sellers ascending); each insertion either augments along
+# tight bids or raises prices along an alternating tree until a zero-margin
 # buyer is reached. Prices only rise and margins only fall, and the sum of
 # prices and margins over pre-existing vertices is conserved per insertion.
 # The market never divides: it runs on ints (DDA's weights over a common
@@ -243,7 +244,7 @@ class AuctionMarket:
     def __init__(self):
         self.prices: dict[int, int | Fraction] = {}
         self.margins: dict[int, int | Fraction] = {}
-        self.edges: dict[Pair, int | Fraction] = {}  # (seller, buyer) -> weight
+        self.edges: dict[int, dict[int, int | Fraction]] = {}  # buyer -> {seller: weight}
         self.match_sb: dict[int, int] = {}
         self.match_bs: dict[int, int] = {}
 
@@ -262,8 +263,8 @@ class AuctionMarket:
         """
         if b in self.margins or b in self.prices:
             raise ValueError(f"vertex {b} already in the market")
-        margin = 0
-        for s, w in edges.items():
+        margin, bids = 0, {}
+        for s, w in sorted(edges.items()):
             if s not in self.prices:
                 raise ValueError(f"buyer {b} references unknown seller {s}")
             if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
@@ -271,10 +272,11 @@ class AuctionMarket:
             if w < 0:
                 raise ValueError("weights are nonnegative")
             if w > 0:
-                self.edges[(s, b)] = w
+                bids[s] = w
                 margin = max(margin, w - self.prices[s])
+        self.edges[b] = bids
         self.margins[b] = margin
-        if self.margins[b] > 0:
+        if margin > 0:
             self._rebalance(b)
         return self.margins[b]
 
@@ -299,13 +301,12 @@ class AuctionMarket:
 
     def _drop_seller(self, s: int):
         del self.prices[s]
-        for pair in [p for p in self.edges if p[0] == s]:
-            del self.edges[pair]
+        for bids in self.edges.values():
+            bids.pop(s, None)
 
     def _drop_buyer(self, b: int):
         del self.margins[b]
-        for pair in [p for p in self.edges if p[1] == b]:
-            del self.edges[pair]
+        del self.edges[b]
 
     # -- queries -------------------------------------------------------------
     def matched_buyer(self, s: int) -> int | None:
@@ -316,11 +317,12 @@ class AuctionMarket:
 
     def check_optimal(self):
         """Assert dual feasibility and complementary slackness (CS1-CS3)."""
-        for (s, b), w in self.edges.items():
-            if self.prices[s] + self.margins[b] < w:
-                raise AssertionError(f"dual infeasible on ({s}, {b})")
+        for b, bids in self.edges.items():
+            for s, w in bids.items():
+                if self.prices[s] + self.margins[b] < w:
+                    raise AssertionError(f"dual infeasible on ({s}, {b})")
         for s, b in self.match_sb.items():
-            if self.prices[s] + self.margins[b] != self.edges.get((s, b)):
+            if self.prices[s] + self.margins[b] != self.edges[b].get(s):
                 raise AssertionError(f"matched edge ({s}, {b}) not tight")
         for s, p in self.prices.items():
             if s not in self.match_sb and p != 0:
@@ -330,35 +332,30 @@ class AuctionMarket:
                 raise AssertionError(f"unmatched buyer {b} has margin {q}")
 
     # -- the insertion procedure ---------------------------------------------
-    def _tight(self, s: int, b: int) -> bool:
-        w = self.edges.get((s, b))
-        return w is not None and self.prices[s] + self.margins[b] == w
-
     def _rebalance(self, b_star: int):
+        """Grow the alternating tree from b_star over each frontier buyer's
+        tight bids, sellers ascending, until it augments or frees a buyer."""
+        prices, margins, edges, match_sb = self.prices, self.margins, self.edges, self.match_sb
         while True:
-            blue = [b_star]
-            blue_set = {b_star}
-            red: list[int] = []
-            red_set: set[int] = set()
+            blue, red, red_set, frontier = [b_star], [], set(), [b_star]
             parent: dict[int, int] = {}
-            frontier = [b_star]
             augment_from: int | None = None
             while frontier and augment_from is None:
                 nxt = []
                 for b in frontier:
-                    for s in sorted(self.prices):
-                        if s in red_set or not self._tight(s, b):
+                    q = margins[b]
+                    for s, w in edges[b].items():
+                        if s in red_set or prices[s] + q != w:
                             continue
                         parent[s] = b
-                        if s not in self.match_sb:
+                        if s not in match_sb:
                             augment_from = s
                             break
                         red.append(s)
                         red_set.add(s)
-                        mate = self.match_sb[s]
+                        mate = match_sb[s]
                         parent[mate] = s
                         blue.append(mate)
-                        blue_set.add(mate)
                         nxt.append(mate)
                     if augment_from is not None:
                         break
@@ -366,24 +363,20 @@ class AuctionMarket:
             if augment_from is not None:
                 self._flip(augment_from, parent)
                 return
-            delta1 = min(self.margins[b] for b in blue)
+            delta1 = min(margins[b] for b in blue)
             if delta1 == 0:
                 # free a zero-margin buyer instead of augmenting
-                b0 = min(b for b in blue if self.margins[b] == 0)
-                self._flip(b0, parent)
+                self._flip(min(b for b in blue if margins[b] == 0), parent)
                 return
-            candidates = [
-                self.prices[s] + self.margins[b] - w
-                for (s, b), w in self.edges.items()
-                if b in blue_set and s not in red_set
-            ]
-            delta2 = min((c for c in candidates if c > 0), default=None)
+            delta2 = min((c for b in blue for s, w in edges[b].items()
+                          if s not in red_set and (c := prices[s] + margins[b] - w) > 0),
+                         default=None)
             delta = delta1 if delta2 is None else min(delta1, delta2)
             for s in red:
-                self.prices[s] += delta
+                prices[s] += delta
             for b in blue:
-                self.margins[b] -= delta
-            # loop: either a new tight edge appeared (delta = delta2) or some
+                margins[b] -= delta
+            # loop: either a new tight bid appeared (delta = delta2) or some
             # blue buyer reached margin zero (delta = delta1) and terminates
 
     def _flip(self, end, parent: dict[int, int]):
@@ -420,7 +413,7 @@ def hungarian_bipartite(sellers, buyers, weights: dict[Pair, Fraction]):
     """
     sellers, buyers = list(sellers), list(buyers)
     seller_set, by_buyer = set(sellers), {b: {} for b in buyers}
-    for (s, b), w in weights.items():  # each buyer's sellers in the order given
+    for (s, b), w in weights.items():
         if s in seller_set and b in by_buyer:
             by_buyer[b][s] = as_rational(w)
     market = AuctionMarket()

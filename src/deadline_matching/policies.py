@@ -371,13 +371,15 @@ class BatchingPolicy(OnlinePolicy):
         batch, self.members = self.members, []
         if len(batch) < 2:
             return ()
-        batch, weight = sorted(batch), self.view.weight
-        # vertex i of the batch's own graph is batch[i - 1]
-        weights = {(i, j): w for i, a in enumerate(batch, 1)
-                   for j, b in enumerate(batch[i:], i + 1) if (w := weight(a, b))}
-        local = max_weight_matching_exact(WeightedGraph(len(batch), weights))
+        batch, weight, alive = sorted(batch), self.view.weight, set(self.view.alive())
+        # a member whose window has closed (departed early) is not matched;
+        # vertex i of the batch's own graph is live[i - 1]
+        live = [v for v in batch if v in alive]
+        weights = {(i, j): w for i, a in enumerate(live, 1)
+                   for j, b in enumerate(live[i:], i + 1) if (w := weight(a, b))}
+        local = max_weight_matching_exact(WeightedGraph(len(live), weights))
         self.log.append(("batch", tuple(batch)))
-        return [(batch[i - 1], batch[j - 1]) for i, j in local.sorted_pairs()]
+        return [(live[i - 1], live[j - 1]) for i, j in local.sorted_pairs()]
 
 
 class PatientBaseline(OnlinePolicy):
@@ -386,7 +388,7 @@ class PatientBaseline(OnlinePolicy):
     name = "patient"
 
     def on_critical(self, v: int):
-        if self.view.is_matched(v) or self.view.has_departed(v):
+        if self.view.is_matched(v):
             return ()
         neighbors = self.view.revealed_neighbors(v)  # ascending: a tie keeps the lowest
         return [(v, max(neighbors, key=neighbors.get))] if neighbors else ()

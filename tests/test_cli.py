@@ -211,6 +211,21 @@ class TestErrors:
             main(["simulate", "--policy"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["offline", "--gallery", "basic-tradeoff", "--param", "y"], "expects key=value"),
+        (["lookahead-cert", "--n", "9", "--d", "1", "--l", "1", "--target", "ring:9:1",
+          "--out", "unused.json"], "unknown target spec"),
+        (["simulate", "--policy", "pg"], "need --instance PATH or --gallery NAME"),
+        (["sweep", "--policy", "pg", "--out", "unused.csv"], "sweep needs at least one"),
+        (["cover-lp", "--variant", "lp"], "--variant lp needs --d"),
+        (["cover-lp", "--variant", "lp-prime"], "--variant lp-prime needs --k"),
+    ])
+    def test_usage_errors_exit_two_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_policy_exits_one(self, capsys):
         code, _, err = run(capsys, "simulate", "--gallery", "basic-tradeoff",
                            "--policy", "nonsense", "--exact")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from deadline_matching import (ArrivalOrder, InstanceFormatError, Matching,
                                instance_to_json, load_instance,
                                matching_weight, save_instance,
                                validate_matching)
+from deadline_matching.departures import deterministic, geometric, tabulated
 from helpers import random_instance
 
 
@@ -172,6 +174,28 @@ class TestInstanceFiles:
         assert loaded.graph.weight(3, 4) == F(10**12, 7)
         assert loaded.order == inst.order
         assert loaded.departures == inst.departures
+
+    @pytest.mark.parametrize("kind", ["deterministic", "geometric", "tabulated"])
+    def test_departure_models_round_trip_bit_exact(self, tmp_path, kind):
+        rng = random.Random(kind)
+        for index in range(20):
+            if kind == "deterministic":
+                model = deterministic(rng.randint(0, 5))
+            elif kind == "geometric":
+                model = geometric(F(rng.randint(1, 15), 16))
+            else:
+                masses = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+                masses[-1] += 1
+                model = tabulated({rng.randint(0, 9) * 4 + t: F(m, sum(masses))
+                                   for t, m in enumerate(masses)})
+            inst = dataclasses.replace(random_instance(rng, rng.randint(0, 8), rng.randint(0, 3)),
+                                       departure_model=model)
+            first, second = tmp_path / f"{index}.json", tmp_path / f"{index}-again.json"
+            save_instance(inst, first)
+            loaded = load_instance(first)
+            save_instance(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+            assert loaded == inst
 
     def test_unknown_fields_rejected(self):
         data = {"n": 2, "d": 1, "edges": [], "color": "blue"}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
                                max_weight_matching_exact, naive_greedy,
                                offline_optimum, patient_baseline,
                                postponed_greedy, realized_offline_optimum,
-                               simulate, verify_offline_dual)
+                               simulate, validate_matching, verify_offline_dual)
 from deadline_matching.departures import geometric
 from deadline_matching.engine import realized_departures
 from deadline_matching.policies import POLICY_FACTORIES
@@ -174,6 +175,34 @@ class TestDDA:
         with pytest.raises(NonBipartiteError):
             simulate(inst, dda())
 
+    @staticmethod
+    def _banded(rng, n, d):
+        """Role-constrained, identity order, edges only inside the band."""
+        roles = {v: rng.choice(["seller", "buyer"]) for v in range(1, n + 1)}
+        weights = {(i, j): F(rng.randint(1, 16), rng.choice([1, 2, 4, 8]))
+                   for i in range(1, n + 1) for j in range(i + 1, min(n, i + d) + 1)
+                   if roles[i] == "seller" and roles[j] == "buyer" and rng.random() < 0.7}
+        return OnlineInstance(WeightedGraph(n, weights), ArrivalOrder.identity(n), d,
+                              roles=roles)
+
+    def test_outputs_keep_their_pinned_digest(self):
+        # Pairs, schedule, price and margin histories and conservation sums
+        # of dda on fixed seeded inputs; any change to the auction's
+        # tie-breaks or arithmetic moves the digest.
+        rng = random.Random(1986)
+        instances = [random_constrained_bipartite(rng, rng.randint(2, 12), rng.randint(1, 4))
+                     for _ in range(150)]
+        instances += [self._banded(rng, 600, 4) for _ in range(2)]
+        digest = hashlib.sha256()
+        for inst in instances:
+            policy = dda()
+            result = simulate(inst, policy)
+            digest.update(repr((sorted(result.schedule.items()), result.collected,
+                                policy.price_history, policy.margin_history,
+                                policy.initial_margin, policy.conservation_sums())).encode())
+        assert digest.hexdigest() == (
+            "0c792e6eae035bdb4bc578e1f653f52a6abb65af5d6ddc26f0229dd0a6f41c73")
+
 
 class TestBatching:
     def test_two_edge_path(self):
@@ -239,6 +268,27 @@ class TestBatching:
         result = simulate(inst, batching())
         assert result.collected == 3
         assert result.schedule == {(4, 5): 5}
+
+    def test_member_departed_before_the_close_is_not_matched(self):
+        # d=2, vertex 1 stays one period: it meets vertex 2 but leaves at
+        # tick 2, before the batch closes at slot 3; only (2, 3) is left.
+        graph = WeightedGraph(3, {(1, 2): F(5), (2, 3): F(1)})
+        inst = OnlineInstance(graph, ArrivalOrder.identity(3), 2, departures=(1, 2, 2))
+        policy = batching()
+        result = simulate(inst, policy)
+        assert result.schedule == {(2, 3): 3}
+        assert policy.log == [("batch", (1, 2, 3))]
+
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    def test_completes_under_geometric_departures(self, lookahead):
+        rng = random.Random(11)
+        for _ in range(60):
+            inst = dataclasses.replace(random_instance(rng, rng.randint(2, 10), rng.randint(0, 3)),
+                                       departure_model=geometric(F(1, 2)))
+            run_seed = rng.getrandbits(16)
+            result = simulate(inst, batching(lookahead), seed=run_seed)
+            assert validate_matching(inst, result.pairs, result.schedule, lookahead,
+                                     run_seed) is None
 
 
 class TestPatient:
