@@ -20,21 +20,17 @@ from .graphs import (ArrivalOrder, InstanceFormatError, Matching,
                      build_online_graph, format_rational, instance_from_json,
                      instance_to_json, load_instance, matching_weight,
                      save_instance)
-from .masks import (PeriodicBatching, batched_graph, batching_from_order,
-                    combine, contract_cycle_mask, cycle_power, is_cover,
-                    multiply, path_power, enumerate_periodic_batchings,
-                    enumerate_periodic_permutations)
+from .masks import (PeriodicBatching, batching_from_order, combine,
+                    cycle_power, enumerate_periodic_batchings)
 from .coverlp import (CoverCertificate, CoverLPResult, certified_inflation,
                       contract_expand, extend_cover, load_certificate,
                       lookahead_cover, quadratic_inflation, save_certificate,
-                      solve_cover_lp, solve_cover_lp_direct,
-                      verify_certificate)
+                      solve_cover_lp, verify_certificate)
 from .offline import (AuctionMarket, DualReport, SizeLimitError,
                       arrival_window_matching_value, batched_matching_value,
                       hungarian_bipartite, max_weight_matching_exact,
-                      max_weight_matching_value, offline_optimum,
-                      realized_offline_optimum, realized_online_graph,
-                      verify_offline_dual)
+                      offline_optimum, realized_offline_optimum,
+                      realized_online_graph, verify_offline_dual)
 from .policies import (BatchingPolicy, DynamicDeferredAcceptance,
                        FreeDisposalGreedy, NaiveGreedy, NonBipartiteError,
                        PatientBaseline, PostponedGreedy, batching, dda,

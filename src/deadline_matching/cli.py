@@ -56,7 +56,12 @@ def _at_least(low: int):
 def _load_target(spec: str):
     kind, *rest = spec.split(":")
     if kind == "cycle" and len(rest) == 2:
-        return cycle_power(int(rest[0]), int(rest[1]))
+        try:
+            n, d = map(int, rest)
+        except ValueError:
+            pass
+        else:
+            return cycle_power(n, d)
     raise UsageError(f"unknown target spec {spec!r}; use cycle:N:D")
 
 

@@ -17,8 +17,7 @@ from pathlib import Path
 from .graphs import MAX_FILE_N, WeightedGraph, as_integer, as_rational, format_rational
 from .masks import (PeriodicBatching, batching_from_order, combine,
                     cover_deficits, cycle_power, cyclic_distance,
-                    enumerate_periodic_batchings,
-                    enumerate_periodic_permutations, periodic_extension,
+                    enumerate_periodic_batchings, periodic_extension,
                     rotate, rotation_keys, shift_orbit)
 from .simplex import certify_min_geq, solve_min_geq
 
@@ -176,29 +175,6 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
         raise AssertionError(f"solver produced a non-verifying certificate: {report}")
     return CoverLPResult(variant, parameter, n, power, solution.value, cert,
                          len(columns), len(reps), solution.duals)
-
-
-def solve_cover_lp_direct(n: int, p: int, d: int, power: int,
-                          deduplicate: bool = True) -> Fraction:
-    """One-variable-per-column LP, optionally per permutation (no dedup).
-
-    Exponential in p; it exists to cross-check the orbit-collapsed solver on
-    small cases, including the claim that duplicate columns do not move the
-    optimum.
-    """
-    if deduplicate:
-        masks = [col.mask() for col in enumerate_periodic_batchings(n, p, d)]
-    else:
-        masks = [batching_from_order(sigma, n, d).mask()
-                 for sigma in enumerate_periodic_permutations(n, p)]
-    target = cycle_power(n, power)
-    edges = [(i, j) for i, j, _ in target.edges()]
-    rows = [[mask.weight(i, j) for mask in masks] for (i, j) in edges]
-    rhs = [Fraction(1)] * len(edges)
-    costs = [Fraction(1)] * len(masks)
-    solution = solve_min_geq(costs, rows, rhs)
-    certify_min_geq(solution, costs, rows, rhs)
-    return solution.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Mask graphs over arrival structure: cycle powers, path powers, batchings.
+"""Mask graphs over arrival structure: cycle powers and batchings.
 
 These are the {0,1}-weighted graphs the covering analysis is phrased in,
-plus the pointwise algebra (linear combination, product, cover test) and the
+plus the pointwise algebra (linear combination, cover deficits) and the
 enumeration of periodic batch partitions used as covering-LP columns.
 """
 
@@ -76,24 +76,9 @@ def _slots(sigma, n: int) -> tuple[int, ...]:
     return ArrivalOrder(slots).slots  # validates the permutation
 
 
-def path_power(sigma, n: int, d: int) -> WeightedGraph:
-    """Edge (i, j) iff |slot(i) - slot(j)| <= d: the arrival path to power d."""
-    slots = _slots(sigma, n)
-    weights = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if abs(slots[i - 1] - slots[j - 1]) <= d:
-            weights[(i, j)] = ONE
-    return WeightedGraph(n, weights)
-
-
 def batch_index(slot: int, d: int) -> int:
     """The unique b with (d+1)(b-1) < slot <= (d+1)b."""
     return (slot + d) // (d + 1)
-
-
-def batched_graph(sigma, n: int, d: int) -> WeightedGraph:
-    """Edge (i, j) iff i and j fall in the same (d+1)-slot batch."""
-    return batching_from_order(sigma, n, d).mask()
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +97,6 @@ def combine(a, h: WeightedGraph, b, h2: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(h.n, sums)
 
 
-def multiply(h: WeightedGraph, h2: WeightedGraph) -> WeightedGraph:
-    """Pointwise product; masking a weighted graph by a {0,1} mask is h*mask."""
-    if h.n != h2.n:
-        raise ValueError("graph sizes differ")
-    out = {
-        pair: w * h2.weights[pair]
-        for pair, w in h.weights.items()
-        if pair in h2.weights
-    }
-    return WeightedGraph(h.n, out)
-
-
-def is_cover(h: WeightedGraph, h2: WeightedGraph) -> bool:
-    """True iff h dominates h2 edgewise (every weight of h >= that of h2)."""
-    return not cover_deficits(h, h2)
-
-
 def cover_deficits(h: WeightedGraph, h2: WeightedGraph):
     """Edges where h falls short of h2, with the (positive) deficit."""
     if h.n != h2.n:
@@ -139,21 +107,6 @@ def cover_deficits(h: WeightedGraph, h2: WeightedGraph):
         if have < w:
             out.append(((i, j), w - have))
     return out
-
-
-def contract_cycle_mask(n: int, d: int, u: int) -> WeightedGraph:
-    """Group u consecutive vertices of C_n^d; edge between groups with any edge."""
-    if n % u:
-        raise ValueError("u must divide n")
-    base = cycle_power(n, d)
-    m = n // u
-    group = lambda v: (v - 1) // u + 1
-    weights = {}
-    for i, j, _ in base.edges():
-        gi, gj = group(i), group(j)
-        if gi != gj:
-            weights[ordered_pair(gi, gj)] = ONE
-    return WeightedGraph(m, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +193,6 @@ def batching_from_order(sigma, n: int, d: int, period: int | None = None) -> Per
         buckets.setdefault(batch_index(slots[v - 1], d), []).append(v)
     return PeriodicBatching(n, d + 1, period if period is not None else n,
                             tuple(tuple(b) for b in buckets.values()))
-
-
-def enumerate_periodic_permutations(n: int, p: int):
-    """All p-periodic permutations of 1..n (slot values of vertices 1..p fix the rest).
-
-    A p-periodic permutation is determined by sigma on 1..p, which must take
-    pairwise distinct values mod p; the remaining slots follow from
-    sigma(i + p) = sigma(i) + p (mod n). Exponential in p; test-scale only.
-    """
-    if n % p:
-        raise ValueError("p must divide n")
-
-    def extend(sigma_head: list[int], used_residues: set[int]):
-        if len(sigma_head) == p:
-            yield periodic_extension(sigma_head, p, n)
-            return
-        for value in range(1, n + 1):
-            if value % p in used_residues:
-                continue
-            used_residues.add(value % p)
-            sigma_head.append(value)
-            yield from extend(sigma_head, used_residues)
-            sigma_head.pop()
-            used_residues.discard(value % p)
-
-    yield from extend([], set())
 
 
 def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatching]:

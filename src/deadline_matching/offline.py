@@ -1,11 +1,14 @@
 """Exact offline benchmarks: optimal matchings and bipartite auction duals.
 
-Matchings come from two exact DPs on `WeightedGraph.scaled`, the weights as
-integers over the LCM of all the graph's denominators, scaled once per graph
-and not once per call; a common scale keeps every comparison and tie. They
-are a bandwidth DP along the arrival order, O(n * 2^d * d), and a subset DP
-over general graphs, O(2^n * n). Every `Matching` returned has, among the
-maximum-weight ones, the lexicographically smallest sorted pair list.
+Every matching comes from one exact DP, `_band_dp`, which runs along the
+participating vertices in arrival order with one state bit per waiting
+vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
+graph is a band of d; a batch, or a general graph on k vertices, is a full
+band of k - 1 over its ascending vertices. Weights are integers over one
+scale per graph (`WeightedGraph.scaled`, or the integers a `MarketView`
+reads), so every comparison and tie is exact. Every matching returned has,
+among the maximum-weight ones, the lexicographically smallest sorted pair
+list.
 """
 
 from __future__ import annotations
@@ -16,95 +19,46 @@ from fractions import Fraction
 from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
                      WeightedGraph, as_rational, build_online_graph, ordered_pair)
 
-EXACT_MATCHING_CAP = 24  # 2**n subset states; larger inputs are refused
+EXACT_MATCHING_CAP = 24  # a band of 24 or more (2**24 DP states) is refused
 
 
 class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
 
 
-def _subset_dp(graph: WeightedGraph, verts):
-    """dp[mask]: best scaled matching value on the ascending vertices
-    verts[i] with bit i set in `mask`, over `graph.scaled`; returns dp and
-    the scaled adjacency lists."""
-    k = len(verts)
-    if k > EXACT_MATCHING_CAP:
-        raise SizeLimitError(f"n={k} exceeds the exact cap of {EXACT_MATCHING_CAP}")
-    ints = graph.scaled[0]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for i, u in enumerate(verts):
-        for j in range(i + 1, k):
-            w = ints.get((u, verts[j]))
-            if w is not None:
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-    dp = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        best = dp[rest]  # leave `low` unmatched
-        for other, w in adj[low]:
-            bit = 1 << other
-            if mask & bit:
-                cand = w + dp[rest ^ bit]
-                if cand > best:
-                    best = cand
-        dp[mask] = best
-    return dp, adj
-
-
-def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
-    """Optimal matching value of the subgraph induced by `vertices` (default: all)."""
-    verts = sorted(set(vertices)) if vertices is not None else graph.vertices()
-    dp, _ = _subset_dp(graph, verts)
-    return Fraction(dp[-1], graph.scaled[1])
-
-
-def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
-    """Maximum-weight matching of a general graph by the subset DP. Refuses
-    graphs beyond the cap rather than silently approximating."""
-    dp, adj = _subset_dp(graph, graph.vertices())
-    pairs: list[Pair] = []
-    mask = len(dp) - 1
-    while mask:  # the lowest vertex takes its smallest partner that keeps the optimum
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        for other, w in sorted(adj[low]):
-            bit = 1 << other
-            if mask & bit and w + dp[rest ^ bit] == dp[mask]:
-                pairs.append((low + 1, other + 1))
-                rest ^= bit
-                break
-        mask = rest
-    return Matching.from_pairs(graph, pairs)
-
-
-def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int], tie=None) -> int:
-    """Best scaled total over matchings of the live edges, an edge (u, v)
-    counting as its weight w in `graph.scaled` (scaled once per graph, not
-    once per call) or as `tie(u, v, w)` when a tie-break key is given. One
-    set-up pass lists each slot's live edges and the drop masks. An edge is
-    live when its earlier endpoint u reaches the later one: slot gap <=
-    reach[u - 1] (`PresenceWindows.reach`, capped at d). The state after slot
-    t has one bit per arrived vertex that is unmatched and has a live edge to
-    a later arrival (bit k: slot t - k): at most 2**min(d, n - 1) states."""
-    n = graph.n
-    if min(d, n - 1) >= EXACT_MATCHING_CAP:
-        raise SizeLimitError(f"band of {d} on n={n} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
-    inverse = [0] * n
+def _arrival_order(slots) -> list[int]:
+    """The vertices 1..n in arrival order."""
+    order = [0] * len(slots)
     for v, s in enumerate(slots, start=1):
-        inverse[s - 1] = v
-    ints = graph.scaled[0]
-    back: list[list] = [[] for _ in range(n)]  # per slot: (state bit, value) per live edge
-    last = list(range(n))  # last[s]: latest slot with a live edge to slot s
-    for dist in range(1, min(d, n - 1) + 1):
+        order[s - 1] = v
+    return order
+
+
+def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
+    """Best total over matchings of the live edges among `order`, the
+    participating vertices in arrival order, an edge (u, v) counting as its
+    integer weight w in `ints` or as `tie(u, v, w)` when a tie-break key is
+    given. One set-up pass lists each position's live edges and the drop
+    masks. An edge is live when its endpoints are at most d positions apart
+    and, when `reach` (`PresenceWindows.reach`, by vertex) is given, the
+    earlier endpoint u reaches the later one: gap <= reach[u - 1]. The state
+    after position t has one bit per earlier vertex that is unmatched and has
+    a live edge to a later one (bit i: position t - i): at most
+    2**min(d, k - 1) states for k vertices."""
+    k = len(order)
+    band = min(d, k - 1)
+    if band >= EXACT_MATCHING_CAP:
+        raise SizeLimitError(f"band of {d} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
+    back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
+    last = list(range(k))  # last[s]: latest position with a live edge to position s
+    for dist in range(1, band + 1):
         bit = 1 << (dist - 1)
-        for s, (u, v) in enumerate(zip(inverse, inverse[dist:])):  # slots s and s + dist
+        for s, (u, v) in enumerate(zip(order, order[dist:])):  # positions s and s + dist
             w = ints.get((u, v) if u < v else (v, u))
-            if w is not None and dist <= reach[u - 1]:
+            if w is not None and (reach is None or dist <= reach[u - 1]):
                 back[s + dist].append((bit, w if tie is None else tie(u, v, w)))
                 last[s] = s + dist
-    drop = [0] * n  # bits of the vertices whose last live edge is at slot t
+    drop = [0] * k  # bits of the vertices whose last live edge is at position t
     for s, t in enumerate(last):
         drop[t] |= 1 << (t - s)
     states = {0: 0}
@@ -126,28 +80,55 @@ def _band_dp(graph: WeightedGraph, slots, d: int, reach: list[int], tie=None) ->
     return states[0]
 
 
+def band_matching(ints: dict[Pair, int], order, d: int, reach=None) -> tuple[int, list[Pair]]:
+    """The band DP's optimum over `order` and its pairs, ascending.
+
+    With the k participants ranked 1..k by label, the DP counts the edge
+    between ranks i < j as w * B**k + (k + 1 - j) * B**(k - i) with
+    B = 2**bitlen(k); the low k base-B digits of a total name each vertex's
+    larger partner, so the best total is unique and carries the tie-break.
+    Ranks keep this key at about k * log2(k + 1) bits whatever the labels.
+    """
+    verts = sorted(order)
+    k = len(verts)
+    b = k.bit_length()
+    shift = b * k
+    rank = {v: i for i, v in enumerate(verts, start=1)}
+
+    def tie(u: int, v: int, w: int) -> int:
+        i, j = rank[u], rank[v]
+        if i > j:
+            i, j = j, i
+        return w << shift | (k + 1 - j) << b * (k - i)
+
+    best = _band_dp(ints, order, d, reach, tie)
+    digits = format(best & ((1 << shift) - 1), f"0{shift}b")
+    pairs = [(v, verts[k - end]) for i, v in enumerate(verts)
+             if (end := int(digits[i * b:(i + 1) * b], 2))]
+    return best >> shift, pairs
+
+
+def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
+    """Maximum-weight matching of a general graph: the band DP with a full
+    band over its ascending vertices. Refuses graphs beyond the cap rather
+    than silently approximating."""
+    ints, scale = graph.scaled
+    value, pairs = band_matching(ints, graph.vertices(), graph.n - 1)
+    return Matching(frozenset(pairs), Fraction(value, scale))
+
+
 def offline_optimum(instance: OnlineInstance) -> Matching:
     """Maximum-weight matching of the deadline-masked online graph."""
     return _band_optimum(instance, instance.windows())
 
 
 def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matching:
-    """The bandwidth DP's optimum with its matching.
-
-    The DP counts edge (i < j) as w * B**n + (n + 1 - j) * B**(n - i) with
-    B = 2**bitlen(n); the low n base-B digits of a total name each vertex's
-    larger partner, so the best total is unique and carries the tie-break.
-    This key of about n * log2(n + 1) bits makes the DP superlinear.
-    """
-    n = instance.n
-    b = n.bit_length()
-    shift = b * n
-    best = _band_dp(instance.graph, windows.slots, instance.deadline, windows.reach,
-                    lambda u, v, w: w << shift | (n + 1 - max(u, v)) << b * (n - min(u, v)))
-    digits = format(best & ((1 << shift) - 1), f"0{shift}b")
-    ends = [int(digits[i * b:(i + 1) * b], 2) for i in range(n)]
-    pairs = [(i, n + 1 - end) for i, end in enumerate(ends, start=1) if end]
-    return Matching(frozenset(pairs), Fraction(best >> shift, instance.graph.scaled[1]))
+    """The bandwidth DP's optimum with its matching, over the edges live
+    under `windows`."""
+    ints, scale = instance.graph.scaled
+    value, pairs = band_matching(ints, _arrival_order(windows.slots), instance.deadline,
+                                 windows.reach)
+    return Matching(frozenset(pairs), Fraction(value, scale))
 
 
 def realized_online_graph(instance: OnlineInstance,
@@ -167,27 +148,25 @@ def realized_offline_optimum(instance: OnlineInstance,
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
     """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP."""
-    return Fraction(_band_dp(graph, slots, d, [d] * graph.n), graph.scaled[1])
+    ints, scale = graph.scaled
+    return Fraction(_band_dp(ints, _arrival_order(slots), d), scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                            d: int) -> Fraction:
     """Sum of optimal matchings inside each consecutive (d+1)-slot batch."""
-    n = graph.n
-    inverse = [0] * n
-    for v, s in enumerate(slots, start=1):
-        inverse[s - 1] = v
+    order = _arrival_order(slots)
     ints, scale = graph.scaled
     total = 0
-    for start in range(0, n, d + 1):
-        batch = sorted(inverse[start:start + d + 1])
+    for start in range(0, graph.n, d + 1):
+        batch = sorted(order[start:start + d + 1])
         if len(batch) == 2:
             total += ints.get(tuple(batch), 0)
         elif len(batch) == 3:
             a, b, c = batch
             total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))
         elif len(batch) > 3:
-            total += _subset_dp(graph, batch)[0][-1]
+            total += _band_dp(ints, batch, len(batch) - 1)
     return Fraction(total, scale)
 
 

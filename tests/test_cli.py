@@ -358,6 +358,13 @@ class TestMalformedInput:
         err = self.one_line_error(capsys, *argv)
         assert message in err
 
+    @pytest.mark.parametrize("target", ["cycle:x:1", "cycle:9:", "cycle:9:1.5"])
+    def test_non_integer_target_is_a_usage_error(self, capsys, target):
+        code, out, err = run(capsys, "lookahead-cert", "--n", "9", "--d", "1", "--l", "1",
+                             "--target", target, "--out", "unused.json")
+        assert code == 2 and out == ""
+        assert err == f"error: unknown target spec {target!r}; use cycle:N:D\n"
+
     def test_vertex_count_beyond_the_cap(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 10**30, "d": 1, "edges": []})
         err = self.one_line_error(capsys, "offline", "--instance", path)

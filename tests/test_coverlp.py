@@ -2,9 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from functools import cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching import (CoverCertificate, arrival_window_matching_value,
                                batched_matching_value, batching_from_order,
@@ -13,10 +16,11 @@ from deadline_matching import (CoverCertificate, arrival_window_matching_value,
                                extend_cover, format_rational, load_certificate,
                                lookahead_cover, quadratic_inflation,
                                save_certificate, solve_cover_lp,
-                               solve_cover_lp_direct, verify_certificate)
+                               verify_certificate)
 from deadline_matching.coverlp import (certificate_from_json, certificate_to_json,
                                       contraction_bound, realizing_permutation)
 from helpers import random_complete_graph
+from oracles import solve_cover_lp_direct
 
 
 def _sha256(blob) -> str:
@@ -292,6 +296,39 @@ class TestCertificateFiles:
         from deadline_matching.coverlp import CertificateFormatError
         with pytest.raises(CertificateFormatError):
             certificate_from_json({"n": 8})
+
+
+@cache
+def lp_prime_certificate(k):
+    return solve_cover_lp("lp-prime", k).certificate
+
+
+def assert_verifies_and_round_trips(cert, power):
+    """The certificate covers C_n^power, and its JSON text reloads to an
+    equal certificate that writes the same text."""
+    assert verify_certificate(cert, cycle_power(cert.n, power)).ok
+    text = json.dumps(certificate_to_json(cert))
+    reloaded = certificate_from_json(json.loads(text))
+    assert reloaded == cert
+    assert json.dumps(certificate_to_json(reloaded)) == text
+
+
+class TestGeneratedCertificates:
+    """Every certificate a library transform builds verifies and survives
+    the JSON round-trip bit-exactly."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 3), l=st.integers(0, 3), periods=st.integers(2, 4))
+    def test_lookahead_cover(self, d, l, periods):
+        assert_verifies_and_round_trips(lookahead_cover(periods * (d + l + 1), d, l), d)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(k=st.sampled_from([2, 3]), extra=st.integers(0, 3))
+    def test_contract_expand_of_lp_prime(self, k, extra):
+        d = k + extra
+        lifted = contract_expand(lp_prime_certificate(k), d)
+        assert lifted.n == lp_prime_certificate(k).n // k * (d + 1)
+        assert_verifies_and_round_trips(lifted, d)
 
 
 class TestColumnSoundness:

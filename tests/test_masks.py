@@ -6,16 +6,15 @@ from math import comb
 import pytest
 
 from deadline_matching import (ArrivalOrder, OnlineInstance, PeriodicBatching,
-                               WeightedGraph, batched_graph,
-                               batching_from_order, build_online_graph,
-                               combine, contract_cycle_mask, cycle_power,
-                               enumerate_periodic_batchings,
-                               enumerate_periodic_permutations, is_cover,
-                               max_weight_matching_value, multiply,
-                               path_power)
+                               WeightedGraph, batching_from_order,
+                               build_online_graph, combine, cycle_power,
+                               enumerate_periodic_batchings)
 from deadline_matching.coverlp import realizing_permutation
 from deadline_matching.masks import periodic_extension, rotate, shift_orbit
 from helpers import random_complete_graph, random_order
+from oracles import (batched_graph, contract_cycle_mask,
+                     enumerate_periodic_permutations, is_cover,
+                     max_weight_matching_value, multiply, path_power)
 
 
 class TestCyclePower:

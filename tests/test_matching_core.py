@@ -1,9 +1,11 @@
-"""Property tests for the bandwidth DP behind the offline optima.
+"""Property tests for the bandwidth DP, the package's one matching DP.
 
-The subset DP (`max_weight_matching_exact` / `max_weight_matching_value`) is
-the reference: on every input the bandwidth DP must return the same value
-and the same tie-broken pairs. networkx's blossom algorithm gives a second,
-independent check of the value beyond the subset DP's size cap.
+The subset DP in `tests/oracles.py` (`max_weight_matching_exact` /
+`max_weight_matching_value` there) is the reference: on every input the
+bandwidth DP, whether on a deadline band, a batch or a general graph as a
+full band, must return the same value and the same tie-broken pairs.
+networkx's blossom algorithm gives a second, independent check of the value
+beyond the subset DP's size cap.
 """
 
 import random
@@ -18,12 +20,11 @@ from hypothesis import strategies as st
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
                                arrival_window_matching_value,
                                batched_matching_value, build_online_graph,
-                               geometric,
-                               max_weight_matching_exact,
-                               max_weight_matching_value, multiply,
-                               offline_optimum, path_power,
+                               geometric, offline, offline_optimum,
                                realized_offline_optimum, realized_online_graph,
                                sample_departures)
+from oracles import (max_weight_matching_exact, max_weight_matching_value,
+                     multiply, path_power)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -74,6 +75,22 @@ def test_bandwidth_dp_equals_subset_dp(case):
 @given(instances(weight=st.just(F(1))))
 def test_bandwidth_dp_equals_subset_dp_when_all_weights_tie(case):
     check_against_subset_dp(*case)
+
+
+@PROPERTY
+@given(instances())
+def test_full_band_equals_subset_dp_on_general_graphs(case):
+    graph = case[0].graph
+    assert_same_matching(offline.max_weight_matching_exact(graph),
+                         max_weight_matching_exact(graph))
+
+
+@PROPERTY
+@given(instances(weight=st.just(F(1))))
+def test_full_band_equals_subset_dp_on_general_graphs_when_all_weights_tie(case):
+    graph = case[0].graph
+    assert_same_matching(offline.max_weight_matching_exact(graph),
+                         max_weight_matching_exact(graph))
 
 
 @st.composite

@@ -11,14 +11,14 @@ from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
                                WeightedGraph, batched_matching_value, batching,
                                dda, exact_expectation, greedy_free_disposal,
                                infer_roles, make_instance, make_policy,
-                               max_weight_matching_exact, naive_greedy,
-                               offline_optimum, patient_baseline,
+                               naive_greedy, offline_optimum, patient_baseline,
                                postponed_greedy, realized_offline_optimum,
                                simulate, validate_matching, verify_offline_dual)
 from deadline_matching.departures import geometric
 from deadline_matching.engine import realized_departures
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import random_constrained_bipartite, random_instance
+from oracles import max_weight_matching_exact
 
 
 def single_edge(w=F(6), d=1):
