@@ -1,8 +1,8 @@
 """Stochastic departures: memoryless lifetimes and the guarded finalizer.
 
 When departures are drawn i.i.d. rather than fixed at d, a tentative partner
-may vanish before the seller's critical moment. The guarded postponed-greedy
-variant collects nothing in that case; under a memoryless lifetime the loss
+may vanish before the seller's critical moment. Postponed greedy's guard
+then collects nothing (pg-stochastic names the same policy); under a memoryless lifetime the loss
 is at most half, giving an eighth of the realized offline value overall.
 """
 
@@ -57,10 +57,10 @@ print(f"geometric(1/2) lifetimes, {runs} runs on a random n={n} instance:")
 print(f"  mean collected {float(alg_total / runs):.4f} "
       f"vs realized offline / 8 = {float(off_total / runs / 8):.4f}")
 
-# with deterministic deadlines the guard never fires: traces coincide
+# with deterministic deadlines the guard never fires
 base = OnlineInstance(WeightedGraph(n, weights), ArrivalOrder.identity(n), d)
-a, b = postponed_greedy(), pg_stochastic()
-ra, rb = simulate(base, a, seed=3), simulate(base, b, seed=3)
+policy = postponed_greedy()
+simulate(base, policy, seed=3)
 print()
-print("deterministic deadlines: plain and guarded runs identical:",
-      ra.pairs == rb.pairs and a.log == b.log)
+print("deterministic deadlines: the guard never fires:",
+      all(entry[0] != "guard" for entry in policy.log))

@@ -22,7 +22,7 @@ from .gallery import make_instance
 from .graphs import format_rational, instance_to_json, load_instance, save_instance
 from .masks import cycle_power
 from .offline import offline_optimum
-from .policies import infer_roles, make_policy
+from .policies import POLICY_FACTORIES, infer_roles, make_policy
 
 
 class UsageError(Exception):
@@ -243,6 +243,8 @@ def cmd_gallery(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    policy_help = "comma list: " + ",".join(
+        "batching[:l]" if name == "batching" else name for name in POLICY_FACTORIES)
     parser = argparse.ArgumentParser(
         prog="deadline-matching",
         description="Online maximum-weight matching with deadlines: "
@@ -260,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("simulate", help="run policies on one instance")
     _add_instance_flags(p)
-    p.add_argument("--policy", required=True,
-                   help="comma list: greedy,naive-greedy,pg,dda,batching[:l],patient")
+    p.add_argument("--policy", required=True, help=policy_help)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
                        help="exact expectation: one forward pass over merged coin states")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", action="append", help="instance path, repeatable")
     p.add_argument("--gallery", help="named instance")
     p.add_argument("--param", action="append", metavar="K=V")
-    p.add_argument("--policy", required=True)
+    p.add_argument("--policy", required=True, help=policy_help)
     p.add_argument("--arrival", choices=["fixed", "uniform"], default="fixed")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true")

@@ -8,14 +8,16 @@ presence-window rule (`graphs.PresenceWindows`) allows a match; randomness
 comes from a stream of fair bits so that expectations can be enumerated
 exactly.
 
-`enumerate_branches` replays the run once per coin prefix and yields every
-leaf. `exact_expectation` instead makes one forward pass over the event
-schedule with a table of worlds, one per distinct policy state: a world
-that needs a bit it does not have splits, re-running only the current
-event's callback, and worlds whose `OnlinePolicy.state_key()` agree after an
-event merge, since their futures are the same. Merging is what keeps the
-table small, so the pass has no coin cap: naive-greedy's 2^n coin tree
-collapses to the role and tentative-buyer patterns of the vertices present.
+`enumerate_branches` replays the run once per leaf of the coin tree: a
+replay answers 0 past its scripted bits, and the 1-branches it passes are
+replayed later. `exact_expectation` instead makes one forward pass over the
+event schedule with a table of worlds, one per distinct policy state: each
+world runs an event's callback in place, a callback that flips a coin forks
+its world there and re-runs once per other outcome, and worlds whose
+`OnlinePolicy.state_key()` agree after an event merge, since their futures
+are the same. Merging is what keeps the table small, so the pass has no
+coin cap: naive-greedy's 2^n coin tree collapses to the role and
+tentative-buyer patterns of the vertices present.
 """
 
 from __future__ import annotations
@@ -58,20 +60,55 @@ class BitStream:
 
 
 class OutOfBits(Exception):
-    """A scripted replay ran past its prefix (used by the exact enumerator)."""
+    """A bit source ran past its limit (used by the exact enumerators)."""
 
 
 class ScriptedBits:
-    def __init__(self, script: tuple[int, ...]):
+    """Bits read from `script`. Past its end the source answers 0 and records
+    where, up to `limit` bits in all (by default the script's length, so no
+    bit past it); the flip after that raises OutOfBits. The 1-branches a run
+    passed are then the scripts that enumerate the rest of its coin tree."""
+
+    def __init__(self, script: tuple[int, ...], limit: int | None = None):
         self.script = script
+        self.limit = len(script) if limit is None else limit
         self.used = 0
+        self.zeros: list[int] = []  # positions past the script answered 0
 
     def flip(self) -> int:
-        if self.used >= len(self.script):
-            raise OutOfBits(self.used)
-        bit = self.script[self.used]
-        self.used += 1
-        return bit
+        used = self.used
+        if used >= self.limit:
+            raise OutOfBits(used)
+        self.used = used + 1
+        if used < len(self.script):
+            return self.script[used]
+        self.zeros.append(used)
+        return 0
+
+    def path(self) -> tuple[int, ...]:
+        """Every bit answered so far."""
+        return self.script[:self.used] + (0,) * len(self.zeros)
+
+    def branches(self) -> list[tuple[int, ...]]:
+        """The script of each 1-branch the run passed, shallowest first."""
+        path = self.path()
+        return [path[:i] + (1,) for i in self.zeros]
+
+
+class _ForkBits(ScriptedBits):
+    """The forward pass's source for a world's first run of an event: at the
+    hook's first coin, before answering it, it clones the world it runs in.
+    That clone is the base every 1-branch of the event re-runs from."""
+
+    def __init__(self, world: "OnlinePolicy", limit: int):
+        super().__init__((), limit)
+        self.world = world
+        self.base = None
+
+    def flip(self) -> int:
+        if self.world is not None:
+            self.base, self.world = self.world.clone(), None
+        return super().flip()
 
 
 class MarketView:
@@ -204,8 +241,11 @@ class OnlinePolicy:
     same in both: the same emitted pairs, coin use and errors. `clone()`
     returns an independent copy, view included, of the state that hooks
     read; history that no hook reads (the log, initial margins) starts
-    empty, so a copy costs the same late in a run as early. The base
-    `state_key()` returns None: no merging, one replay per coin prefix.
+    empty, so a copy costs the same late in a run as early. The pass
+    clones a world at a hook's first coin and re-runs the hook from that
+    clone for each other outcome, so whatever a hook with a state key does
+    before its first coin must be safe to do twice. The base `state_key()`
+    returns None: no merging, one replay per leaf of the coin tree.
     """
 
     name = "policy"
@@ -363,25 +403,25 @@ def _require_fixed_departures(instance: OnlineInstance):
 
 
 def enumerate_branches(instance: OnlineInstance, policy: OnlinePolicy):
-    """Yield (bits, RunResult) over the policy's full fair-coin tree.
+    """Yield (bits, RunResult) over the policy's full fair-coin tree, in
+    lexicographic order of the bits.
 
-    Refuses runs that consume more than MAX_FLIPS bits. The departures must
-    be fixed: a model that samples them is not enumerable.
+    Each replay reads its script and then answers 0, so it ends at a leaf,
+    and the 1-branches it passed become the scripts of later replays: one
+    `simulate` call per leaf. Refuses runs that consume more than MAX_FLIPS
+    bits. The departures must be fixed: a model that samples them is not
+    enumerable.
     """
     _require_fixed_departures(instance)
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
+    scripts: list[tuple[int, ...]] = [()]
+    while scripts:
+        bits = ScriptedBits(scripts.pop(), MAX_FLIPS)
         try:
-            result = simulate(instance, policy, bits=ScriptedBits(prefix))
+            result = simulate(instance, policy, bits=bits)
         except OutOfBits:
-            if len(prefix) >= MAX_FLIPS:
-                raise BranchingLimitExceeded(f"policy consumed more than {MAX_FLIPS} fair bits")
-            stack.append(prefix + (1,))
-            stack.append(prefix + (0,))
-            continue
-        assert result.bits_used == len(prefix)
-        yield prefix, result
+            raise BranchingLimitExceeded(f"policy consumed more than {MAX_FLIPS} fair bits")
+        scripts.extend(bits.branches())  # the deepest 1-branch is replayed next
+        yield bits.path(), result
 
 
 def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fraction:
@@ -390,21 +430,24 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
     1. One `simulate` run with no bits: a policy that asks for no coin
        costs just that run.
     2. If the policy defines `state_key()` (see `OnlinePolicy`), one forward
-       pass over the event schedule carries a table of worlds: cloned
-       policies, each with its own view and an integer mass over a common
-       2**depth. At each event every world runs the callback on a clone; a
-       callback that asks for a bit the world lacks splits it, each child
-       re-running only that callback with one more scripted bit at half the
-       mass, and the depth grows by the event's deepest split. A child's
-       collected value counts with its mass. After the event, children with
-       equal keys merge and their masses add: runs whose states agree have
-       the same future. An invalid pair raises at the event where it is
-       emitted. Every world is cloned at every event, so the pass costs
-       O(events x worlds x n).
+       pass over the event schedule carries a table of worlds: policies,
+       each with its own view and an integer mass over a common 2**depth.
+       The caller's policy object runs as the first world, so afterwards it
+       holds the state of one branch. At each event every world runs the
+       hook in place, with bits that answer 0, so a hook that flips no coin
+       costs no clone. At the hook's first coin the world is cloned once,
+       as the base, and each 1-branch the run passed re-runs the hook on
+       its own clone of the base, scripted up to that 1 and answering 0
+       after it: a world with k outcomes at an event costs k clones. The
+       depth grows by the event's deepest outcome. An outcome keeps its
+       world's mass, halved once per bit it used, and its collected value
+       counts with that mass. After the event, outcomes with equal keys
+       merge and their masses add: runs whose states agree have the same
+       future. An invalid pair raises at the event where it is emitted.
     3. Otherwise, or when the pass hands over, the leaf sum over
        `enumerate_branches`, with its flip cap. The pass hands over when
-       the merged table outgrows MAX_WORLDS or one event creates more than
-       2 * MAX_WORLDS children, so memory stays bounded where merging does
+       the merged table outgrows MAX_WORLDS or one event has more than
+       2 * MAX_WORLDS outcomes, so memory stays bounded where merging does
        not keep up.
     """
     _require_fixed_departures(instance)
@@ -429,45 +472,66 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
     worlds = [(1, policy)]  # (mass, world): probability mass / 2**depth
     depth = 0
     total = 0  # sum of mass * collected weight, over scale << depth
-    no_bits = ScriptedBits(())  # never advances: its first flip raises
     for index, (time, kind, vertex) in enumerate(events):
-        children = []  # (mass, bits used, pairs matched, world)
-        split = 0
-        for mass, world in worlds:
-            scripts = [()]
-            while scripts:
-                script = scripts.pop()
-                child = world.clone()
-                child.rng = ScriptedBits(script) if script else no_bits
-                try:
-                    children.append((mass, len(script), _step(child, time, kind, vertex), child))
-                except OutOfBits:
-                    scripts.append(script + (1,))
-                    scripts.append(script + (0,))
-                    continue
-                if len(children) > 2 * MAX_WORLDS:
-                    return None  # one event splits too far: leave it to the replays
-                split = max(split, len(script))
+        try:
+            outcomes, split = _event_outcomes(worlds, time, kind, vertex)
+        except OutOfBits:
+            return None  # one run passed more coins than the table holds outcomes
+        if outcomes is None:
+            return None  # one event splits too far: leave it to the replays
         depth += split
         total <<= split
         # keys are taken at the next event's tick, so vertices whose windows
         # close in between no longer keep worlds apart
         next_time = events[index + 1][0] if index + 1 < len(events) else time
         merged: dict = {}
-        for mass, bits, accepted, child in children:
-            mass <<= split - bits
+        for mass, used, accepted, world in outcomes:
+            mass <<= split - used
             for pair in accepted:
                 total += mass * weights.get(pair, 0)
             key = None  # a lone world has nothing to merge with
-            if len(children) > 1:
-                child.view._advance(next_time)
-                key = child.state_key()
-            first = merged.get(key)
-            merged[key] = (mass, child) if first is None else (first[0] + mass, first[1])
+            if len(outcomes) > 1:
+                world.view._advance(next_time)
+                key = world.state_key()
+            seen = merged.get(key)
+            merged[key] = (mass, world) if seen is None else (seen[0] + mass, seen[1])
         worlds = list(merged.values())
         if len(worlds) > MAX_WORLDS:
             return None  # merging does not keep up: leave it to the replays
     return Fraction(total, scale << depth)
+
+
+def _event_outcomes(worlds, time: int, kind: int, vertex: int):
+    """Run one event on every (mass, world), forking each world at its hook's
+    first coin. Returns the outcomes as (mass, bits used, pairs matched,
+    world) with the most bits any outcome used, or (None, 0) past
+    2 * MAX_WORLDS outcomes. A run that asks for more bits than that raises
+    OutOfBits: each bit it answered 0 would be one more outcome."""
+    cap = 2 * MAX_WORLDS
+    outcomes = []
+    split = 0
+    for mass, world in worlds:
+        first = world.rng = _ForkBits(world, cap)
+        accepted = _step(world, time, kind, vertex)
+        first.world = None  # no cycle between a world and its bits
+        outcomes.append((mass, first.used, accepted, world))
+        if len(outcomes) > cap:
+            return None, 0
+        if not first.used:
+            continue  # no coin, no clone
+        base, first.base = first.base, None
+        split = max(split, first.used)
+        scripts = first.branches()
+        while scripts:  # the deepest 1-branch first, as the replays order them
+            child = base.clone()
+            child.rng = bits = ScriptedBits(scripts.pop(), cap)
+            accepted = _step(child, time, kind, vertex)
+            outcomes.append((mass, bits.used, accepted, child))
+            if len(outcomes) > cap:
+                return None, 0
+            split = max(split, bits.used)
+            scripts.extend(bits.branches())
+    return outcomes, split
 
 
 # ---------------------------------------------------------------------------

@@ -204,16 +204,13 @@ class PostponedGreedy(_BestMarginBids):
     propagates along the tentative 2-matching's paths. A coin is flipped
     only at the head of each path.
 
-    With departure_guard on, a seller whose tentative partner already left
-    the market finalizes nothing (the stochastic-departure variant).
+    A seller whose tentative partner has already departed or been matched
+    finalizes nothing: that pair would break the presence rule, so the
+    guard changes no run that completes without it, and it lets pg run
+    under departures.
     """
 
     name = "pg"
-
-    def __init__(self, departure_guard: bool = False):
-        self.departure_guard = departure_guard
-        if departure_guard:
-            self.name = "pg-stochastic"
 
     def reset(self, view, rng):
         super().reset(view, rng)
@@ -222,7 +219,6 @@ class PostponedGreedy(_BestMarginBids):
 
     def clone(self):
         other = super().clone()
-        other.departure_guard = self.departure_guard
         other.status = dict(self.status)
         other.active = set(self.active)
         return other
@@ -253,13 +249,11 @@ class PostponedGreedy(_BestMarginBids):
             self.log.append(("coin", k, self.status[k]))
         emitted = []
         if self.status[k] == SELLER:
-            available = (not self.view.has_departed(partner)
-                         and not self.view.is_matched(partner))
-            if available or not self.departure_guard:
+            if self.view.has_departed(partner) or self.view.is_matched(partner):
+                self.log.append(("guard", k, partner))
+            else:
                 emitted.append((k, partner))
                 self.log.append(("finalize", k, partner))
-            else:
-                self.log.append(("guard", k, partner))
             follower = BUYER
         else:
             self.log.append(("yield", k, partner))
@@ -404,11 +398,14 @@ def naive_greedy() -> NaiveGreedy:
 
 
 def postponed_greedy() -> PostponedGreedy:
-    return PostponedGreedy(departure_guard=False)
+    return PostponedGreedy()
 
 
 def pg_stochastic() -> PostponedGreedy:
-    return PostponedGreedy(departure_guard=True)
+    """pg under the name the stochastic-departure runs report."""
+    policy = PostponedGreedy()
+    policy.name = "pg-stochastic"
+    return policy
 
 
 def dda() -> DynamicDeferredAcceptance:

@@ -6,7 +6,9 @@ the bandwidth DP in `deadline_matching.offline`. The mask constructions,
 the pointwise product and the cover test spell out the covering analysis on
 explicit {0,1} graphs, and `solve_cover_lp_direct` solves the covering LP
 with one variable per column (or per permutation), which the
-orbit-collapsed `solve_cover_lp` must agree with.
+orbit-collapsed `solve_cover_lp` must agree with. `replay_branches` walks
+a policy's coin tree with one replay per coin prefix, the reference for
+`engine.enumerate_branches`, which replays each leaf once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from deadline_matching import engine
+from deadline_matching.engine import (MAX_FLIPS, BranchingLimitExceeded, OutOfBits,
+                                      ScriptedBits)
 from deadline_matching.graphs import Matching, Pair, WeightedGraph, ordered_pair
 from deadline_matching.masks import (_slots, batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
@@ -183,3 +188,26 @@ def solve_cover_lp_direct(n: int, p: int, d: int, power: int,
     solution = solve_min_geq(costs, rows, rhs)
     certify_min_geq(solution, costs, rows, rhs)
     return solution.value
+
+
+# ---------------------------------------------------------------------------
+# The coin tree, one replay per prefix
+
+def replay_branches(instance, policy):
+    """Yield (bits, RunResult) over the policy's fair-coin tree, depth first
+    with 0 before 1: a replay that runs out of its scripted prefix is dropped
+    and both one-bit extensions are replayed in its place. Refuses runs that
+    consume more than MAX_FLIPS bits, as `engine.enumerate_branches` does."""
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        try:
+            result = engine.simulate(instance, policy, bits=ScriptedBits(prefix))
+        except OutOfBits:
+            if len(prefix) >= MAX_FLIPS:
+                raise BranchingLimitExceeded(f"policy consumed more than {MAX_FLIPS} fair bits")
+            stack.append(prefix + (1,))
+            stack.append(prefix + (0,))
+            continue
+        assert result.bits_used == len(prefix)
+        yield prefix, result

@@ -7,6 +7,7 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
                                verify_certificate)
 from deadline_matching import cli
 from deadline_matching.cli import main
+from deadline_matching.policies import POLICY_FACTORIES
 from helpers import unit_pairs
 
 
@@ -64,20 +65,30 @@ class TestSimulate:
         assert code == 0
         assert out.count("E=1/1") == 2
 
+    def test_help_names_every_policy(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapped names
+        for command in ("simulate", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            listed = capsys.readouterr().out.split("comma list: ")[1].split()[0]
+            assert listed.replace("[:l]", "").split(",") == list(POLICY_FACTORIES), command
+
     def test_every_policy_is_reported_after_a_failure(self, capsys, tmp_path):
-        # vertex 1 departs at time 2, before pg and naive-greedy finalize (1, 2)
+        # vertex 1 departs at time 2, before naive-greedy finalizes (1, 2);
+        # pg's guard drops that pair
         path = tmp_path / "departing.json"
         path.write_text(json.dumps({
             "n": 4, "d": 2, "edges": [[1, 2, 2], [2, 4, 1], [3, 4, 3]],
             "sigma": [2, 1, 4, 3], "departures": [0, 3, 1, 2]}))
         code, out, err = run(capsys, "simulate", "--instance", str(path),
-                             "--policy", "patient,pg,naive-greedy", "--exact")
+                             "--policy", "patient,naive-greedy,pg", "--exact")
         assert code == 1
-        assert out.splitlines() == [f"instance={path} policy=patient (exact) "
-                                    "E=5/1 OPT=5/1 ratio=1/1"]
+        assert out.splitlines() == [
+            f"instance={path} policy=patient (exact) E=5/1 OPT=5/1 ratio=1/1",
+            f"instance={path} policy=pg (exact) E=3/2 OPT=5/1 ratio=3/10"]
         assert err.splitlines() == [
-            f"error: policy {name} emitted pair (1, 2) at time 4 invalid: "
-            "matched after vertex 1 departed at time 2" for name in ("pg", "naive-greedy")]
+            "error: policy naive-greedy emitted pair (1, 2) at time 4 invalid: "
+            "matched after vertex 1 departed at time 2"]
 
 
 class TestVerifyCert:

@@ -1,13 +1,15 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
-                               NaiveGreedy, OnlineInstance, OnlinePolicy,
+                               FreeDisposalGreedy, NaiveGreedy, OnlineInstance,
+                               OnlinePolicy,
                                WeightedGraph, batching, competitive_report,
                                enumerate_branches, exact_expectation,
                                geometric, make_instance, make_policy,
@@ -19,6 +21,7 @@ from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import random_constrained_bipartite, random_instance, unit_pairs
+from oracles import replay_branches
 
 
 def zero_instance(n=5, d=2):
@@ -260,7 +263,7 @@ class TestMergedExpectation:
             WeightedGraph(4, {(1, 2): F(2), (2, 4): F(1), (3, 4): F(3)}),
             ArrivalOrder((2, 1, 4, 3)), 2, departures=(0, 3, 1, 2))
         hungry = random_instance(random.Random(29), 7, 2)
-        for instance, factory, error in ((departing, postponed_greedy, ValueError),
+        for instance, factory, error in ((departing, naive_greedy, ValueError),
                                          (hungry, FlipHungry, BranchingLimitExceeded),
                                          (hungry, SellerHungry, BranchingLimitExceeded)):
             with pytest.raises(error) as merged:
@@ -283,6 +286,85 @@ class TestMergedExpectation:
         instance = random_instance(random.Random(12), 12, 2)
         value = exact_expectation(instance, naive_greedy())
         assert value == leaf_sum(instance, naive_greedy()) == F(579, 64)
+
+
+class CoinCounter(OnlinePolicy):
+    """A keyed policy whose arrival hook flips two coins and, after each,
+    advances a counter mod 3 by 1 + the bit: it writes state between its
+    coins on every path, so a re-run from a world past its first coin
+    would count twice. A critical vertex takes its best present neighbour
+    while the counter reads 0."""
+
+    name = "coin-counter"
+
+    def reset(self, view, rng):
+        super().reset(view, rng)
+        self.count = 0
+
+    def clone(self):
+        other = super().clone()
+        other.count = self.count
+        return other
+
+    def state_key(self):
+        return tuple(self.view.present()), self.count
+
+    def on_arrival(self, v):
+        for _ in range(2):
+            self.count = (self.count + 1 + self.rng.flip()) % 3
+        return ()
+
+    def on_critical(self, v):
+        if self.count or self.view.is_matched(v):
+            return ()
+        neighbors = self.view.revealed_neighbors(v)
+        return [(v, max(neighbors, key=neighbors.get))] if neighbors else ()
+
+
+def branch_outcomes(branches):
+    """Each leaf's (bits, collected, schedule), then the type and message of
+    the ValueError that ended the walk, if one did."""
+    outcomes = []
+    try:
+        for bits, result in branches:
+            outcomes.append((bits, result.collected, result.schedule))
+    except ValueError as exc:
+        outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestForkAtTheCoin:
+    def test_state_written_between_coins(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            instance = random_instance(rng, n, rng.randint(0, 3))
+            if rng.random() < 0.5:
+                offsets = tuple(rng.randint(0, 4) for _ in range(n))
+                instance = dataclasses.replace(instance, departures=offsets)
+            assert exact_expectation(instance, CoinCounter()) == leaf_sum(instance, CoinCounter())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(coin_instances())
+    def test_one_replay_per_leaf_in_the_reference_order(self, instance):
+        for spec, factory in MERGE_FACTORIES:
+            want = branch_outcomes(replay_branches(instance, factory()))
+            with mock.patch.object(engine, "simulate", wraps=engine.simulate) as runs:
+                got = branch_outcomes(enumerate_branches(instance, factory()))
+            assert got == want, spec
+            assert runs.call_count == len(got), spec  # a refusal is one run too
+
+    def test_a_coin_free_world_is_never_cloned(self):
+        # exact_expectation stops at its coin-free run, so call the pass itself
+        class Unclonable(FreeDisposalGreedy):
+            def clone(self):
+                raise AssertionError("the pass cloned a world that flips no coin")
+
+        rng = random.Random(38)
+        for _ in range(20):
+            instance = random_constrained_bipartite(rng, rng.randint(1, 9), rng.randint(0, 3))
+            expected = simulate(instance, FreeDisposalGreedy()).collected
+            assert engine._merged_expectation(instance, Unclonable()) == expected
 
 
 class TestCompetitiveReport:

@@ -164,6 +164,19 @@ class TestOfflineDual:
         assert not report.feasible
         assert report.violations == (((2, 3), F(2)),)
 
+    def test_violations_match_the_masked_graph(self):
+        # every edge of the deadline graph is checked, in sorted order, and
+        # no edge outside it
+        rng = random.Random(61)
+        for _ in range(100):
+            inst = random_instance(rng, rng.randint(1, 9), rng.randint(0, 3))
+            lam = {v: F(rng.randint(0, 8), rng.choice((1, 2, 4)))
+                   for v in inst.graph.vertices()}
+            slacks = [((i, j), lam[i] + lam[j] - w)
+                      for i, j, w in build_online_graph(inst).edges()]
+            expected = tuple((edge, -slack) for edge, slack in slacks if slack < 0)
+            assert verify_offline_dual(inst, lam).violations == expected
+
     def test_negative_duals_rejected(self):
         named = make_instance("basic-tradeoff")
         with pytest.raises(ValueError):

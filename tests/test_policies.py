@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
                                WeightedGraph, batched_matching_value, batching,
                                dda, exact_expectation, greedy_free_disposal,
-                               infer_roles, make_instance, make_policy,
+                               infer_roles, instance_from_json, make_instance,
+                               make_policy,
                                naive_greedy, offline_optimum, patient_baseline,
                                postponed_greedy, realized_offline_optimum,
                                simulate, validate_matching, verify_offline_dual)
@@ -113,6 +114,24 @@ class TestPostponedGreedy:
                 assert p_sum == q_sum  # every price rise is some buyer's margin
                 total += result.collected * F(1, 2 ** len(bits))
             assert 4 * total >= opt
+
+    def test_a_matched_partner_is_not_finalized_again(self):
+        # under these offsets vertex 3 is matched to 1 at time 8, and 4 then
+        # turns critical as a seller with 3 as its tentative partner
+        inst = instance_from_json({
+            "n": 9, "d": 2, "edges": [
+                [1, 2, "13/4"], [1, 3, 11], [1, 4, "5/4"], [1, 5, "3/2"], [1, 6, "5/8"],
+                [1, 8, "3/4"], [2, 3, "1/4"], [2, 4, 3], [2, 5, 4], [2, 8, "1/2"],
+                [2, 9, "9/4"], [3, 4, "13/8"], [3, 5, "7/4"], [3, 9, "7/4"], [4, 5, 2],
+                [4, 7, 1], [4, 8, 6], [4, 9, 4], [5, 6, "7/4"], [5, 9, "13/4"],
+                [7, 8, "3/2"], [7, 9, 4]],
+            "sigma": [8, 1, 7, 6, 9, 3, 4, 2, 5], "departures": [0, 2, 1, 2, 0, 1, 0, 2, 2]})
+        for spec in ("pg", "pg-stochastic"):
+            policy = make_policy(spec)
+            result = simulate(inst, policy, seed=5132)
+            assert result.schedule == {(2, 8): 3, (1, 3): 8}, spec
+            assert ("guard", 4, 3) in policy.log, spec
+            assert exact_expectation(inst, make_policy(spec)) == F(285, 32), spec
 
     def test_statuses_never_flip(self):
         rng = random.Random(34)
