@@ -478,4 +478,6 @@ def load_certificate(path) -> CoverCertificate:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CertificateFormatError("not valid JSON: nested too deeply to parse") from None
     return certificate_from_json(data)

@@ -16,8 +16,8 @@ world runs an event's callback in place, a callback that flips a coin forks
 its world there and re-runs once per other outcome, and worlds whose
 `OnlinePolicy.state_key()` agree after an event merge, since their futures
 are the same. Merging is what keeps the table small, so the pass has no
-coin cap: naive-greedy's 2^n coin tree collapses to the role and
-tentative-buyer patterns of the vertices present.
+coin cap: naive-greedy's 2^n coin tree collapses to its open sellers,
+those whose critical event has not run, each with its tentative buyer.
 """
 
 from __future__ import annotations

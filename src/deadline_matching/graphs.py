@@ -403,4 +403,6 @@ def load_instance(path) -> OnlineInstance:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError("not valid JSON: nested too deeply to parse") from None
     return instance_from_json(data)

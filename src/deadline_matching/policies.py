@@ -110,18 +110,6 @@ class _BestMarginBids(OnlinePolicy):
         other._initial_margin = {}
         return other
 
-    def state_key(self):
-        """Per vertex still alive: matched or not and its tentative buyer,
-        plus the subclass's `_sides`. A seller's price is the weight to its
-        tentative buyer, or 0 without one, so the buyer stands for it.
-        Initial margins, like the log, are history."""
-        alive = self.view.alive()
-        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
-                tuple(map(self.tentative.get, alive)), self._sides(alive))
-
-    def _sides(self, alive: list[int]) -> tuple:
-        raise NotImplementedError
-
     def _add_seller(self, s: int):
         self.prices[s] = 0
         self.tentative[s] = None
@@ -158,7 +146,7 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
         return ()
 
     def on_critical(self, v: int):
-        buyer = self.tentative.get(v)  # only sellers hold tentative buyers
+        buyer = self.tentative.pop(v, None)  # the seller closes; buyers hold no entry
         return [(v, buyer)] if buyer is not None else ()
 
     def clone(self):
@@ -166,8 +154,14 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
         other.roles = dict(self.roles)
         return other
 
-    def _sides(self, alive):
-        return tuple(map(self.roles.get, alive))
+    def state_key(self):
+        """Each open seller, one whose critical event has not run, with its
+        tentative buyer, in arrival order: all that a future hook reads.
+        The open sellers are the present ones, a seller's price is the
+        weight to its tentative buyer (0 without one), and a buyer bids once
+        and is matched only by the seller that holds it, so the roles and
+        matched flags of buyers and closed sellers change no future hook."""
+        return tuple(self.tentative.items())
 
 
 class NaiveGreedy(FreeDisposalGreedy):
@@ -223,13 +217,17 @@ class PostponedGreedy(_BestMarginBids):
         other.active = set(self.active)
         return other
 
-    def _sides(self, alive):
-        """Each alive vertex's side and its tentative partner's, which the
-        vertex's critical event reads and may set even after the partner
-        has departed."""
-        status = self.status
-        return (tuple(map(status.get, alive)),
-                tuple(map(status.get, map(self.tentative.get, alive))))
+    def state_key(self):
+        """Per vertex still alive: matched or not, its tentative buyer, its
+        side and its tentative partner's, which the vertex's critical event
+        reads and may set even after the partner has departed. A seller
+        copy's price is the weight to its tentative buyer, or 0 without
+        one, so the buyer stands for it. Initial margins, like the log, are
+        history."""
+        alive, status, tentative = self.view.alive(), self.status, self.tentative
+        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
+                tuple(map(tentative.get, alive)), tuple(map(status.get, alive)),
+                tuple(map(status.get, map(tentative.get, alive))))
 
     def on_arrival(self, k: int):
         weight = self.view.weight

@@ -9,6 +9,8 @@ with one variable per column (or per permutation), which the
 orbit-collapsed `solve_cover_lp` must agree with. `replay_branches` walks
 a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
+`AliveKeyedNaiveGreedy` is naive-greedy under a finer state key, which the
+forward pass must agree with over more worlds.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from deadline_matching.masks import (_slots, batching_from_order, cover_deficits
                                      cycle_power, enumerate_periodic_batchings,
                                      periodic_extension)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
+from deadline_matching.policies import NaiveGreedy
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
 
 ONE = Fraction(1)
@@ -211,3 +214,22 @@ def replay_branches(instance, policy):
             continue
         assert result.bits_used == len(prefix)
         yield prefix, result
+
+
+# ---------------------------------------------------------------------------
+# Naive-greedy keyed on every alive vertex
+
+class AliveKeyedNaiveGreedy(NaiveGreedy):
+    """Naive-greedy keyed on each alive vertex's matched flag, tentative
+    buyer and role. A seller keeps its tentative buyer after its critical
+    event. The key is sound but finer than the open-seller key: it keeps
+    worlds apart that differ only in a buyer or a closed seller."""
+
+    def on_critical(self, v: int):
+        buyer = self.tentative.get(v)
+        return [(v, buyer)] if buyer is not None else ()
+
+    def state_key(self):
+        alive = self.view.alive()
+        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
+                tuple(map(self.tentative.get, alive)), tuple(map(self.roles.get, alive)))

@@ -354,6 +354,17 @@ class TestMalformedInput:
         err = self.one_line_error(capsys, "offline", "--instance", path)
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--policy", "pg", "--instance"],
+        ["offline", "--instance"],
+        ["verify-cert", "--target", "cycle:8:1", "--cert"],
+    ])
+    def test_json_nested_past_the_parser(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        err = self.one_line_error(capsys, *argv, str(path))
+        assert err == "error: not valid JSON: nested too deeply to parse\n"
+
     def test_departures_and_a_departure_model_together(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, 1]], "departures": [0, 4],
                                      "departure_model": {"kind": "deterministic", "d": 2}})

@@ -77,16 +77,15 @@ class TestHazardAlpha:
 
 class TestPGStochastic:
     def test_trace_identical_on_deterministic_deadlines(self):
+        # pg's trace is the guard-free one exactly when its guard never fires:
+        # with deterministic deadlines no tentative partner departs first
         rng = random.Random(41)
         for _ in range(30):
             inst = random_instance(rng, rng.randint(2, 8), rng.choice([1, 2, 3]))
             for seed in (0, 1):
-                plain, guarded = postponed_greedy(), pg_stochastic()
-                a = simulate(inst, plain, seed=seed)
-                b = simulate(inst, guarded, seed=seed)
-                assert a.pairs == b.pairs
-                assert a.collected == b.collected
-                assert plain.log == guarded.log
+                policy = postponed_greedy()
+                simulate(inst, policy, seed=seed)
+                assert [entry for entry in policy.log if entry[0] == "guard"] == []
 
     def test_guard_fires_when_partner_departs(self):
         # 2 bids on 1 at its arrival, then departs immediately; at 1's

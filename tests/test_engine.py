@@ -21,7 +21,7 @@ from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import random_constrained_bipartite, random_instance, unit_pairs
-from oracles import replay_branches
+from oracles import AliveKeyedNaiveGreedy, replay_branches
 
 
 def zero_instance(n=5, d=2):
@@ -230,11 +230,11 @@ MERGE_FACTORIES = [(spec, lambda spec=spec: make_policy(spec))
 
 
 @st.composite
-def coin_instances(draw):
-    """n <= 9, d in 0..4, general or role-constrained, with or without
-    explicit departure offsets."""
-    n = draw(st.integers(1, 9))
-    d = draw(st.integers(0, 4))
+def coin_instances(draw, max_n=9, max_d=4):
+    """n <= max_n, d in 0..max_d, general or role-constrained, with or
+    without explicit departure offsets."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(0, max_d))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     make = draw(st.sampled_from((random_instance, random_constrained_bipartite)))
     instance = make(rng, n, d)
@@ -286,6 +286,67 @@ class TestMergedExpectation:
         instance = random_instance(random.Random(12), 12, 2)
         value = exact_expectation(instance, naive_greedy())
         assert value == leaf_sum(instance, naive_greedy()) == F(579, 64)
+
+
+def naive_world(policy, instance, roles, events):
+    """`policy`, a naive-greedy, after the first `events` events of the
+    schedule with the arrivals' roles scripted (1 a seller), its view
+    moved to the next event's tick, where the forward pass keys it."""
+    view = engine.MarketView(instance, engine.realized_departures(instance, 0), 0)
+    policy.reset(view, ScriptedBits(roles))
+    schedule = engine.event_schedule(view._windows)
+    for time, kind, vertex in schedule[:events]:
+        engine._step(policy, time, kind, vertex)
+    view._advance(schedule[events][0])
+    return policy
+
+
+class TestOpenSellerKey:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(coin_instances(max_n=7, max_d=3))
+    def test_equals_the_leaf_sum(self, instance):
+        # on departing instances the pass raises at the earliest bad event,
+        # the leaf sum at the first bad leaf, so only the type must agree
+        merged = outcome(lambda: exact_expectation(instance, naive_greedy()))
+        leaves = outcome(lambda: leaf_sum(instance, naive_greedy()))
+        if isinstance(leaves, F):
+            assert merged == leaves
+        else:
+            assert isinstance(merged, tuple) and issubclass(merged[0], ValueError)
+
+    def keys(self, instance, roles_a, roles_b, events):
+        return [tuple(naive_world(factory(), instance, roles, events).state_key()
+                      for roles in (roles_a, roles_b))
+                for factory in (NaiveGreedy, AliveKeyedNaiveGreedy)]
+
+    def test_a_displaced_buyer_keeps_no_world_apart(self):
+        # vertex 2 is a buyer that 3 outbids on seller 1 in one world and a
+        # seller that closes unbid in the other; in both, 1 finalizes (1, 3)
+        # at tick 3, and 2 is still alive while the tick's last event waits
+        instance = OnlineInstance(WeightedGraph(3, {(1, 2): F(1), (1, 3): F(2)}),
+                                  ArrivalOrder.identity(3), 2, departures=(2, 1, 0))
+        (new_a, new_b), (old_a, old_b) = self.keys(instance, (1, 0, 0), (1, 1, 0), 5)
+        assert new_a == new_b == ()
+        assert old_a != old_b
+
+    def test_a_finalized_pair_keeps_no_world_apart(self):
+        # seller 1 finalizes (1, 2) at its critical event in one world; in
+        # the other both are buyers. Buyer 2 stays alive, matched or not
+        instance = OnlineInstance(WeightedGraph(2, {(1, 2): F(1)}),
+                                  ArrivalOrder.identity(2), 2)
+        (new_a, new_b), (old_a, old_b) = self.keys(instance, (1, 0), (0, 0), 3)
+        assert new_a == new_b == ()
+        assert old_a != old_b
+
+    def test_fewer_hook_runs_than_the_alive_key(self):
+        instance = random_instance(random.Random(12), 12, 2)
+        runs = []
+        for factory in (naive_greedy, AliveKeyedNaiveGreedy):
+            with mock.patch.object(engine, "_step", wraps=engine._step) as step:
+                assert exact_expectation(instance, factory()) == F(579, 64)
+            runs.append(step.call_count)
+        new, old = runs
+        assert new < old
 
 
 class CoinCounter(OnlinePolicy):
