@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from .graphs import MAX_FILE_N, WeightedGraph, as_integer, as_rational, format_rational
+from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
+                     format_rational)
 from .masks import (PeriodicBatching, batching_from_order, combine,
                     cover_deficits, cycle_power, cyclic_distance,
                     enumerate_periodic_batchings, periodic_extension,
@@ -50,7 +51,8 @@ class CoverCertificate:
                 raise ValueError("column shape disagrees with the certificate header")
         total = sum((lam for _, lam in cols), Fraction(0))
         if total != self.alpha:
-            raise ValueError(f"alpha {self.alpha} != sum of weights {total}")
+            raise ValueError(f"alpha {brief(format_rational(self.alpha))} != "
+                             f"sum of weights {brief(format_rational(total))}")
         object.__setattr__(self, "columns", cols)
 
     def combined_mask(self) -> WeightedGraph:

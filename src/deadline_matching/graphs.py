@@ -20,9 +20,19 @@ Pair = tuple[int, int]
 
 ZERO = Fraction(0)  # the weight of every absent edge
 
+NOT_A_PERMUTATION = "arrival order must be a permutation of 1..n"
+
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
+
+
+def brief(value) -> str:
+    """repr(value) as an error message quotes it: cut to 60 characters and
+    "…" when longer, so a message about a malformed input stays one short
+    line whatever the input holds."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "…"
 
 
 def as_rational(value) -> Fraction:
@@ -35,15 +45,20 @@ def as_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"{value!r} has a zero denominator") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+            raise ValueError(f"{brief(value)} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"cannot interpret {brief(value)} as an exact rational") from None
+    raise TypeError(f"cannot interpret {brief(value)} as an exact rational")
 
 
 def as_integer(value) -> int:
     """Coerce ints and integer strings to int; floats and booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"cannot interpret {value!r} as an integer")
-    return int(value)
+        raise TypeError(f"cannot interpret {brief(value)} as an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"cannot interpret {brief(value)} as an integer") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -110,7 +125,7 @@ class ArrivalOrder:
         slots = tuple(as_integer(s) for s in self.slots)
         n = len(slots)
         if sorted(slots) != list(range(1, n + 1)):
-            raise ValueError("arrival order must be a permutation of 1..n")
+            raise ValueError(NOT_A_PERMUTATION)
         inverse = [0] * n
         for v, s in enumerate(slots, start=1):
             inverse[s - 1] = v
@@ -306,7 +321,7 @@ def parse_departure_model(data: dict) -> DepartureModel:
         raise ValueError("departure_model must be an object with a 'kind'")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _MODEL_FIELD:
-        raise ValueError(f"unknown departure_model kind {kind!r}")
+        raise ValueError(f"unknown departure_model kind {brief(kind)}")
     field = _MODEL_FIELD[kind]
     if set(data) != {"kind", field}:
         raise ValueError(f"{kind} departure_model takes exactly {field!r}")
@@ -317,7 +332,7 @@ def parse_departure_model(data: dict) -> DepartureModel:
         return geometric(as_rational(value))
     if not isinstance(value, dict):
         raise ValueError("tabulated departure_model needs 'pmf' as an object")
-    return tabulated({int(t): as_rational(p) for t, p in value.items()})
+    return tabulated({as_integer(t): as_rational(p) for t, p in value.items()})
 
 
 def departure_model_to_json(model: DepartureModel) -> dict:
@@ -348,7 +363,7 @@ def instance_from_json(data: dict) -> OnlineInstance:
         raise InstanceFormatError("instance file must hold a JSON object")
     unknown = set(data) - _INSTANCE_FIELDS
     if unknown:
-        raise InstanceFormatError(f"unknown instance fields: {sorted(unknown)}")
+        raise InstanceFormatError(f"unknown instance fields: {brief(sorted(unknown))}")
     try:
         n = as_integer(data["n"])
         d = as_integer(data["d"])
@@ -362,12 +377,12 @@ def instance_from_json(data: dict) -> OnlineInstance:
     weights: dict[Pair, Fraction] = {}
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
-            raise InstanceFormatError(f"edge entry {entry!r} is not [i, j, weight]")
+            raise InstanceFormatError(f"edge entry {brief(entry)} is not [i, j, weight]")
         i, j, w = entry
         try:
             weights[ordered_pair(as_integer(i), as_integer(j))] = as_rational(w)
         except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"bad edge entry {entry!r}: {exc}") from exc
+            raise InstanceFormatError(f"bad edge entry {brief(entry)}: {exc}") from exc
     try:
         model = (parse_departure_model(data["departure_model"])
                  if "departure_model" in data else None)

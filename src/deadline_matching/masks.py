@@ -128,6 +128,8 @@ class PeriodicBatching:
 
     def __post_init__(self):
         batches = tuple(tuple(sorted(b)) for b in self.batches)
+        if not all(batches):
+            raise ValueError("batches must be nonempty")
         batches = tuple(sorted(batches, key=lambda b: b[0]))
         object.__setattr__(self, "batches", batches)
         flat = [v for b in batches for v in b]

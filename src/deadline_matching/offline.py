@@ -4,11 +4,15 @@ Every matching comes from one exact DP, `_band_dp`, which runs along the
 participating vertices in arrival order with one state bit per waiting
 vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
 graph is a band of d; a batch, or a general graph on k vertices, is a full
-band of k - 1 over its ascending vertices. Weights are integers over one
-scale per graph (`WeightedGraph.scaled`, or the integers a `MarketView`
-reads), so every comparison and tie is exact. Every matching returned has,
-among the maximum-weight ones, the lexicographically smallest sorted pair
-list.
+band of k - 1 over its ascending vertices. At band 1 the state is one bit,
+so the DP is the path recurrence best(t) = max(best(t-1), best(t-2) +
+w(t-1, t)), kept as two running integers. The batched evaluator puts vertex
+v into batch (slot(v) - 1) // (d + 1), visiting vertices in ascending order,
+so every batch comes out ascending with no inversion or sort. Weights are
+integers over one scale per graph (`WeightedGraph.scaled`, or the integers a
+`MarketView` reads), so every comparison and tie is exact. Every matching
+returned has, among the maximum-weight ones, the lexicographically smallest
+sorted pair list.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
-                     WeightedGraph, as_rational,
+from .graphs import (NOT_A_PERMUTATION, Matching, OnlineInstance, Pair,
+                     PresenceWindows, WeightedGraph, as_rational,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
                      ordered_pair)
 
@@ -29,11 +33,20 @@ class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
 
 
-def _arrival_order(slots) -> list[int]:
-    """The vertices 1..n in arrival order."""
-    order = [0] * len(slots)
-    for v, s in enumerate(slots, start=1):
-        order[s - 1] = v
+def _arrival_order(slots, n: int) -> list[int]:
+    """The vertices 1..n in arrival order; refuses `slots` unless it is a
+    permutation of 1..n. The store refuses a slot past n before the shift
+    reads it, so no slot builds a long int."""
+    order = [0] * n
+    seen = 0  # bit s set for each slot s
+    try:
+        for v, s in enumerate(slots, start=1):
+            order[s - 1] = v
+            seen |= 1 << s
+    except (IndexError, TypeError, ValueError):  # a slot past n, negative or not an int
+        seen = 0
+    if seen != (1 << n + 1) - 2 or len(slots) != n:
+        raise ValueError(NOT_A_PERMUTATION)
     return order
 
 
@@ -41,17 +54,28 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
     """Best total over matchings of the live edges among `order`, the
     participating vertices in arrival order, an edge (u, v) counting as its
     integer weight w in `ints` or as `tie(u, v, w)` when a tie-break key is
-    given. One set-up pass lists each position's live edges and the drop
-    masks. An edge is live when its endpoints are at most d positions apart
+    given. An edge is live when its endpoints are at most d positions apart
     and, when `reach` (`PresenceWindows.reach`, by vertex) is given, the
     earlier endpoint u reaches the later one: gap <= reach[u - 1]. The state
     after position t has one bit per earlier vertex that is unmatched and has
     a live edge to a later one (bit i: position t - i): at most
-    2**min(d, k - 1) states for k vertices."""
+    2**min(d, k - 1) states for k vertices. At band 1 that is one bit, so
+    two running totals carry it; wider bands take one set-up pass that lists
+    each position's live edges and the drop masks."""
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {d} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
+    if band == 1:
+        before = best = 0  # the best totals over the positions before u, and up to u
+        for u, v in zip(order, order[1:]):
+            w = ints.get((u, v) if u < v else (v, u))
+            if w is not None and (reach is None or reach[u - 1] >= 1):
+                w = before + (w if tie is None else tie(u, v, w))
+                before, best = best, (w if w > best else best)
+            else:
+                before = best
+        return best
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
     for dist in range(1, band + 1):
@@ -129,8 +153,8 @@ def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matchin
     """The bandwidth DP's optimum with its matching, over the edges live
     under `windows`."""
     ints, scale = instance.graph.scaled
-    value, pairs = band_matching(ints, _arrival_order(windows.slots), instance.deadline,
-                                 windows.reach)
+    value, pairs = band_matching(ints, _arrival_order(windows.slots, instance.n),
+                                 instance.deadline, windows.reach)
     return Matching(frozenset(pairs), Fraction(value, scale))
 
 
@@ -150,21 +174,42 @@ def realized_offline_optimum(instance: OnlineInstance,
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
-    """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP."""
+    """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP.
+    Refuses d < 0 and `slots` that are not a permutation of 1..graph.n."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     ints, scale = graph.scaled
-    return Fraction(_band_dp(ints, _arrival_order(slots), d), scale)
+    return Fraction(_band_dp(ints, _arrival_order(slots, graph.n), d), scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                            d: int) -> Fraction:
-    """Sum of optimal matchings inside each consecutive (d+1)-slot batch."""
-    order = _arrival_order(slots)
+    """Sum of optimal matchings inside each consecutive (d+1)-slot batch.
+    Refuses d < 0 and `slots` that are not a permutation of 1..graph.n.
+
+    Vertex v joins batch (slot(v) - 1) // (d + 1), vertices ascending, so
+    each batch is ascending as built. A width of min(d, n) + 1 groups alike
+    and bounds every slot that indexes a batch by 2n before the shift."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    n = graph.n
+    width = min(d, n) + 1
+    batches: list[list[int]] = [[] for _ in range(0, n, width)]
+    seen = 0  # bit s set for each slot s
+    try:
+        for v, s in enumerate(slots, start=1):
+            batches[(s - 1) // width].append(v)
+            seen |= 1 << s
+    except (IndexError, TypeError, ValueError):  # a slot past 2n, negative or not an int
+        seen = 0
+    if seen != (1 << n + 1) - 2 or len(slots) != n:
+        raise ValueError(NOT_A_PERMUTATION)
     ints, scale = graph.scaled
     total = 0
-    for start in range(0, graph.n, d + 1):
-        batch = sorted(order[start:start + d + 1])
+    for batch in batches:
         if len(batch) == 2:
-            total += ints.get(tuple(batch), 0)
+            a, b = batch
+            total += ints.get((a, b), 0)
         elif len(batch) == 3:
             a, b, c = batch
             total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))

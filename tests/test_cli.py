@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from deadline_matching import cli
 from deadline_matching.cli import main
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import unit_pairs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -280,6 +286,20 @@ class TestMalformedInput:
         path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [5]})
         err = self.one_line_error(capsys, "offline", "--instance", path)
         assert "is not [i, j, weight]" in err
+
+    def test_deeply_nested_edge_entry_is_quoted_briefly(self, tmp_path):
+        # a fresh interpreter: under the test runner's deeper stack the JSON
+        # parser would refuse the 950 levels before the loader sees the entry
+        path = tmp_path / "nested.json"
+        path.write_text('{"n": 2, "d": 1, "edges": [' + "[" * 950 + "]" * 950 + "]}")
+        result = subprocess.run(
+            [sys.executable, "-m", "deadline_matching.cli", "offline", "--instance", str(path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1 and result.stdout == ""
+        err = result.stderr
+        assert err.startswith("error: edge entry [[[[") and err.count("\n") == 1
+        assert "is not [i, j, weight]" in err and len(err) - 1 <= 200
 
     def test_instance_weight_with_zero_denominator(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, "1/0"]]})

@@ -180,3 +180,46 @@ def test_value_matches_networkx_beyond_the_subset_cap():
             g.add_edge(i, j, weight=int(w * scale))
         blossom = sum(g[i][j]["weight"] for i, j in nx.max_weight_matching(g))
         assert offline_optimum(instance).weight * scale == blossom
+
+
+def with_deadline_one(case):
+    instance, departures = case
+    return replace(instance, deadline=1), departures
+
+
+@PROPERTY
+@given(instances().map(with_deadline_one))
+def test_band_one_recurrence_equals_subset_dp(case):
+    check_against_subset_dp(*case)
+
+
+@PROPERTY
+@given(instances(weight=st.just(F(1))).map(with_deadline_one))
+def test_band_one_recurrence_equals_subset_dp_when_all_weights_tie(case):
+    check_against_subset_dp(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=st.integers(1, 6), v=st.integers(1, 6), d=st.integers(2, 30),
+       weight=st.one_of(st.none(), st.integers(1, 50)), reach=st.integers(0, 3))
+def test_two_vertices_give_the_pair_or_nothing(u, v, d, weight, reach):
+    if u == v:
+        v = u % 6 + 1
+    pair = (min(u, v), max(u, v))
+    ints = {} if weight is None else {pair: weight}
+    reaches = [reach] * 6
+    expected = (weight, [pair]) if weight is not None and reach >= 1 else (0, [])
+    assert offline.band_matching(ints, [u, v], d, reaches) == expected
+    assert offline.band_matching(ints, [u, v], d) == ((weight, [pair]) if weight else (0, []))
+
+
+@PROPERTY
+@given(instances())
+def test_batched_value_equals_the_per_batch_subset_dp(case):
+    # n in 0..14 and d in 0..4: most draws end in a short last batch
+    instance = case[0]
+    graph, slots, n, d = instance.graph, instance.order.slots, instance.n, instance.deadline
+    by_slot = sorted(range(1, n + 1), key=lambda v: slots[v - 1])
+    batches = [by_slot[k:k + d + 1] for k in range(0, n, d + 1)]
+    assert (batched_matching_value(graph, slots, d)
+            == sum((max_weight_matching_value(graph, b) for b in batches), F(0)))

@@ -134,6 +134,22 @@ class TestWindowEvaluators:
             assert (batched_matching_value(g, tuple(slots), d)
                     == max_weight_matching_value(masked))
 
+    PATH = WeightedGraph(4, {(1, 2): F(1), (2, 3): F(5), (3, 4): F(2)})
+
+    @pytest.mark.parametrize("evaluator", [arrival_window_matching_value,
+                                           batched_matching_value])
+    @pytest.mark.parametrize("slots", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3),
+                                       (1, 2, 3, 4, 5)])
+    def test_slots_that_are_not_a_permutation_are_refused(self, evaluator, slots):
+        with pytest.raises(ValueError, match=r"must be a permutation of 1\.\.n"):
+            evaluator(self.PATH, slots, 1)
+
+    @pytest.mark.parametrize("evaluator", [arrival_window_matching_value,
+                                           batched_matching_value])
+    def test_negative_d_is_refused(self, evaluator):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            evaluator(self.PATH, (1, 2, 3, 4), -1)
+
 
 class TestRealizedOptimum:
     def test_short_departures_prune_edges(self):
