@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
-                     format_rational)
+                     format_rational, invert_permutation, read_json)
 from .masks import (PeriodicBatching, batching_from_order, combine,
                     cover_deficits, cycle_power, cyclic_distance,
                     enumerate_periodic_batchings, periodic_extension,
@@ -196,10 +196,7 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
     # the j-th representative fills slots j*size+1..(j+1)*size; the map from
     # slots to the vertices in them is p-periodic like the order itself
     occupant = periodic_extension([v for rep in reps for v in rep], p, n)
-    sigma = [0] * n
-    for slot, v in enumerate(occupant, start=1):
-        sigma[v - 1] = slot
-    order = tuple(sigma)
+    order = tuple(invert_permutation(occupant, n))
     if batching_from_order(order, n, size - 1, period=p).canonical_key() != pb.canonical_key():
         raise AssertionError("reconstructed order does not realize the batching")
     return order
@@ -476,10 +473,4 @@ def save_certificate(cert: CoverCertificate, path) -> None:
 
 
 def load_certificate(path) -> CoverCertificate:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CertificateFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise CertificateFormatError("not valid JSON: nested too deeply to parse") from None
-    return certificate_from_json(data)
+    return certificate_from_json(read_json(path, CertificateFormatError))

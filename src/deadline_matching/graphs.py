@@ -11,7 +11,9 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, count
 from math import lcm
+from operator import sub
 from pathlib import Path
 
 from .departures import DepartureModel, deterministic, geometric, tabulated
@@ -59,6 +61,24 @@ def as_integer(value) -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"cannot interpret {brief(value)} as an integer") from None
+
+
+def invert_permutation(perm, n: int) -> list[int]:
+    """The inverse of a permutation of 1..n given as its values at 1..n: the
+    vertices in arrival order from their slots, or back. Anything else
+    raises `ValueError(NOT_A_PERMUTATION)`. One pass stores v at position
+    perm[v] - 1, refusing a value past n or not an int; n values that fill
+    every position are 1..n unless some wrapped round from below 1, and
+    then they sum short of n(n + 1)/2."""
+    inverse = [0] * n
+    try:
+        for v, s in enumerate(perm, start=1):
+            inverse[s - 1] = v
+    except (IndexError, TypeError):
+        inverse = None
+    if inverse is None or len(perm) != n or 0 in inverse or 2 * sum(perm) != n * (n + 1):
+        raise ValueError(NOT_A_PERMUTATION)
+    return inverse
 
 
 def format_rational(value: Fraction) -> str:
@@ -117,20 +137,15 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class ArrivalOrder:
-    """A bijection vertex -> arrival slot, both in 1..n."""
+    """A bijection vertex -> arrival slot, both in 1..n. ``sequence`` holds
+    the vertices in arrival order, the inverse."""
 
     slots: tuple[int, ...]
 
     def __post_init__(self):
         slots = tuple(as_integer(s) for s in self.slots)
-        n = len(slots)
-        if sorted(slots) != list(range(1, n + 1)):
-            raise ValueError(NOT_A_PERMUTATION)
-        inverse = [0] * n
-        for v, s in enumerate(slots, start=1):
-            inverse[s - 1] = v
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "_inverse", tuple(inverse))
+        object.__setattr__(self, "sequence", tuple(invert_permutation(slots, len(slots))))
 
     @classmethod
     def identity(cls, n: int) -> "ArrivalOrder":
@@ -144,7 +159,7 @@ class ArrivalOrder:
         return self.slots[v - 1]
 
     def vertex_at(self, slot: int) -> int:
-        return self._inverse[slot - 1]
+        return self.sequence[slot - 1]
 
 
 @dataclass(frozen=True)
@@ -267,20 +282,24 @@ class Matching:
     weight: Fraction
 
     def __post_init__(self):
-        pairs = frozenset(ordered_pair(i, j) for i, j in self.pairs)
+        pairs: list[Pair] = []
         seen: set[int] = set()
-        for i, j in pairs:
+        for i, j in self.pairs:
+            i, j = ordered_pair(i, j)
             if i in seen or j in seen:
-                raise ValueError(f"vertex reused by pair ({i}, {j})")
+                raise ValueError(f"pairs overlap at vertex {i if i in seen else j}")
             seen.update((i, j))
-        object.__setattr__(self, "pairs", pairs)
+            pairs.append((i, j))
+        object.__setattr__(self, "pairs", frozenset(pairs))
         object.__setattr__(self, "weight", Fraction(self.weight))
 
     @classmethod
     def from_pairs(cls, graph: WeightedGraph, pairs) -> "Matching":
-        pairs = frozenset(ordered_pair(i, j) for i, j in pairs)
-        total = sum((graph.weight(i, j) for i, j in pairs), Fraction(0))
-        return cls(pairs, total)
+        """The pairs as a matching, weighed in `graph`; absent edges weigh 0."""
+        matching = cls(pairs, ZERO)
+        object.__setattr__(matching, "weight",
+                           sum((graph.weight(i, j) for i, j in matching.pairs), ZERO))
+        return matching
 
     def sorted_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self.pairs))
@@ -292,15 +311,7 @@ def matching_weight(graph: WeightedGraph, matching) -> Fraction:
     Raises on overlapping pairs (disjointness violation).
     """
     pairs = matching.pairs if isinstance(matching, Matching) else matching
-    seen: set[int] = set()
-    total = Fraction(0)
-    for i, j in pairs:
-        i, j = ordered_pair(i, j)
-        if i in seen or j in seen:
-            raise ValueError(f"pairs overlap at vertex {i if i in seen else j}")
-        seen.update((i, j))
-        total += graph.weight(i, j)
-    return total
+    return Matching.from_pairs(graph, pairs).weight
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,12 @@ _INSTANCE_FIELDS = {"n", "d", "edges", "sigma", "departures", "departure_model"}
 # the largest n an instance or certificate file may declare, checked before
 # anything of size n is built
 MAX_FILE_N = 10**6
+
+# the deepest nesting of arrays and objects a file may have, checked before
+# parsing, so the parser never meets the interpreter's recursion limit
+MAX_JSON_DEPTH = 100
+_OPEN_AS_TWO = bytes.maketrans(b"[]{}", b"\2\0\2\0")
+_NOT_BRACKET = bytes(set(range(256)) - set(b"[]{}"))
 
 _MODEL_FIELD = {"deterministic": "d", "geometric": "delta", "tabulated": "pmf"}
 
@@ -413,11 +430,22 @@ def save_instance(instance: OnlineInstance, path) -> None:
                           encoding="utf-8")
 
 
-def load_instance(path) -> OnlineInstance:
+def read_json(path, error: type[ValueError]):
+    """The JSON document in the file at `path`. A file that nests arrays and
+    objects deeper than MAX_JSON_DEPTH, or does not parse, raises `error`."""
+    text = Path(path).read_text(encoding="utf-8")
+    # the brackets outside string literals, once escaped backslashes and
+    # quotes are gone; an opening one as 2 and a closing one as 0, so the
+    # first i of them nest (their sum - i) deep
+    data = text.encode().replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(data.split(b'"')[::2]).translate(_OPEN_AS_TWO, _NOT_BRACKET)
+    if max(map(sub, accumulate(brackets), count(1)), default=0) > MAX_JSON_DEPTH:
+        raise error("not valid JSON: nested too deeply to parse")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise InstanceFormatError("not valid JSON: nested too deeply to parse") from None
-    return instance_from_json(data)
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def load_instance(path) -> OnlineInstance:
+    return instance_from_json(read_json(path, InstanceFormatError))

@@ -66,21 +66,6 @@ def cycle_power(n: int, d: int) -> WeightedGraph:
                              for r in range(n) for step in range(1, d + 1)})
 
 
-def _slots(sigma, n: int) -> tuple[int, ...]:
-    if isinstance(sigma, ArrivalOrder):
-        slots = sigma.slots
-    else:
-        slots = tuple(int(s) for s in sigma)
-    if len(slots) != n:
-        raise ValueError("sigma length disagrees with n")
-    return ArrivalOrder(slots).slots  # validates the permutation
-
-
-def batch_index(slot: int, d: int) -> int:
-    """The unique b with (d+1)(b-1) < slot <= (d+1)b."""
-    return (slot + d) // (d + 1)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise graph algebra
 
@@ -188,13 +173,14 @@ class PeriodicBatching:
 
 
 def batching_from_order(sigma, n: int, d: int, period: int | None = None) -> PeriodicBatching:
-    """The batch partition induced by an arrival order with (d+1)-slot batches."""
-    slots = _slots(sigma, n)
-    buckets: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        buckets.setdefault(batch_index(slots[v - 1], d), []).append(v)
+    """The batch partition induced by an arrival order with (d+1)-slot batches:
+    consecutive runs of d + 1 in its arrival sequence."""
+    slots = sigma.slots if isinstance(sigma, ArrivalOrder) else tuple(sigma)
+    if len(slots) != n:
+        raise ValueError("sigma length disagrees with n")
+    sequence = ArrivalOrder(slots).sequence
     return PeriodicBatching(n, d + 1, period if period is not None else n,
-                            tuple(tuple(b) for b in buckets.values()))
+                            tuple(sequence[i:i + d + 1] for i in range(0, n, d + 1)))
 
 
 def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatching]:

@@ -4,15 +4,15 @@ Every matching comes from one exact DP, `_band_dp`, which runs along the
 participating vertices in arrival order with one state bit per waiting
 vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
 graph is a band of d; a batch, or a general graph on k vertices, is a full
-band of k - 1 over its ascending vertices. At band 1 the state is one bit,
-so the DP is the path recurrence best(t) = max(best(t-1), best(t-2) +
-w(t-1, t)), kept as two running integers. The batched evaluator puts vertex
-v into batch (slot(v) - 1) // (d + 1), visiting vertices in ascending order,
-so every batch comes out ascending with no inversion or sort. Weights are
-integers over one scale per graph (`WeightedGraph.scaled`, or the integers a
-`MarketView` reads), so every comparison and tie is exact. Every matching
-returned has, among the maximum-weight ones, the lexicographically smallest
-sorted pair list.
+band of k - 1, whose value is the same in any order. At band 1 the state is
+one bit, so the DP is the path recurrence best(t) = max(best(t-1),
+best(t-2) + w(t-1, t)), kept as two running integers. Every arrival order
+is read through `graphs.invert_permutation`, which checks it in linear time;
+the batched evaluator cuts that arrival sequence into runs of d + 1. Weights
+are integers over one scale per graph (`WeightedGraph.scaled`, or the
+integers a `MarketView` reads), so every comparison and tie is exact. Every
+matching returned has, among the maximum-weight ones, the lexicographically
+smallest sorted pair list.
 """
 
 from __future__ import annotations
@@ -21,33 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import (NOT_A_PERMUTATION, Matching, OnlineInstance, Pair,
-                     PresenceWindows, WeightedGraph, as_rational,
+from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
+                     WeightedGraph, as_rational,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
-                     ordered_pair)
+                     invert_permutation, ordered_pair)
 
 EXACT_MATCHING_CAP = 24  # a band of 24 or more (2**24 DP states) is refused
 
 
 class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
-
-
-def _arrival_order(slots, n: int) -> list[int]:
-    """The vertices 1..n in arrival order; refuses `slots` unless it is a
-    permutation of 1..n. The store refuses a slot past n before the shift
-    reads it, so no slot builds a long int."""
-    order = [0] * n
-    seen = 0  # bit s set for each slot s
-    try:
-        for v, s in enumerate(slots, start=1):
-            order[s - 1] = v
-            seen |= 1 << s
-    except (IndexError, TypeError, ValueError):  # a slot past n, negative or not an int
-        seen = 0
-    if seen != (1 << n + 1) - 2 or len(slots) != n:
-        raise ValueError(NOT_A_PERMUTATION)
-    return order
 
 
 def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
@@ -153,8 +136,8 @@ def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matchin
     """The bandwidth DP's optimum with its matching, over the edges live
     under `windows`."""
     ints, scale = instance.graph.scaled
-    value, pairs = band_matching(ints, _arrival_order(windows.slots, instance.n),
-                                 instance.deadline, windows.reach)
+    value, pairs = band_matching(ints, instance.order.sequence, instance.deadline,
+                                 windows.reach)
     return Matching(frozenset(pairs), Fraction(value, scale))
 
 
@@ -179,7 +162,7 @@ def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     ints, scale = graph.scaled
-    return Fraction(_band_dp(ints, _arrival_order(slots, graph.n), d), scale)
+    return Fraction(_band_dp(ints, invert_permutation(slots, graph.n), d), scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -187,31 +170,21 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     """Sum of optimal matchings inside each consecutive (d+1)-slot batch.
     Refuses d < 0 and `slots` that are not a permutation of 1..graph.n.
 
-    Vertex v joins batch (slot(v) - 1) // (d + 1), vertices ascending, so
-    each batch is ascending as built. A width of min(d, n) + 1 groups alike
-    and bounds every slot that indexes a batch by 2n before the shift."""
+    The batches are consecutive runs of d + 1 in the arrival sequence. A
+    full band matches a batch alike in any order, so only pairs and triples,
+    which take a closed form, are put in ascending order for the lookup."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    n = graph.n
-    width = min(d, n) + 1
-    batches: list[list[int]] = [[] for _ in range(0, n, width)]
-    seen = 0  # bit s set for each slot s
-    try:
-        for v, s in enumerate(slots, start=1):
-            batches[(s - 1) // width].append(v)
-            seen |= 1 << s
-    except (IndexError, TypeError, ValueError):  # a slot past 2n, negative or not an int
-        seen = 0
-    if seen != (1 << n + 1) - 2 or len(slots) != n:
-        raise ValueError(NOT_A_PERMUTATION)
+    order = invert_permutation(slots, graph.n)
     ints, scale = graph.scaled
     total = 0
-    for batch in batches:
+    for start in range(0, graph.n, d + 1):
+        batch = order[start:start + d + 1]
         if len(batch) == 2:
             a, b = batch
-            total += ints.get((a, b), 0)
+            total += ints.get((a, b) if a < b else (b, a), 0)
         elif len(batch) == 3:
-            a, b, c = batch
+            a, b, c = sorted(batch)
             total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))
         elif len(batch) > 3:
             total += _band_dp(ints, batch, len(batch) - 1)

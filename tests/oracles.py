@@ -21,8 +21,9 @@ from itertools import combinations
 from deadline_matching import engine
 from deadline_matching.engine import (MAX_FLIPS, BranchingLimitExceeded, OutOfBits,
                                       ScriptedBits)
-from deadline_matching.graphs import Matching, Pair, WeightedGraph, ordered_pair
-from deadline_matching.masks import (_slots, batching_from_order, cover_deficits,
+from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, WeightedGraph,
+                                      ordered_pair)
+from deadline_matching.masks import (batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
                                      periodic_extension)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
@@ -96,7 +97,9 @@ def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
 
 def path_power(sigma, n: int, d: int) -> WeightedGraph:
     """Edge (i, j) iff |slot(i) - slot(j)| <= d: the arrival path to power d."""
-    slots = _slots(sigma, n)
+    slots = (sigma if isinstance(sigma, ArrivalOrder) else ArrivalOrder(tuple(sigma))).slots
+    if len(slots) != n:
+        raise ValueError("sigma length disagrees with n")
     weights = {}
     for i, j in combinations(range(1, n + 1), 2):
         if abs(slots[i - 1] - slots[j - 1]) <= d:

@@ -11,6 +11,7 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
                                verify_certificate)
 from deadline_matching import cli
 from deadline_matching.cli import main
+from deadline_matching.graphs import MAX_JSON_DEPTH
 from deadline_matching.policies import POLICY_FACTORIES
 from helpers import unit_pairs
 
@@ -287,19 +288,30 @@ class TestMalformedInput:
         err = self.one_line_error(capsys, "offline", "--instance", path)
         assert "is not [i, j, weight]" in err
 
-    def test_deeply_nested_edge_entry_is_quoted_briefly(self, tmp_path):
-        # a fresh interpreter: under the test runner's deeper stack the JSON
-        # parser would refuse the 950 levels before the loader sees the entry
+    @staticmethod
+    def nested_edge_entry(tmp_path, depth):
+        """An instance file whose one edge entry nests `depth` lists, so the
+        file nests depth + 2 deep."""
         path = tmp_path / "nested.json"
-        path.write_text('{"n": 2, "d": 1, "edges": [' + "[" * 950 + "]" * 950 + "]}")
-        result = subprocess.run(
-            [sys.executable, "-m", "deadline_matching.cli", "offline", "--instance", str(path)],
+        path.write_text('{"n": 2, "d": 1, "edges": [' + "[" * depth + "]" * depth + "]}")
+        return str(path)
+
+    def test_deeply_nested_edge_entry_is_quoted_briefly(self, capsys, tmp_path):
+        path = self.nested_edge_entry(tmp_path, MAX_JSON_DEPTH - 2)
+        err = self.one_line_error(capsys, "offline", "--instance", path)
+        assert err.startswith("error: edge entry [[[[") and "is not [i, j, weight]" in err
+        assert len(err) - 1 <= 200
+
+    def test_one_level_past_the_nesting_cap_is_refused_whatever_the_stack(self, capsys,
+                                                                           tmp_path):
+        path = self.nested_edge_entry(tmp_path, MAX_JSON_DEPTH - 1)
+        in_process = self.one_line_error(capsys, "offline", "--instance", path)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "deadline_matching.cli", "offline", "--instance", path],
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             capture_output=True, text=True, timeout=60)
-        assert result.returncode == 1 and result.stdout == ""
-        err = result.stderr
-        assert err.startswith("error: edge entry [[[[") and err.count("\n") == 1
-        assert "is not [i, j, weight]" in err and len(err) - 1 <= 200
+        assert fresh.returncode == 1 and fresh.stdout == ""
+        assert in_process == fresh.stderr == "error: not valid JSON: nested too deeply to parse\n"
 
     def test_instance_weight_with_zero_denominator(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, "1/0"]]})

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, InstanceFormatError, Matching,
                                OnlineInstance, WeightedGraph,
@@ -12,6 +14,7 @@ from deadline_matching import (ArrivalOrder, InstanceFormatError, Matching,
                                matching_weight, save_instance,
                                validate_matching)
 from deadline_matching.departures import deterministic, geometric, tabulated
+from deadline_matching.graphs import MAX_JSON_DEPTH, read_json
 from helpers import random_instance
 
 
@@ -135,6 +138,18 @@ class TestMatchingWeight:
         with pytest.raises(ValueError):
             Matching(frozenset({(1, 2), (2, 3)}), F(0))
 
+    def test_matching_refuses_overlaps_in_matching_weight_words(self):
+        with pytest.raises(ValueError, match="^pairs overlap at vertex 2$"):
+            Matching(frozenset({(1, 2), (2, 3)}), F(0))
+        # one edge named twice uses its vertices twice
+        with pytest.raises(ValueError, match="^pairs overlap at vertex 1$"):
+            Matching.from_pairs(WeightedGraph(2, {(1, 2): F(1)}), [(1, 2), (2, 1)])
+
+    def test_weight_of_a_matching_is_read_from_the_graph(self):
+        g = WeightedGraph(4, {(1, 2): F(3), (3, 4): F(1, 2)})
+        stale = Matching(frozenset({(1, 2), (3, 4)}), F(99))
+        assert matching_weight(g, stale) == F(7, 2)
+
 
 class TestValidateMatching:
     def test_ok_pair(self):
@@ -222,6 +237,28 @@ class TestInstanceFiles:
         assert inst.departure_model.delta == F(1, 2)
         again = instance_from_json(instance_to_json(inst))
         assert again.departure_model == inst.departure_model
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.recursive(st.text("[]{}\"\\ a", max_size=6) | st.integers(),
+                            lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text("[]{}\"\\ a", max_size=4), inner,
+                                              max_size=3)),
+           wrap=st.sampled_from([0, MAX_JSON_DEPTH - 4, MAX_JSON_DEPTH - 1, MAX_JSON_DEPTH + 1]))
+    def test_nesting_cap_counts_brackets_outside_strings(self, tmp_path_factory, doc, wrap):
+        def depth(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            return 1 + max(map(depth, node), default=0) if isinstance(node, list) else 0
+
+        for _ in range(wrap):
+            doc = [doc]
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        path.write_text(json.dumps(doc))
+        if depth(doc) <= MAX_JSON_DEPTH:
+            assert read_json(path, InstanceFormatError) == doc
+        else:
+            with pytest.raises(InstanceFormatError, match="^not valid JSON: nested too deeply"):
+                read_json(path, InstanceFormatError)
 
     def test_json_is_plain_text(self):
         inst = fig1_instance(F(1, 3))

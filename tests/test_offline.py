@@ -3,11 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                SizeLimitError, WeightedGraph,
                                arrival_window_matching_value,
-                               batched_matching_value, build_online_graph,
+                               batched_matching_value, batching_from_order,
+                               build_online_graph,
                                hungarian_bipartite, make_instance,
                                matching_weight, max_weight_matching_exact,
                                offline_optimum, realized_offline_optimum,
@@ -35,6 +38,22 @@ def all_matchings(vertices):
 
 def brute_force_optimum(g: WeightedGraph) -> F:
     return max(matching_weight(g, m) for m in all_matchings(list(g.vertices())))
+
+
+# The four entry points that read an arrival order, each as (graph, slots, d).
+# The two sweep evaluators are called as they are; the other two check the
+# length against graph.n apart, with a message that says the sizes disagree.
+
+def arrival_order(graph: WeightedGraph, slots, d: int) -> OnlineInstance:
+    return OnlineInstance(graph, ArrivalOrder(slots), d)
+
+
+def batching(graph: WeightedGraph, slots, d: int):
+    return batching_from_order(slots, graph.n, d)
+
+
+ORDER_READERS = [arrival_window_matching_value, batched_matching_value, arrival_order,
+                 batching]
 
 
 class TestMaxWeightMatching:
@@ -136,13 +155,55 @@ class TestWindowEvaluators:
 
     PATH = WeightedGraph(4, {(1, 2): F(1), (2, 3): F(5), (3, 4): F(2)})
 
-    @pytest.mark.parametrize("evaluator", [arrival_window_matching_value,
-                                           batched_matching_value])
+    @pytest.mark.parametrize("evaluator", ORDER_READERS)
     @pytest.mark.parametrize("slots", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3),
-                                       (1, 2, 3, 4, 5)])
+                                       (1, 2, 3, 4, 5), (2, 3, 4, 5), (-1, 1, 2, 3)])
     def test_slots_that_are_not_a_permutation_are_refused(self, evaluator, slots):
-        with pytest.raises(ValueError, match=r"must be a permutation of 1\.\.n"):
+        message = (r"must be a permutation of 1\.\.n"
+                   if len(slots) == 4 or evaluator not in (arrival_order, batching)
+                   else "disagree")
+        with pytest.raises(ValueError, match=message):
             evaluator(self.PATH, slots, 1)
+
+    def test_float_slots_are_refused_as_arrival_order_refuses_them(self):
+        slots = (1.5, 2.9, 3.2, 4.7)
+        with pytest.raises(TypeError) as refused:
+            ArrivalOrder(slots)
+        with pytest.raises(TypeError, match="cannot interpret 1.5 as an integer") as batched:
+            batching_from_order(slots, 4, 1)
+        assert str(batched.value) == str(refused.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_reader_takes_or_refuses_an_order_alike(self, data):
+        """Permutations, repeats, zeros, negatives, values past n and wrong
+        lengths: the four readers agree, and on a permutation `vertex_at`
+        gives the sequence that the evaluators batch and band."""
+        n = data.draw(st.integers(1, 7), label="n")
+        d = data.draw(st.integers(0, 3), label="d")
+        slots = tuple(data.draw(st.one_of(st.permutations(range(1, n + 1)),
+                                          st.lists(st.integers(-2, n + 2), max_size=n + 2)),
+                                label="slots"))
+        graph = random_complete_graph(random.Random(data.draw(st.integers(0, 99))), n)
+        results = {}
+        for reader in ORDER_READERS:
+            try:
+                results[reader] = reader(graph, slots, d)
+            except ValueError:
+                pass
+        is_permutation = sorted(slots) == list(range(1, n + 1))
+        assert set(results) == (set(ORDER_READERS) if is_permutation else set())
+        if not is_permutation:
+            return
+        order = results[arrival_order].order
+        sequence = [order.vertex_at(s) for s in range(1, n + 1)]
+        runs = [sequence[i:i + d + 1] for i in range(0, n, d + 1)]
+        assert results[batching].batches == tuple(sorted(tuple(sorted(run)) for run in runs))
+        assert results[batched_matching_value] == sum(
+            max_weight_matching_value(graph, run) for run in runs)
+        band = WeightedGraph(n, {(u, v): graph.weight(u, v) for i, u in enumerate(sequence)
+                                 for v in sequence[i + 1:i + d + 1]})
+        assert results[arrival_window_matching_value] == max_weight_matching_value(band)
 
     @pytest.mark.parametrize("evaluator", [arrival_window_matching_value,
                                            batched_matching_value])
