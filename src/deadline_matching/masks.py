@@ -175,12 +175,11 @@ class PeriodicBatching:
 def batching_from_order(sigma, n: int, d: int, period: int | None = None) -> PeriodicBatching:
     """The batch partition induced by an arrival order with (d+1)-slot batches:
     consecutive runs of d + 1 in its arrival sequence."""
-    slots = sigma.slots if isinstance(sigma, ArrivalOrder) else tuple(sigma)
-    if len(slots) != n:
+    order = sigma if isinstance(sigma, ArrivalOrder) else ArrivalOrder(tuple(sigma))
+    if order.n != n:
         raise ValueError("sigma length disagrees with n")
-    sequence = ArrivalOrder(slots).sequence
     return PeriodicBatching(n, d + 1, period if period is not None else n,
-                            tuple(sequence[i:i + d + 1] for i in range(0, n, d + 1)))
+                            tuple(order.sequence[i:i + d + 1] for i in range(0, n, d + 1)))
 
 
 def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatching]:
