@@ -184,13 +184,12 @@ def cmd_verify_cert(args) -> int:
     return 1
 
 
-def _write_and_verify(cert, out, target, verified=False) -> int:
-    """Check `cert` against `target` unless `verified`, write it, check it again."""
-    if not verified:
-        report = verify_certificate(cert, target)
-        if not report.ok:
-            print(f"FAIL: {report}", file=sys.stderr)
-            return 1
+def _write_and_verify(cert, out, target) -> int:
+    """Check `cert` against `target`, write it, check it again."""
+    report = verify_certificate(cert, target)
+    if not report.ok:
+        print(f"FAIL: {report}", file=sys.stderr)
+        return 1
     save_certificate(cert, out)
     reloaded = load_certificate(out)
     again = verify_certificate(reloaded, target)
@@ -210,7 +209,7 @@ def cmd_extend_cert(args) -> int:
     # the input covers C_n1^power at its own n1, and extend_cover has checked C_n^power
     power = covered_power(cert) or 0
     target = cycle_power(extended.n, max(extended.d, power))
-    return _write_and_verify(extended, args.out, target, verified=power >= extended.d)
+    return _write_and_verify(extended, args.out, target)
 
 
 def cmd_contract_cert(args) -> int:

@@ -47,7 +47,7 @@ class CoverCertificate:
         for pb, lam in cols:
             if lam < 0:
                 raise ValueError("column weights are nonnegative")
-            if pb.n != self.n or pb.batch_size != self.d + 1:
+            if (pb.n, pb.batch_size, pb.period) != (self.n, self.d + 1, self.period):
                 raise ValueError("column shape disagrees with the certificate header")
         total = sum((lam for _, lam in cols), Fraction(0))
         if total != self.alpha:

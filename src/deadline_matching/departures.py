@@ -8,6 +8,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def brief(value) -> str:
+    """repr(value) as an error message quotes it: cut to 60 characters and
+    "…" when longer, so a message about a malformed input stays one short
+    line whatever the input holds."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
+def as_rational(value) -> Fraction:
+    """Coerce ints, 'num/den' strings, and Fractions to an exact Fraction."""
+    if isinstance(value, bool):
+        raise TypeError("booleans are not weights")
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{brief(value)} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"cannot interpret {brief(value)} as an exact rational") from None
+    raise TypeError(f"cannot interpret {brief(value)} as an exact rational")
+
+
+def as_integer(value) -> int:
+    """Coerce ints and integer strings to int; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot interpret {brief(value)} as an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"cannot interpret {brief(value)} as an integer") from None
+
+
 @dataclass(frozen=True)
 class DepartureModel:
     """How long a vertex stays matchable after arriving.
@@ -46,16 +80,16 @@ class DepartureModel:
             raise ValueError(f"unknown departure model kind {self.kind!r}")
 
 
-def deterministic(d: int) -> DepartureModel:
-    return DepartureModel("deterministic", d=d)
+def deterministic(d) -> DepartureModel:
+    return DepartureModel("deterministic", d=as_integer(d))
 
 
 def geometric(delta) -> DepartureModel:
-    return DepartureModel("geometric", delta=Fraction(delta))
+    return DepartureModel("geometric", delta=as_rational(delta))
 
 
 def tabulated(pmf) -> DepartureModel:
-    table = tuple(sorted((int(t), Fraction(p)) for t, p in dict(pmf).items()))
+    table = tuple(sorted({as_integer(t): as_rational(p) for t, p in dict(pmf).items()}.items()))
     return DepartureModel("tabulated", pmf=table)
 
 

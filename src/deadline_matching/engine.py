@@ -17,7 +17,8 @@ its world there and re-runs once per other outcome, and worlds whose
 `OnlinePolicy.state_key()` agree after an event merge, since their futures
 are the same. Merging is what keeps the table small, so the pass has no
 coin cap: naive-greedy's 2^n coin tree collapses to its open sellers,
-those whose critical event has not run, each with its tentative buyer.
+those whose critical event has not run, each with its tentative buyer,
+and pg's to its open vertices with their tentative buyers' sides.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class BitStream:
 
 
 class OutOfBits(Exception):
-    """A bit source ran past its limit (used by the exact enumerators)."""
+    """A bit source or a forward-pass event ran past its limit (exact enumerators)."""
 
 
 class ScriptedBits:
@@ -132,7 +133,6 @@ class MarketView:
         self._ints, self._scale = instance.graph.scaled
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
-        self._present: set[int] = set()  # arrived and unmatched; pruned lazily
         self._alive: set[int] = set()  # arrived; pruned lazily
         self.now = 0
 
@@ -142,12 +142,10 @@ class MarketView:
 
     def _mark_arrived(self, v: int):
         self._arrived.add(v)
-        self._present.add(v)
         self._alive.add(v)
 
     def _mark_matched(self, pair: Pair):
         self._matched.update(pair)
-        self._present.difference_update(pair)
 
     def clone(self) -> "MarketView":
         """An independent copy of the run's progress; the instance and the
@@ -158,7 +156,6 @@ class MarketView:
         other._ints, other._scale = self._ints, self._scale
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
-        other._present = set(self._present)
         other._alive = set(self._alive)
         other.now = self.now
         return other
@@ -199,11 +196,10 @@ class MarketView:
         return v in self._matched
 
     def present(self) -> list[int]:
-        """Arrived, not past their departure period, not matched away, in
-        ascending order."""
-        critical, now = self._windows.critical, self.now
-        self._present = {v for v in self._present if critical[v - 1] >= now}
-        return sorted(self._present)
+        """The alive vertices not past their own departure period and not
+        matched away, in ascending order."""
+        critical, now, matched = self._windows.critical, self.now, self._matched
+        return [v for v in self.alive() if critical[v - 1] >= now and v not in matched]
 
     def alive(self) -> list[int]:
         """Arrived vertices, matched or not, that some pair could still use
@@ -238,7 +234,8 @@ class OnlinePolicy:
     branches by defining `state_key()` and `clone()` together.
     `state_key()` returns a hashable value that is equal for two runs at the
     same point of the schedule only if every future hook call behaves the
-    same in both: the same emitted pairs, coin use and errors. `clone()`
+    same in both: the same emitted pairs, coin use and errors. The pass
+    keys a world right after each event, at that event's tick. `clone()`
     returns an independent copy, view included, of the state that hooks
     read; history that no hook reads (the log, initial margins) starts
     empty, so a copy costs the same late in a run as early. The pass
@@ -441,9 +438,10 @@ def exact_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fractio
        after it: a world with k outcomes at an event costs k clones. The
        depth grows by the event's deepest outcome. An outcome keeps its
        world's mass, halved once per bit it used, and its collected value
-       counts with that mass. After the event, outcomes with equal keys
-       merge and their masses add: runs whose states agree have the same
-       future. An invalid pair raises at the event where it is emitted.
+       counts with that mass. After the event, each outcome is keyed at
+       the event's tick, and outcomes with equal keys merge and their
+       masses add: runs whose states agree have the same future. An
+       invalid pair raises at the event where it is emitted.
     3. Otherwise, or when the pass hands over, the leaf sum over
        `enumerate_branches`, with its flip cap. The pass hands over when
        the merged table outgrows MAX_WORLDS or one event has more than
@@ -472,27 +470,20 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
     worlds = [(1, policy)]  # (mass, world): probability mass / 2**depth
     depth = 0
     total = 0  # sum of mass * collected weight, over scale << depth
-    for index, (time, kind, vertex) in enumerate(events):
+    for time, kind, vertex in events:
         try:
             outcomes, split = _event_outcomes(worlds, time, kind, vertex)
         except OutOfBits:
-            return None  # one run passed more coins than the table holds outcomes
-        if outcomes is None:
             return None  # one event splits too far: leave it to the replays
         depth += split
         total <<= split
-        # keys are taken at the next event's tick, so vertices whose windows
-        # close in between no longer keep worlds apart
-        next_time = events[index + 1][0] if index + 1 < len(events) else time
         merged: dict = {}
         for mass, used, accepted, world in outcomes:
             mass <<= split - used
             for pair in accepted:
                 total += mass * weights.get(pair, 0)
-            key = None  # a lone world has nothing to merge with
-            if len(outcomes) > 1:
-                world.view._advance(next_time)
-                key = world.state_key()
+            # a lone world has nothing to merge with
+            key = world.state_key() if len(outcomes) > 1 else None
             seen = merged.get(key)
             merged[key] = (mass, world) if seen is None else (seen[0] + mass, seen[1])
         worlds = list(merged.values())
@@ -504,9 +495,9 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
 def _event_outcomes(worlds, time: int, kind: int, vertex: int):
     """Run one event on every (mass, world), forking each world at its hook's
     first coin. Returns the outcomes as (mass, bits used, pairs matched,
-    world) with the most bits any outcome used, or (None, 0) past
-    2 * MAX_WORLDS outcomes. A run that asks for more bits than that raises
-    OutOfBits: each bit it answered 0 would be one more outcome."""
+    world) with the most bits any outcome used. Past 2 * MAX_WORLDS
+    outcomes it raises OutOfBits, as does a run that asks for more bits
+    than that: each bit it answered 0 would be one more outcome."""
     cap = 2 * MAX_WORLDS
     outcomes = []
     split = 0
@@ -516,7 +507,7 @@ def _event_outcomes(worlds, time: int, kind: int, vertex: int):
         first.world = None  # no cycle between a world and its bits
         outcomes.append((mass, first.used, accepted, world))
         if len(outcomes) > cap:
-            return None, 0
+            raise OutOfBits(len(outcomes))
         if not first.used:
             continue  # no coin, no clone
         base, first.base = first.base, None
@@ -528,7 +519,7 @@ def _event_outcomes(worlds, time: int, kind: int, vertex: int):
             accepted = _step(child, time, kind, vertex)
             outcomes.append((mass, bits.used, accepted, child))
             if len(outcomes) > cap:
-                return None, 0
+                raise OutOfBits(len(outcomes))
             split = max(split, bits.used)
             scripts.extend(bits.branches())
     return outcomes, split

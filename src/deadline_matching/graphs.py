@@ -16,7 +16,8 @@ from math import lcm
 from operator import sub
 from pathlib import Path
 
-from .departures import DepartureModel, deterministic, geometric, tabulated
+from .departures import (DepartureModel, as_integer, as_rational, brief, deterministic,
+                         geometric, tabulated)
 
 Pair = tuple[int, int]
 
@@ -27,40 +28,6 @@ NOT_A_PERMUTATION = "arrival order must be a permutation of 1..n"
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
-
-
-def brief(value) -> str:
-    """repr(value) as an error message quotes it: cut to 60 characters and
-    "…" when longer, so a message about a malformed input stays one short
-    line whatever the input holds."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:60] + "…"
-
-
-def as_rational(value) -> Fraction:
-    """Coerce ints, 'num/den' strings, and Fractions to an exact Fraction."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not weights")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"{brief(value)} has a zero denominator") from None
-        except ValueError:
-            raise ValueError(f"cannot interpret {brief(value)} as an exact rational") from None
-    raise TypeError(f"cannot interpret {brief(value)} as an exact rational")
-
-
-def as_integer(value) -> int:
-    """Coerce ints and integer strings to int; floats and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"cannot interpret {brief(value)} as an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"cannot interpret {brief(value)} as an integer") from None
 
 
 def invert_permutation(perm, n: int) -> list[int]:
@@ -344,12 +311,12 @@ def parse_departure_model(data: dict) -> DepartureModel:
         raise ValueError(f"{kind} departure_model takes exactly {field!r}")
     value = data[field]
     if kind == "deterministic":
-        return deterministic(as_integer(value))
+        return deterministic(value)
     if kind == "geometric":
-        return geometric(as_rational(value))
+        return geometric(value)
     if not isinstance(value, dict):
         raise ValueError("tabulated departure_model needs 'pmf' as an object")
-    return tabulated({as_integer(t): as_rational(p) for t, p in value.items()})
+    return tabulated(value)
 
 
 def departure_model_to_json(model: DepartureModel) -> dict:

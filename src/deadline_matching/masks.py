@@ -112,6 +112,8 @@ class PeriodicBatching:
     batches: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"period must be positive, got {self.period}")
         batches = tuple(tuple(sorted(b)) for b in self.batches)
         if not all(batches):
             raise ValueError("batches must be nonempty")

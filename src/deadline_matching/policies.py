@@ -218,16 +218,17 @@ class PostponedGreedy(_BestMarginBids):
         return other
 
     def state_key(self):
-        """Per vertex still alive: matched or not, its tentative buyer, its
-        side and its tentative partner's, which the vertex's critical event
-        reads and may set even after the partner has departed. A seller
-        copy's price is the weight to its tentative buyer, or 0 without
-        one, so the buyer stands for it. Initial margins, like the log, are
-        history."""
-        alive, status, tentative = self.view.alive(), self.status, self.tentative
-        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
-                tuple(map(tentative.get, alive)), tuple(map(status.get, alive)),
-                tuple(map(status.get, map(tentative.get, alive))))
+        """Each open vertex (its critical event not run), ascending, with its
+        tentative buyer, side and matched flag, and that buyer's side and
+        whether the guard would drop it (departed or matched; False for no
+        buyer): all a future hook reads. A bid reads the open seller copies'
+        prices, each the weight to the copy's tentative buyer; a critical
+        vertex reads the rest. A buyer bids once, so only the copy holding
+        it or its own critical event can match it. Margins are history."""
+        view, status, tentative = self.view, self.status, self.tentative
+        return tuple((k, b := tentative[k], status[k], view.is_matched(k), status.get(b),
+                      view.has_departed(b) or view.is_matched(b))
+                     for k in sorted(self.active))
 
     def on_arrival(self, k: int):
         weight = self.view.weight

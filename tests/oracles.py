@@ -9,8 +9,9 @@ with one variable per column (or per permutation), which the
 orbit-collapsed `solve_cover_lp` must agree with. `replay_branches` walks
 a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
-`AliveKeyedNaiveGreedy` is naive-greedy under a finer state key, which the
-forward pass must agree with over more worlds.
+`AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
+and pg under finer state keys, over every alive vertex, which the forward
+pass must agree with over more worlds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from deadline_matching.masks import (batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
                                      periodic_extension)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
-from deadline_matching.policies import NaiveGreedy
+from deadline_matching.policies import NaiveGreedy, PostponedGreedy
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
 
 ONE = Fraction(1)
@@ -220,7 +221,7 @@ def replay_branches(instance, policy):
 
 
 # ---------------------------------------------------------------------------
-# Naive-greedy keyed on every alive vertex
+# Naive-greedy and pg keyed on every alive vertex
 
 class AliveKeyedNaiveGreedy(NaiveGreedy):
     """Naive-greedy keyed on each alive vertex's matched flag, tentative
@@ -236,3 +237,17 @@ class AliveKeyedNaiveGreedy(NaiveGreedy):
         alive = self.view.alive()
         return (tuple(alive), tuple(map(self.view.is_matched, alive)),
                 tuple(map(self.tentative.get, alive)), tuple(map(self.roles.get, alive)))
+
+
+class AliveKeyedPostponedGreedy(PostponedGreedy):
+    """pg keyed on each alive vertex's matched flag, tentative buyer and
+    side, and that buyer's side. An alive partner's matched flag is in the
+    key and a partner that is not alive has departed, so the key is sound
+    but finer than the open-vertex key: it keeps worlds apart that differ
+    only in a vertex whose critical event has run."""
+
+    def state_key(self):
+        alive, status, tentative = self.view.alive(), self.status, self.tentative
+        return (tuple(alive), tuple(map(self.view.is_matched, alive)),
+                tuple(map(tentative.get, alive)), tuple(map(status.get, alive)),
+                tuple(map(status.get, map(tentative.get, alive))))

@@ -146,7 +146,8 @@ class TestCertificatePipeline:
     def test_extend_checks_an_lp_prime_certificate_at_power_d_plus_1(
             self, capsys, tmp_path, monkeypatch):
         # An lp-prime certificate covers C^{d+1}, which extend_cover verifies;
-        # the CLI checks the file it wrote at that power too, and only once.
+        # the CLI checks the extension at that power too, before writing it
+        # and after reading it back, like every other certificate writer.
         base = tmp_path / "p2.json"
         run(capsys, "cover-lp", "--variant", "lp-prime", "--k", "2", "--out", str(base))
         d = load_certificate(base).d
@@ -160,7 +161,7 @@ class TestCertificatePipeline:
         code, out, _ = run(capsys, "extend-cert", "--cert", str(base), "--n", "16",
                            "--out", str(tmp_path / "ext.json"))
         assert code == 0 and "verified against n=16" in out
-        assert checked == [(16, d + 1)]
+        assert checked == [(16, d + 1)] * 2
 
     def test_contract_prints_the_inflation_off_the_batch_size(self, capsys, tmp_path):
         base, lifted = tmp_path / "p3.json", tmp_path / "lifted.json"

@@ -143,6 +143,17 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError, match="alpha"):
             CoverCertificate(8, 1, 2, cert.alpha + 1, cert.columns)
 
+    def test_a_column_at_another_period_is_rejected(self, tmp_path):
+        # the file would store this column's generators at period 8 and
+        # expand them at the header's period 4, so it would not load back
+        column = batching_from_order((1, 2, 3, 5, 4, 6, 7, 8), 8, 1)
+        assert column.period == 8
+        with pytest.raises(ValueError, match="column shape disagrees"):
+            CoverCertificate(8, 1, 4, 1, ((column, 1),))
+        cert = CoverCertificate(8, 1, 8, 1, ((column, 1),))
+        save_certificate(cert, tmp_path / "cert.json")
+        assert load_certificate(tmp_path / "cert.json") == cert
+
 
 class TestExtendCover:
     def test_multiple_keeps_alpha(self):

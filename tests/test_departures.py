@@ -40,6 +40,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             tabulated({0: F(1, 2)})  # does not sum to 1
 
+    def test_models_take_exact_numbers_only(self):
+        # as file input does: integers and rationals, given as such or as
+        # strings; floats and booleans are refused
+        for make in (lambda: deterministic(2.5), lambda: deterministic(True),
+                     lambda: geometric(0.5), lambda: geometric(True),
+                     lambda: tabulated({1.5: 1}), lambda: tabulated({True: 1}),
+                     lambda: tabulated({0: 0.5, 1: 0.5}), lambda: tabulated({1: True})):
+            with pytest.raises(TypeError, match="cannot interpret|booleans"):
+                make()
+        assert deterministic("3") == deterministic(3)
+        assert geometric("1/2") == geometric(F(1, 2))
+        assert tabulated({"1": "1/2", 0: 1 - F(1, 2)}) == tabulated({0: F(1, 2), 1: F(1, 2)})
+
 
 class TestHazardAlpha:
     def test_deterministic_is_one(self):

@@ -19,9 +19,9 @@ from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
                                write_report_csv)
 from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
-from deadline_matching.policies import POLICY_FACTORIES
+from deadline_matching.policies import POLICY_FACTORIES, PostponedGreedy
 from helpers import random_constrained_bipartite, random_instance, unit_pairs
-from oracles import AliveKeyedNaiveGreedy, replay_branches
+from oracles import AliveKeyedNaiveGreedy, AliveKeyedPostponedGreedy, replay_branches
 
 
 def zero_instance(n=5, d=2):
@@ -288,16 +288,14 @@ class TestMergedExpectation:
         assert value == leaf_sum(instance, naive_greedy()) == F(579, 64)
 
 
-def naive_world(policy, instance, roles, events):
-    """`policy`, a naive-greedy, after the first `events` events of the
-    schedule with the arrivals' roles scripted (1 a seller), its view
-    moved to the next event's tick, where the forward pass keys it."""
+def world_after(policy, instance, bits, events):
+    """`policy` after the first `events` events of the schedule with its
+    coins scripted (for naive-greedy the arrivals' roles, 1 a seller), its
+    view at the last event's tick, where the forward pass keys it."""
     view = engine.MarketView(instance, engine.realized_departures(instance, 0), 0)
-    policy.reset(view, ScriptedBits(roles))
-    schedule = engine.event_schedule(view._windows)
-    for time, kind, vertex in schedule[:events]:
+    policy.reset(view, ScriptedBits(bits))
+    for time, kind, vertex in engine.event_schedule(view._windows)[:events]:
         engine._step(policy, time, kind, vertex)
-    view._advance(schedule[events][0])
     return policy
 
 
@@ -315,14 +313,14 @@ class TestOpenSellerKey:
             assert isinstance(merged, tuple) and issubclass(merged[0], ValueError)
 
     def keys(self, instance, roles_a, roles_b, events):
-        return [tuple(naive_world(factory(), instance, roles, events).state_key()
+        return [tuple(world_after(factory(), instance, roles, events).state_key()
                       for roles in (roles_a, roles_b))
                 for factory in (NaiveGreedy, AliveKeyedNaiveGreedy)]
 
     def test_a_displaced_buyer_keeps_no_world_apart(self):
         # vertex 2 is a buyer that 3 outbids on seller 1 in one world and a
         # seller that closes unbid in the other; in both, 1 finalizes (1, 3)
-        # at tick 3, and 2 is still alive while the tick's last event waits
+        # at tick 3, and 2 is still alive at that tick
         instance = OnlineInstance(WeightedGraph(3, {(1, 2): F(1), (1, 3): F(2)}),
                                   ArrivalOrder.identity(3), 2, departures=(2, 1, 0))
         (new_a, new_b), (old_a, old_b) = self.keys(instance, (1, 0, 0), (1, 1, 0), 5)
@@ -347,6 +345,78 @@ class TestOpenSellerKey:
             runs.append(step.call_count)
         new, old = runs
         assert new < old
+
+
+class TickRecorder(NaiveGreedy):
+    """Naive-greedy that notes, each time it is keyed, the view's clock and
+    the tick of the last event it ran, in a list its clones share."""
+
+    def reset(self, view, rng):
+        super().reset(view, rng)
+        self.keyed, self.last = [], None
+
+    def clone(self):
+        other = super().clone()
+        other.keyed, other.last = self.keyed, self.last
+        return other
+
+    def on_arrival(self, v):
+        self.last = self.view.now
+        return super().on_arrival(v)
+
+    def on_critical(self, v):
+        self.last = self.view.now
+        return super().on_critical(v)
+
+    def state_key(self):
+        self.keyed.append((self.view.now, self.last))
+        return super().state_key()
+
+
+class TestOpenVertexKey:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(coin_instances())
+    def test_equals_the_alive_key_and_the_leaf_sum(self, instance):
+        for factory in (postponed_greedy, pg_stochastic):
+            def oracle():
+                policy = AliveKeyedPostponedGreedy()
+                policy.name = factory().name
+                return policy
+
+            merged, runs = [], []
+            for make in (factory, oracle):
+                with mock.patch.object(engine, "_step", wraps=engine._step) as step:
+                    merged.append(outcome(lambda: exact_expectation(instance, make())))
+                runs.append(step.call_count)
+            leaves = outcome(lambda: leaf_sum(instance, factory()))
+            if isinstance(leaves, F):
+                assert merged == [leaves, leaves]
+            else:
+                assert [type(m) for m in merged] == [tuple, tuple]
+                assert issubclass(merged[0][0], ValueError) and merged[0][0] is merged[1][0]
+            if instance.departures is None:
+                assert runs[0] <= runs[1]
+
+    def test_a_closed_vertex_keeps_no_world_apart(self):
+        # vertex 1 stays open with no bid on it; 3 bids on 2, and at tick 3
+        # 2's coin finalizes (2, 3) in one world and yields in the other,
+        # then both close: they are alive at that tick but no open vertex's
+        # partner, so only the alive key tells the worlds apart
+        instance = OnlineInstance(WeightedGraph(3, {(2, 3): F(1)}),
+                                  ArrivalOrder.identity(3), 3, departures=(3, 1, 0))
+        keys = [tuple(world_after(factory(), instance, coins, 5).state_key()
+                      for coins in ((1,), (0,)))
+                for factory in (PostponedGreedy, AliveKeyedPostponedGreedy)]
+        (new_a, new_b), (old_a, old_b) = keys
+        assert new_a == new_b == ((1, None, "undetermined", False, None, False),)
+        assert old_a != old_b
+
+    def test_each_world_is_keyed_at_its_event_tick(self):
+        policy = TickRecorder()
+        instance = random_instance(random.Random(40), 7, 1)
+        assert exact_expectation(instance, policy) == leaf_sum(instance, TickRecorder())
+        assert policy.keyed and all(now == last for now, last in policy.keyed)
+        assert len({now for now, _ in policy.keyed}) > 1
 
 
 class CoinCounter(OnlinePolicy):

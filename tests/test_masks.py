@@ -192,6 +192,13 @@ class TestPeriodicBatchings:
         # the same partition is fine with the trivial period
         PeriodicBatching(8, 2, 8, ((1, 2), (3, 5), (4, 6), (7, 8)))
 
+    def test_a_period_below_one_is_refused(self):
+        for make in (lambda: batching_from_order((), 0, 1),
+                     lambda: batching_from_order((1, 2, 3, 4), 4, 1, period=0),
+                     lambda: PeriodicBatching(4, 2, -2, ((1, 2), (3, 4)))):
+            with pytest.raises(ValueError, match="period must be positive, got"):
+                make()
+
 
 class TestCyclicGeometry:
     """The shared rotation, shift orbit and periodic extension, over every
