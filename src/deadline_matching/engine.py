@@ -204,9 +204,9 @@ class MarketView:
     def alive(self) -> list[int]:
         """Arrived vertices, matched or not, that some pair could still use
         at a tick >= now (critical time plus lookahead), in ascending order."""
-        windows, now = self._windows, self.now
-        critical, lookahead = windows.critical, windows.lookahead
-        self._alive = {v for v in self._alive if critical[v - 1] + lookahead >= now}
+        windows = self._windows
+        critical, floor = windows.critical, self.now - windows.lookahead
+        self._alive = {v for v in self._alive if critical[v - 1] >= floor}
         return sorted(self._alive)
 
     @property
