@@ -1,4 +1,7 @@
-"""Departure-time models: deterministic deadlines, memoryless lifetimes, tables."""
+"""Departure-time models: deterministic deadlines, memoryless lifetimes, tables.
+
+The exact-number coercions that models and input files share live here too,
+since `graphs` imports this module."""
 
 from __future__ import annotations
 

@@ -393,7 +393,7 @@ class TestOpenVertexKey:
                 assert merged == [leaves, leaves]
             else:
                 assert [type(m) for m in merged] == [tuple, tuple]
-                assert issubclass(merged[0][0], ValueError) and merged[0][0] is merged[1][0]
+                assert merged[0][0] is merged[1][0] is leaves[0]
             if instance.departures is None:
                 assert runs[0] <= runs[1]
 
