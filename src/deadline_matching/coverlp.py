@@ -196,7 +196,7 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
     # the j-th representative fills slots j*size+1..(j+1)*size; the map from
     # slots to the vertices in them is p-periodic like the order itself
     occupant = periodic_extension([v for rep in reps for v in rep], p, n)
-    order = tuple(invert_permutation(occupant, n))
+    order = invert_permutation(occupant, n)
     if batching_from_order(order, n, size - 1, period=p).canonical_key() != pb.canonical_key():
         raise AssertionError("reconstructed order does not realize the batching")
     return order

@@ -58,7 +58,11 @@ class DepartureModel:
       * ``tabulated`` -- i.i.d. offsets drawn from a finite pmf table.
 
     Fixed per-vertex offsets are not a model: they are an instance's
-    ``departures``.
+    ``departures``. The fields are read as an instance file's are: ``d``
+    and the table's offsets through `as_integer`, ``delta`` and the
+    table's masses through `as_rational`, so floats, booleans and a
+    missing field raise TypeError; the table may be given as a mapping and
+    is kept sorted.
     """
 
     kind: str
@@ -68,32 +72,34 @@ class DepartureModel:
 
     def __post_init__(self):
         if self.kind == "deterministic":
-            if self.d is None or self.d < 0:
+            object.__setattr__(self, "d", as_integer(self.d))
+            if self.d < 0:
                 raise ValueError("deterministic model needs d >= 0")
         elif self.kind == "geometric":
-            if self.delta is None or not (0 < self.delta < 1):
+            object.__setattr__(self, "delta", as_rational(self.delta))
+            if not 0 < self.delta < 1:
                 raise ValueError("geometric model needs delta in (0, 1)")
         elif self.kind == "tabulated":
+            object.__setattr__(self, "pmf", tuple(sorted(
+                {as_integer(t): as_rational(p) for t, p in dict(self.pmf).items()}.items())))
             if not self.pmf:
                 raise ValueError("tabulated model needs a pmf table")
-            total = sum(p for _, p in self.pmf)
-            if total != 1 or any(p < 0 for _, p in self.pmf) or any(t < 0 for t, _ in self.pmf):
+            if sum(p for _, p in self.pmf) != 1 or any(p < 0 or t < 0 for t, p in self.pmf):
                 raise ValueError("tabulated pmf must be nonnegative on offsets >= 0 and sum to 1")
         else:
             raise ValueError(f"unknown departure model kind {self.kind!r}")
 
 
 def deterministic(d) -> DepartureModel:
-    return DepartureModel("deterministic", d=as_integer(d))
+    return DepartureModel("deterministic", d=d)
 
 
 def geometric(delta) -> DepartureModel:
-    return DepartureModel("geometric", delta=as_rational(delta))
+    return DepartureModel("geometric", delta=delta)
 
 
 def tabulated(pmf) -> DepartureModel:
-    table = tuple(sorted({as_integer(t): as_rational(p) for t, p in dict(pmf).items()}.items()))
-    return DepartureModel("tabulated", pmf=table)
+    return DepartureModel("tabulated", pmf=pmf)
 
 
 def sample_departures(model: DepartureModel, n: int, seed: int) -> tuple[int, ...]:

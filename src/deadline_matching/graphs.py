@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from math import lcm
 from operator import sub
@@ -30,22 +30,46 @@ class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
 
 
-def invert_permutation(perm, n: int) -> list[int]:
+_last_inverted = ((), ())  # the last tuple accepted, and its inverse
+
+
+def invert_permutation(perm, n: int) -> tuple[int, ...]:
     """The inverse of a permutation of 1..n given as its values at 1..n: the
     vertices in arrival order from their slots, or back. Anything else
     raises `ValueError(NOT_A_PERMUTATION)`. One pass stores v at position
     perm[v] - 1, refusing a value past n or not an int; n values that fill
     every position are 1..n unless some wrapped round from below 1, and
-    then they sum short of n(n + 1)/2."""
+    then they sum short of n(n + 1)/2. Booleans are not slots.
+
+    The last tuple accepted is kept with its inverse, and only that one:
+    called again with that very object and the same n, the function
+    returns the kept inverse without a second check, so the sweep's two
+    evaluators check each order once. Lists and equal but distinct tuples
+    are checked every time."""
+    global _last_inverted
+    last, inverse = _last_inverted
+    if perm is last and n == len(inverse):
+        return inverse
     inverse = [0] * n
     try:
         for v, s in enumerate(perm, start=1):
             inverse[s - 1] = v
     except (IndexError, TypeError):
         inverse = None
-    if inverse is None or len(perm) != n or 0 in inverse or 2 * sum(perm) != n * (n + 1):
+    if (inverse is None or len(perm) != n or 0 in inverse or bool in map(type, perm)
+            or 2 * sum(perm) != n * (n + 1)):
         raise ValueError(NOT_A_PERMUTATION)
+    inverse = tuple(inverse)
+    if type(perm) is tuple:
+        _last_inverted = perm, inverse
     return inverse
+
+
+@lru_cache(maxsize=1024)
+def over_scale(total: int, scale: int) -> Fraction:
+    """The integer `total` over a graph's `scale` as a Fraction; the sweep
+    evaluators return through here, so a value that recurs is built once."""
+    return Fraction(total, scale)
 
 
 def format_rational(value: Fraction) -> str:
@@ -112,7 +136,7 @@ class ArrivalOrder:
     def __post_init__(self):
         slots = tuple(as_integer(s) for s in self.slots)
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "sequence", tuple(invert_permutation(slots, len(slots))))
+        object.__setattr__(self, "sequence", invert_permutation(slots, len(slots)))
 
     @classmethod
     def identity(cls, n: int) -> "ArrivalOrder":

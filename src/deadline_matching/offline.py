@@ -7,12 +7,15 @@ graph is a band of d; a batch, or a general graph on k vertices, is a full
 band of k - 1, whose value is the same in any order. At band 1 the state is
 one bit, so the DP is the path recurrence best(t) = max(best(t-1),
 best(t-2) + w(t-1, t)), kept as two running integers. Every arrival order
-is read through `graphs.invert_permutation`, which checks it in linear time;
-the batched evaluator cuts that arrival sequence into runs of d + 1. Weights
-are integers over one scale per graph (`WeightedGraph.scaled`, or the
-integers a `MarketView` reads), so every comparison and tie is exact. Every
-matching returned has, among the maximum-weight ones, the lexicographically
-smallest sorted pair list.
+is read through `graphs.invert_permutation`, which checks it in linear time
+and keeps the last tuple it accepted, so the two sweep evaluators, given one
+tuple in turn, check it once; the batched evaluator cuts that arrival
+sequence into runs of d + 1, reading runs of two as pairs. Weights are
+integers over one scale per graph (`WeightedGraph.scaled`, or the integers
+a `MarketView` reads), so every comparison and tie is exact; the sweep
+evaluators turn their totals into Fractions through one shared cache,
+`graphs.over_scale`. Every matching returned has, among the maximum-weight
+ones, the lexicographically smallest sorted pair list.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import lcm
 from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
                      WeightedGraph, as_rational,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
-                     invert_permutation, ordered_pair)
+                     invert_permutation, ordered_pair, over_scale)
 
 EXACT_MATCHING_CAP = 24  # a band of 24 or more (2**24 DP states) is refused
 
@@ -162,7 +165,7 @@ def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     ints, scale = graph.scaled
-    return Fraction(_band_dp(ints, invert_permutation(slots, graph.n), d), scale)
+    return over_scale(_band_dp(ints, invert_permutation(slots, graph.n), d), scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -172,23 +175,30 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
 
     The batches are consecutive runs of d + 1 in the arrival sequence. A
     full band matches a batch alike in any order, so only pairs and triples,
-    which take a closed form, are put in ascending order for the lookup."""
+    which take a closed form, are put in ascending order for the lookup. A
+    batch of two is read as a pair straight from the sequence: every batch
+    when d = 1, else at most the last, partial one."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     order = invert_permutation(slots, graph.n)
     ints, scale = graph.scaled
+    n, size = graph.n, d + 1
+    if size == 2:
+        pairs, batches = zip(order[::2], order[1::2]), ()
+    else:
+        full = n - 2 if n % size == 2 else n  # where a last batch of two starts
+        pairs = [order[full:]] if full < n else ()
+        batches = (order[start:start + size] for start in range(0, full, size))
     total = 0
-    for start in range(0, graph.n, d + 1):
-        batch = order[start:start + d + 1]
-        if len(batch) == 2:
-            a, b = batch
-            total += ints.get((a, b) if a < b else (b, a), 0)
-        elif len(batch) == 3:
+    for a, b in pairs:
+        total += ints.get((a, b) if a < b else (b, a), 0)
+    for batch in batches:
+        if len(batch) == 3:
             a, b, c = sorted(batch)
             total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))
         elif len(batch) > 3:
             total += _band_dp(ints, batch, len(batch) - 1)
-    return Fraction(total, scale)
+    return over_scale(total, scale)
 
 
 # ---------------------------------------------------------------------------

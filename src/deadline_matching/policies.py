@@ -212,8 +212,17 @@ class PostponedGreedy(_BestMarginBids):
         self.active: set[int] = set()
 
     def clone(self):
-        other = super().clone()
-        other.status = dict(self.status)
+        """Copy the open vertices' prices, tentative buyers and sides, and
+        those buyers' sides: all that a hook or the key reads, so a copy
+        costs the same late in a run as early. Its duals are not a run's."""
+        prices, tentative, status = {}, {}, {}
+        for k in self.active:
+            prices[k], tentative[k], status[k] = self.prices[k], self.tentative[k], self.status[k]
+            if (b := tentative[k]) is not None:
+                status[b] = self.status[b]
+        other = OnlinePolicy.clone(self)
+        other.prices, other.tentative, other.status = prices, tentative, status
+        other._initial_margin = {}
         other.active = set(self.active)
         return other
 
@@ -239,13 +248,14 @@ class PostponedGreedy(_BestMarginBids):
         return ()
 
     def on_critical(self, k: int):
-        self.active.discard(k)
         partner = self.tentative.get(k)
-        if partner is None:
-            return ()
-        if self.status[k] == UNDETERMINED:
+        if partner is not None and self.status[k] == UNDETERMINED:
+            # k is still open here, so a clone taken at the coin copies it
             self.status[k] = SELLER if self.rng.flip() else BUYER
             self.log.append(("coin", k, self.status[k]))
+        self.active.discard(k)
+        if partner is None:
+            return ()
         emitted = []
         if self.status[k] == SELLER:
             if self.view.has_departed(partner) or self.view.is_matched(partner):

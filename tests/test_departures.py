@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
-                               deterministic, geometric,
+from deadline_matching import (ArrivalOrder, DepartureModel, OnlineInstance,
+                               WeightedGraph, deterministic, geometric,
                                hazard_alpha, instance_from_json,
                                instance_to_json, pg_stochastic,
                                postponed_greedy, realized_offline_optimum,
@@ -42,13 +42,17 @@ class TestSampling:
 
     def test_models_take_exact_numbers_only(self):
         # as file input does: integers and rationals, given as such or as
-        # strings; floats and booleans are refused
+        # strings; floats and booleans are refused, built directly or not
         for make in (lambda: deterministic(2.5), lambda: deterministic(True),
                      lambda: geometric(0.5), lambda: geometric(True),
                      lambda: tabulated({1.5: 1}), lambda: tabulated({True: 1}),
-                     lambda: tabulated({0: 0.5, 1: 0.5}), lambda: tabulated({1: True})):
+                     lambda: tabulated({0: 0.5, 1: 0.5}), lambda: tabulated({1: True}),
+                     lambda: DepartureModel("deterministic", d=2.5),
+                     lambda: DepartureModel("geometric", delta=0.3),
+                     lambda: DepartureModel("tabulated", pmf=((0, 0.5), (1, 0.5)))):
             with pytest.raises(TypeError, match="cannot interpret|booleans"):
                 make()
+        assert DepartureModel("deterministic", d="3") == deterministic(3)
         assert deterministic("3") == deterministic(3)
         assert geometric("1/2") == geometric(F(1, 2))
         assert tabulated({"1": "1/2", 0: 1 - F(1, 2)}) == tabulated({0: F(1, 2), 1: F(1, 2)})

@@ -15,6 +15,7 @@ from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                matching_weight, max_weight_matching_exact,
                                offline_optimum, realized_offline_optimum,
                                validate_matching, verify_offline_dual)
+from deadline_matching.graphs import invert_permutation, over_scale
 from helpers import random_complete_graph, random_instance, random_weight
 from oracles import (batched_graph, max_weight_matching_value, multiply,
                      path_power)
@@ -210,6 +211,78 @@ class TestWindowEvaluators:
     def test_negative_d_is_refused(self, evaluator):
         with pytest.raises(ValueError, match="d must be >= 0"):
             evaluator(self.PATH, (1, 2, 3, 4), -1)
+
+    def test_booleans_are_refused_by_every_reader(self):
+        # True == 1, so (True, 2) equals an order just accepted; it is
+        # another tuple, checked again and refused
+        graph = WeightedGraph(2, {(1, 2): F(1)})
+        for reader in ORDER_READERS:
+            arrival_window_matching_value(graph, (1, 2), 1)
+            reader(graph, (1, 2), 1)
+            with pytest.raises((TypeError, ValueError)):
+                reader(graph, (True, 2), 1)
+
+
+class TestCheckOnce:
+    """`invert_permutation` keeps the last tuple it accepted: that very
+    object with the same n is not checked again. Anything else is."""
+
+    def test_the_same_tuple_is_checked_once(self):
+        slots = (2, 4, 1, 3)
+        assert invert_permutation(slots, 4) == (3, 1, 4, 2)
+        assert invert_permutation(slots, 4) is invert_permutation(slots, 4)
+
+    def test_a_list_and_an_equal_tuple_are_checked_again(self):
+        slots = [2, 4, 1, 3]
+        first = invert_permutation(slots, 4)
+        assert invert_permutation(slots, 4) is not first
+        slots[0] = 4
+        for reader in ORDER_READERS:
+            with pytest.raises(ValueError):
+                reader(TestWindowEvaluators.PATH, slots, 1)
+        accepted = (2, 4, 1, 3)
+        inverse = invert_permutation(accepted, 4)
+        equal = tuple([2, 4, 1, 3])
+        assert equal == accepted and equal is not accepted
+        assert invert_permutation(equal, 4) == inverse
+        assert invert_permutation(equal, 4) is not inverse
+
+    def test_another_n_misses(self):
+        slots = (2, 1, 3)
+        invert_permutation(slots, 3)
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=r"permutation of 1\.\.n"):
+                invert_permutation(slots, n)
+        graph = WeightedGraph(4, {(1, 2): F(1)})
+        for evaluator in (arrival_window_matching_value, batched_matching_value):
+            with pytest.raises(ValueError, match=r"permutation of 1\.\.n"):
+                evaluator(graph, slots, 1)
+
+    def test_evaluators_match_the_oracles_after_a_refusal(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            n, d = rng.randint(2, 8), rng.choice([1, 2, 3])
+            g = random_complete_graph(rng, n)
+            slots = list(range(1, n + 1))
+            rng.shuffle(slots)
+            slots = tuple(slots)
+            invert_permutation(slots, n)  # kept, and still kept after the refusals
+            bad = slots[:-1] + (slots[0],)
+            for evaluator in (arrival_window_matching_value, batched_matching_value):
+                with pytest.raises(ValueError):
+                    evaluator(g, bad, d)
+            for order in (slots, slots[::-1]):
+                assert (arrival_window_matching_value(g, order, d)
+                        == max_weight_matching_value(multiply(g, path_power(order, n, d))))
+                assert (batched_matching_value(g, order, d)
+                        == max_weight_matching_value(multiply(g, batched_graph(order, n, d))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+    def test_scaled_results_equal_a_new_fraction(self, total, scale):
+        assert over_scale(total, scale) == F(total, scale)
+        assert type(over_scale(total, scale)) is F
+        assert over_scale(total, scale) is over_scale(total, scale)
 
 
 class TestRealizedOptimum:

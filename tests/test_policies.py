@@ -17,7 +17,7 @@ from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
                                simulate, validate_matching, verify_offline_dual)
 from deadline_matching.departures import geometric
 from deadline_matching.engine import realized_departures
-from deadline_matching.policies import POLICY_FACTORIES
+from deadline_matching.policies import POLICY_FACTORIES, PostponedGreedy
 from helpers import random_constrained_bipartite, random_instance
 from oracles import max_weight_matching_exact
 
@@ -144,6 +144,26 @@ class TestPostponedGreedy:
                 if entry[0] in ("coin", "propagate"):
                     v, status = entry[1], entry[2]
                     assert decided.setdefault(v, status) == status
+
+    def test_a_late_clone_holds_only_the_open_vertices(self):
+        # a clone copies the open vertices' prices, tentative buyers and
+        # sides, and the sides of those buyers, however long the run has been
+        copies = []
+
+        class CloneLate(PostponedGreedy):
+            def on_arrival(self, k):
+                emitted = super().on_arrival(k)
+                if k == 990:
+                    copies.append((self.clone(), set(self.active), dict(self.tentative),
+                                   len(self.status)))
+                return emitted
+
+        simulate(TestDDA._banded(random.Random(8), 1000, 4), CloneLate(), seed=3)
+        clone, active, tentative, held = copies[0]
+        buyers = {tentative[k] for k in active} - {None}
+        assert set(clone.prices) == set(clone.tentative) == clone.active == active
+        assert set(clone.status) == active | buyers
+        assert len(clone.status) <= 2 * len(active) <= 10 < held == 990
 
 
 class TestDDA:
