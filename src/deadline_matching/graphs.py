@@ -30,7 +30,7 @@ class InstanceFormatError(ValueError):
     """Raised for malformed instance files."""
 
 
-_last_inverted = ((), ())  # the last tuple accepted, and its inverse
+_last_inverted = ((), ())  # the last tuple accepted and its inverse, replaced as one pair
 
 
 def invert_permutation(perm, n: int) -> tuple[int, ...]:
