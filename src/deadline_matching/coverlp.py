@@ -414,6 +414,8 @@ def contraction_bound(d: int, alphas: dict[int, Fraction]):
 def lookahead_cover(n: int, d: int, l: int) -> CoverCertificate:
     """The shift family: d+l+1 rotations at weight 1/(l+1) each, batch size
     d+l+1, covering C_n^d with alpha = (d+l+1)/(l+1)."""
+    if d < 0:
+        raise ValueError("deadline must be >= 0")
     if l < 0:
         raise ValueError("lookahead must be >= 0")
     width = d + l + 1

@@ -293,38 +293,28 @@ class AuctionMarket:
             self._rebalance(b)
         return self.margins[b]
 
-    # -- removal (departures and finalized pairs) ---------------------------
-    def remove_pair(self, s: int, b: int):
-        if self.match_sb.get(s) != b:
-            raise ValueError(f"({s}, {b}) is not a tentative pair")
-        del self.match_sb[s]
-        del self.match_bs[b]
-        self._drop_seller(s)
-        self._drop_buyer(b)
-
-    def remove_seller(self, s: int):
-        if s in self.match_sb:
-            raise ValueError(f"seller {s} departs while matched")
-        self._drop_seller(s)
-
-    def remove_buyer(self, b: int):
-        if b in self.match_bs:
-            raise ValueError(f"buyer {b} departs while matched")
-        self._drop_buyer(b)
-
-    def _drop_seller(self, s: int):
-        del self.prices[s]
-        for bids in self.edges.values():
-            bids.pop(s, None)
-
-    def _drop_buyer(self, b: int):
-        del self.margins[b]
-        del self.edges[b]
+    # -- removal: a critical vertex leaves with its tentative partner -------
+    def remove(self, v: int) -> tuple[int, int] | None:
+        """Take v out of the market with its tentative partner, if it has
+        one, and return their (seller, buyer) pair. A vertex that already
+        left with its partner changes nothing. The rest stays optimal:
+        dropping vertices keeps the duals feasible and every other matched
+        edge tight."""
+        if v in self.prices:
+            s, b = v, self.match_sb.pop(v, None)
+            self.match_bs.pop(b, None)
+        else:
+            s, b = self.match_bs.pop(v, None), v
+            self.match_sb.pop(s, None)
+        if s is not None:
+            del self.prices[s]
+            for bids in self.edges.values():
+                bids.pop(s, None)
+        if b in self.margins:
+            del self.margins[b], self.edges[b]
+        return (s, b) if s is not None and b is not None else None
 
     # -- queries -------------------------------------------------------------
-    def matched_buyer(self, s: int) -> int | None:
-        return self.match_sb.get(s)
-
     def dual_total(self) -> Fraction:
         return sum(self.prices.values(), Fraction(0)) + sum(self.margins.values(), Fraction(0))
 

@@ -92,7 +92,8 @@ class _BestMarginBids(OnlinePolicy):
     Sellers enter at price 0. A buyer bids once, on the seller with the
     largest positive margin (weight minus price); the seller's price rises to
     that weight and its previous tentative buyer is displaced for good.
-    Prices and margins are integers over the view's scale.
+    Sellers close through `_finalize`. Prices and margins are integers over
+    the view's scale.
     """
 
     initial_margin = _OverScale()
@@ -129,11 +130,23 @@ class _BestMarginBids(OnlinePolicy):
             prices[best_s] = best_w
             self.log.append(("bid", b, best_s, Fraction(best_margin, self.view.scale)))
 
+    def _dropped(self, b) -> bool:
+        """The guard's test: buyer b (None: no buyer) departed or was matched."""
+        return self.view.has_departed(b) or self.view.is_matched(b)
+
+    def _finalize(self, seller: int, buyer: int):
+        """The seller's close: its pair with `buyer`, or none and a ("guard",
+        seller, buyer) log entry when the buyer departed or was matched."""
+        if self._dropped(buyer):
+            self.log.append(("guard", seller, buyer))
+            return ()
+        return [(seller, buyer)]
+
 
 class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
     """Match each arriving buyer to its best-margin present seller, with free
     disposal: a displaced buyer never gets matched again. Sellers finalize
-    their tentative buyer when they become critical."""
+    their tentative buyer at their critical event, through `_finalize`."""
 
     name = "greedy"
 
@@ -147,7 +160,7 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
 
     def on_critical(self, v: int):
         buyer = self.tentative.pop(v, None)  # the seller closes; buyers hold no entry
-        return [(v, buyer)] if buyer is not None else ()
+        return self._finalize(v, buyer) if buyer is not None else ()
 
     def clone(self):
         other = super().clone()
@@ -160,7 +173,8 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
         The open sellers are the present ones, a seller's price is the
         weight to its tentative buyer (0 without one), and a buyer bids once
         and is matched only by the seller that holds it, so the roles and
-        matched flags of buyers and closed sellers change no future hook."""
+        matched flags of buyers and closed sellers change no future hook,
+        and the guard reads only the tick."""
         return tuple(self.tentative.items())
 
 
@@ -198,10 +212,8 @@ class PostponedGreedy(_BestMarginBids):
     propagates along the tentative 2-matching's paths. A coin is flipped
     only at the head of each path.
 
-    A seller whose tentative partner has already departed or been matched
-    finalizes nothing: that pair would break the presence rule, so the
-    guard changes no run that completes without it, and it lets pg run
-    under departures.
+    A seller finalizes through `_finalize`, which drops a tentative partner
+    that has departed or been matched, so pg runs under any departures.
     """
 
     name = "pg"
@@ -229,15 +241,13 @@ class PostponedGreedy(_BestMarginBids):
     def state_key(self):
         """Each open vertex (its critical event not run), ascending, with its
         tentative buyer, side and matched flag, and that buyer's side and
-        whether the guard would drop it (departed or matched; False for no
-        buyer): all a future hook reads. A bid reads the open seller copies'
-        prices, each the weight to the copy's tentative buyer; a critical
-        vertex reads the rest. A buyer bids once, so only the copy holding
+        whether the guard drops it: all a future hook reads. A bid reads the
+        open seller copies' prices, each the weight to the copy's tentative
+        buyer; a critical vertex reads the rest. A buyer bids once, so only the copy holding
         it or its own critical event can match it. Margins are history."""
-        view, status, tentative = self.view, self.status, self.tentative
+        view, status, tentative, dropped = self.view, self.status, self.tentative, self._dropped
         return tuple((k, b := tentative[k], status[k], view.is_matched(k), status.get(b),
-                      view.has_departed(b) or view.is_matched(b))
-                     for k in sorted(self.active))
+                      dropped(b)) for k in sorted(self.active))
 
     def on_arrival(self, k: int):
         weight = self.view.weight
@@ -256,12 +266,10 @@ class PostponedGreedy(_BestMarginBids):
         self.active.discard(k)
         if partner is None:
             return ()
-        emitted = []
+        emitted = ()
         if self.status[k] == SELLER:
-            if self.view.has_departed(partner) or self.view.is_matched(partner):
-                self.log.append(("guard", k, partner))
-            else:
-                emitted.append((k, partner))
+            emitted = self._finalize(k, partner)
+            if emitted:
                 self.log.append(("finalize", k, partner))
             follower = BUYER
         else:
@@ -287,9 +295,11 @@ class DynamicDeferredAcceptance(_RoleBased):
     """Keep a maximum-weight tentative matching with exact auction duals.
 
     Every buyer arrival triggers an incremental rebalance of the bipartite
-    market; a seller finalizes its tentative buyer at its critical event and
-    both leave. Prices only rise, margins only fall, and the pre-existing
-    dual mass is conserved per arrival. The market runs on the view's
+    market. A tentative pair closes at its first critical endpoint, under
+    deadlines always the seller. A buyer's earlier close is valid too: the
+    seller's critical event has not run, and the buyer bid across a live
+    edge. Prices only rise, margins only fall, and the pre-existing dual
+    mass is conserved per arrival. The market runs on the view's
     integer weights; the records below read as Fractions.
     """
 
@@ -324,21 +334,16 @@ class DynamicDeferredAcceptance(_RoleBased):
         return ()
 
     def on_critical(self, v: int):
-        emitted = []
-        if self.roles[v] == SELLER:
-            buyer = self.market.matched_buyer(v)
-            self._final_price[v] = self.market.prices[v]
-            if buyer is not None:
-                self._final_margin[buyer] = self.market.margins[buyer]
-                self.market.remove_pair(v, buyer)
-                emitted.append((v, buyer))
-            else:
-                self.market.remove_seller(v)
-        elif v in self.market.margins:  # unmatched buyer departs
-            self._final_margin[v] = self.market.margins[v]
-            self.market.remove_buyer(v)
+        market = self.market
+        # v leaves with its tentative partner, if any: record their duals first
+        for u in (v, market.match_sb.get(v, market.match_bs.get(v))):
+            if u in market.prices:
+                self._final_price[u] = market.prices[u]
+            elif u in market.margins:
+                self._final_margin[u] = market.margins[u]
+        pair = market.remove(v)
         self._snapshot()
-        return emitted
+        return [pair] if pair else ()
 
     def conservation_sums(self) -> tuple[Fraction, Fraction, Fraction]:
         """(sum of final prices, sum of final margins, sum of initial margins)."""
@@ -441,9 +446,10 @@ POLICY_FACTORIES = {
 
 
 def make_policy(spec: str):
-    """Build a policy from its CLI name, e.g. 'pg' or 'batching:2'."""
-    if spec.startswith("batching:"):
-        return batching(int(spec.split(":", 1)[1]))
+    """Build a policy from its CLI name, e.g. 'pg' or 'batching:2' (ASCII digits)."""
+    lookahead = spec.removeprefix("batching:")
+    if lookahead != spec and lookahead.isascii() and lookahead.isdigit():
+        return batching(int(lookahead))
     try:
         return POLICY_FACTORIES[spec]()
     except KeyError:

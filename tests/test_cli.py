@@ -81,21 +81,20 @@ class TestSimulate:
             assert listed.replace("[:l]", "").split(",") == list(POLICY_FACTORIES), command
 
     def test_every_policy_is_reported_after_a_failure(self, capsys, tmp_path):
-        # vertex 1 departs at time 2, before naive-greedy finalizes (1, 2);
-        # pg's guard drops that pair
+        # the file declares no roles, and its edges admit none, so greedy
+        # fails; pg's guard drops (1, 2), whose vertex 1 departs at time 2
         path = tmp_path / "departing.json"
         path.write_text(json.dumps({
             "n": 4, "d": 2, "edges": [[1, 2, 2], [2, 4, 1], [3, 4, 3]],
             "sigma": [2, 1, 4, 3], "departures": [0, 3, 1, 2]}))
         code, out, err = run(capsys, "simulate", "--instance", str(path),
-                             "--policy", "patient,naive-greedy,pg", "--exact")
+                             "--policy", "patient,greedy,pg", "--exact")
         assert code == 1
         assert out.splitlines() == [
             f"instance={path} policy=patient (exact) E=5/1 OPT=5/1 ratio=1/1",
             f"instance={path} policy=pg (exact) E=3/2 OPT=5/1 ratio=3/10"]
         assert err.splitlines() == [
-            "error: policy naive-greedy emitted pair (1, 2) at time 4 invalid: "
-            "matched after vertex 1 departed at time 2"]
+            "error: greedy needs seller/buyer roles declared on the instance"]
 
 
 class TestVerifyCert:
@@ -419,6 +418,12 @@ class TestMalformedInput:
                              "--target", target, "--out", "unused.json")
         assert code == 2 and out == ""
         assert err == f"error: unknown target spec {target!r}; use cycle:N:D\n"
+
+    @pytest.mark.parametrize("d", ["-1", "-2"])
+    def test_negative_lookahead_cert_deadline(self, capsys, d):
+        err = self.one_line_error(capsys, "lookahead-cert", "--n", "8", "--d", d, "--l", "0",
+                                  "--out", "unused.json")
+        assert err == "error: deadline must be >= 0\n"
 
     def test_vertex_count_beyond_the_cap(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 10**30, "d": 1, "edges": []})

@@ -224,6 +224,14 @@ class SellerHungry(NaiveGreedy):
         return emitted
 
 
+class UnguardedNaiveGreedy(NaiveGreedy):
+    """Naive-greedy whose sellers close without the guard, so a seller can
+    emit a pair whose buyer has departed: an invalid pair."""
+
+    def _finalize(self, seller, buyer):
+        return [(seller, buyer)]
+
+
 MERGE_FACTORIES = [(spec, lambda spec=spec: make_policy(spec))
                    for spec in (*POLICY_FACTORIES, "batching:1")] + [
     ("flip-hungry", FlipHungry), ("seller-hungry", SellerHungry)]
@@ -263,7 +271,7 @@ class TestMergedExpectation:
             WeightedGraph(4, {(1, 2): F(2), (2, 4): F(1), (3, 4): F(3)}),
             ArrivalOrder((2, 1, 4, 3)), 2, departures=(0, 3, 1, 2))
         hungry = random_instance(random.Random(29), 7, 2)
-        for instance, factory, error in ((departing, naive_greedy, ValueError),
+        for instance, factory, error in ((departing, UnguardedNaiveGreedy, ValueError),
                                          (hungry, FlipHungry, BranchingLimitExceeded),
                                          (hungry, SellerHungry, BranchingLimitExceeded)):
             with pytest.raises(error) as merged:

@@ -355,8 +355,17 @@ class TestMakePolicy:
     def test_names(self):
         assert make_policy("pg").name == "pg"
         assert make_policy("batching:2").lookahead == 2
+        assert make_policy("batching:10").lookahead == 10
         with pytest.raises(ValueError):
             make_policy("mystery")
+
+    @pytest.mark.parametrize("spec", ["batching:x", "batching:1_0", "batching:+1",
+                                      "batching:-1", "batching:", "batching: 1",
+                                      "batching:\u0661"])
+    def test_lookahead_is_ascii_digits_only(self, spec):
+        with pytest.raises(ValueError) as refused:
+            make_policy(spec)
+        assert str(refused.value) == f"unknown policy {spec!r}"
 
 
 ROLE_SPECS = ("greedy", "dda")  # need declared roles: run on role-constrained inputs
@@ -445,3 +454,48 @@ class TestValueAtMostOptimum:
         opt = realized_offline_optimum(inst, realized_departures(inst, run_seed)).weight
         for spec in ("pg-stochastic", "patient"):
             assert simulate(inst, make_policy(spec), seed=run_seed).collected <= opt, spec
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 9), d=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           offsets=st.lists(st.integers(0, 5), min_size=9, max_size=9))
+    def test_every_policy_completes_under_departures(self, n, d, seed, offsets):
+        # one close rule for tentative pairs: no run aborts under any offsets,
+        # and none but lookahead batching beats the realized optimum
+        rng = random.Random(seed)
+        for inst in (random_constrained_bipartite(rng, n, d), random_instance(rng, n, d)):
+            if inst.roles is None:
+                try:
+                    inst = dataclasses.replace(inst, roles=infer_roles(inst))
+                except NonBipartiteError:
+                    pass
+            specs = [s for s in ALL_SPECS if inst.roles is not None or s not in ROLE_SPECS]
+            sampled = dataclasses.replace(inst, departure_model=geometric(F(1, 2)))
+            fixed = dataclasses.replace(inst, departures=tuple(offsets[:n]))
+            for run_inst, run_seed in ((sampled, 0), (sampled, 1), (fixed, 0)):
+                opt = realized_offline_optimum(
+                    run_inst, realized_departures(run_inst, run_seed)).weight
+                for spec in specs:
+                    policy = _checking_market(make_policy(spec))
+                    collected = simulate(run_inst, policy, seed=run_seed).collected
+                    assert spec == "batching:1" or collected <= opt, spec
+                    if spec == "dda":
+                        final_prices, final_margins, initial = policy.conservation_sums()
+                        assert final_prices + final_margins == initial
+            if n <= 8:
+                opt = realized_offline_optimum(fixed, fixed.departures).weight
+                for spec in specs:
+                    if spec != "batching:1":
+                        assert exact_expectation(fixed, make_policy(spec)) <= opt, spec
+
+
+def _checking_market(policy):
+    """The policy, checking its auction market's duals after every hook if it
+    keeps one."""
+    for name in ("on_arrival", "on_critical"):
+        def hook(v, run=getattr(policy, name)):
+            emitted = run(v)
+            if hasattr(policy, "market"):
+                policy.market.check_optimal()
+            return emitted
+        setattr(policy, name, hook)
+    return policy
