@@ -95,20 +95,22 @@ def _add_instance_flags(parser):
 
 
 def cmd_simulate(args) -> int:
-    """Report every policy in turn: its line on stdout, or its error on
-    stderr. Exits 1 if any policy failed."""
+    """Report every policy in turn: its line on stdout, under the name of
+    the policy its spec builds ("batching:0" reads "batching"), or its
+    error on stderr. Exits 1 if any policy failed."""
     name, instance = _resolve_instance(args)
     opt = offline_optimum(instance).weight
     failed = False
     for spec in args.policy.split(","):
         try:
+            policy_name = make_policy(spec).name
             value, mode = _policy_value(instance, spec, args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
         ratio = _fmt(value / opt) if opt else "n/a"
-        print(f"instance={name} policy={spec} ({mode}) "
+        print(f"instance={name} policy={policy_name} ({mode}) "
               f"E={_fmt(value)} OPT={_fmt(opt)} ratio={ratio}")
     return 1 if failed else 0
 
@@ -131,7 +133,7 @@ def cmd_sweep(args) -> int:
         instances.append((named.name, _with_roles(named.instance)))
     if not instances:
         raise UsageError("sweep needs at least one --instance or --gallery")
-    policies = [(spec, (lambda s=spec: make_policy(s)))
+    policies = [(make_policy(spec).name, (lambda s=spec: make_policy(s)))
                 for spec in args.policy.split(",")]
     rows = competitive_report(instances, policies,
                               arrival_model=args.arrival,

@@ -49,13 +49,19 @@ def event_schedule(windows: PresenceWindows) -> list[tuple[int, int, int]]:
 
 
 class BitStream:
-    """Fair random bits, deterministic per seed."""
+    """Fair random bits, deterministic per run seed: the bits of
+    `random.Random(_derive_seed(seed, "policy-bits"))`. The generator is
+    built at the first `flip()`, so a run whose policy flips no coin pays
+    neither the seed's hash nor the seeding."""
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng = None
         self.used = 0
 
     def flip(self) -> int:
+        if self._rng is None:
+            self._rng = random.Random(_derive_seed(self._seed, "policy-bits"))
         self.used += 1
         return self._rng.getrandbits(1)
 
@@ -134,18 +140,8 @@ class MarketView:
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self._alive: set[int] = set()  # arrived; pruned lazily
+        self._pruned = -1  # the tick `_alive` was last pruned at
         self.now = 0
-
-    # engine-side hooks
-    def _advance(self, time: int):
-        self.now = time
-
-    def _mark_arrived(self, v: int):
-        self._arrived.add(v)
-        self._alive.add(v)
-
-    def _mark_matched(self, pair: Pair):
-        self._matched.update(pair)
 
     def clone(self) -> "MarketView":
         """An independent copy of the run's progress; the instance and the
@@ -157,6 +153,7 @@ class MarketView:
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
         other._alive = set(self._alive)
+        other._pruned = self._pruned
         other.now = self.now
         return other
 
@@ -203,10 +200,17 @@ class MarketView:
 
     def alive(self) -> list[int]:
         """Arrived vertices, matched or not, that some pair could still use
-        at a tick >= now (critical time plus lookahead), in ascending order."""
-        windows = self._windows
-        critical, floor = windows.critical, self.now - windows.lookahead
-        self._alive = {v for v in self._alive if critical[v - 1] >= floor}
+        at a tick >= now (critical time plus lookahead), in ascending order.
+
+        The kept set is pruned at most once per tick: the floor moves only
+        with `now`, and a vertex arriving at tick t is critical no earlier
+        than t, so nothing added since the prune can be below it."""
+        now = self.now
+        if self._pruned != now:
+            windows = self._windows
+            critical, floor = windows.critical, now - windows.lookahead
+            self._alive = {v for v in self._alive if critical[v - 1] >= floor}
+            self._pruned = now
         return sorted(self._alive)
 
     @property
@@ -222,9 +226,16 @@ class MarketView:
 
     def revealed_neighbors(self, v: int) -> dict[int, int]:
         """Positive matchable weights from v to currently present vertices,
-        in ascending vertex order."""
-        weight = self.weight
-        return {u: w for u in self.present() if u != v and (w := weight(u, v))}
+        in ascending vertex order: `weight(u, v)` for each present u, read
+        straight from the scaled weights and the windows."""
+        present = self.present()
+        if v not in self._arrived:
+            if present:
+                raise LookupError("weights to vertices that have not arrived are hidden")
+            return {}
+        ints, live = self._ints, self._windows.live
+        return {u: w for u in present
+                if u != v and (w := ints.get((u, v) if u < v else (v, u), 0)) and live(u, v)}
 
 
 class OnlinePolicy:
@@ -285,16 +296,31 @@ class RunResult:
     bits_used: int
 
 
+_last_drawn = ((), ())  # the last (model, n, derived seed) drawn and its offsets, replaced as one pair
+
+
 def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
     """Each vertex's departure offset in the run with this seed: the
     instance's `departures`, else its model's draw for the seed, else the
-    deadline. The one place offsets come from."""
+    deadline. The one place offsets come from.
+
+    The last draw is kept with its key, (model, n, `_derive_seed(seed,
+    "departures")`), and only that one: a caller that asks for a run's
+    offsets and then simulates it draws once. The key holds the derived
+    seed, not the seed, so seeds that print differently (True, 1, 1.0)
+    keep their different draws; equal models share one."""
+    global _last_drawn
     if instance.departures is not None:
         return instance.departures
-    if instance.departure_model is not None:
-        return sample_departures(instance.departure_model, instance.n,
-                                 _derive_seed(seed, "departures"))
-    return tuple([instance.deadline] * instance.n)
+    model = instance.departure_model
+    if model is None:
+        return tuple([instance.deadline] * instance.n)
+    key = (model, instance.n, _derive_seed(seed, "departures"))
+    last, offsets = _last_drawn
+    if key != last:
+        offsets = sample_departures(model, instance.n, key[2])
+        _last_drawn = key, offsets
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -343,7 +369,7 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     the run with a ValueError.
     """
     departures = realized_departures(instance, seed)
-    rng = bits if bits is not None else BitStream(_derive_seed(seed, "policy-bits"))
+    rng = bits if bits is not None else BitStream(seed)
     view = MarketView(instance, departures, policy.lookahead)
     policy.reset(view, rng)
     pairs: dict[Pair, int] = {}
@@ -361,26 +387,31 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
                      tuple(trace), rng.used)
 
 
-def _step(policy: OnlinePolicy, time: int, kind: int, vertex: int) -> list[Pair]:
+def _step(policy: OnlinePolicy, time: int, kind: int,
+          vertex: int) -> list[Pair] | tuple[()]:
     """Run one event of the schedule on the policy and its view; return the
-    pairs it matched. Each emitted pair is checked on the spot and marked
-    matched: both endpoints unmatched and the presence-window rule kept at
-    this tick. An invalid pair aborts the run with a ValueError."""
+    pairs it matched, `()` when the hook emitted none. Each emitted pair is
+    checked on the spot and marked matched: both endpoints unmatched and the
+    presence-window rule kept at this tick. An invalid pair aborts the run
+    with a ValueError."""
     view = policy.view
-    view._advance(time)
+    view.now = time
     if kind == 0:
-        view._mark_arrived(vertex)
+        view._arrived.add(vertex)
+        view._alive.add(vertex)
         emitted = policy.on_arrival(vertex)
     else:
         emitted = policy.on_critical(vertex)
+    if not emitted:
+        return ()
     accepted = []
-    for raw in emitted or ():
+    for raw in emitted:
         pair = ordered_pair(*raw)
         reasons = view._windows.violations(pair, time, view._matched)
         if reasons:
             raise ValueError(f"policy {policy.name} emitted "
                              f"{MatchViolation(pair, time, reasons)}")
-        view._mark_matched(pair)
+        view._matched.update(pair)
         accepted.append(pair)
     return accepted
 

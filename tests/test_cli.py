@@ -72,6 +72,16 @@ class TestSimulate:
         assert code == 0
         assert out.count("E=1/1") == 2
 
+    def test_reports_the_policy_name_not_the_spec(self, capsys):
+        # three spellings of one policy, and a padded lookahead
+        code, out, _ = run(capsys, "simulate", "--gallery", "basic-tradeoff",
+                           "--param", "y=2", "--policy",
+                           "batching:00,batching:0,batching,batching:01", "--exact")
+        assert code == 0
+        assert out.splitlines() == 3 * [
+            "instance=basic-tradeoff policy=batching (exact) E=1/1 OPT=2/1 ratio=1/2"] + [
+            "instance=basic-tradeoff policy=batching:1 (exact) E=2/1 OPT=2/1 ratio=1/1"]
+
     def test_help_names_every_policy(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapped names
         for command in ("simulate", "sweep"):
@@ -206,6 +216,16 @@ class TestGalleryAndSweep:
         assert out_path.read_text().splitlines()[1:] == [
             "pg-tightness,pg,fixed,4,2,exact,1/2,19/10,5/19",
             "pg-tightness,greedy,fixed,4,2,exact,1/1,19/10,10/19"]
+
+    def test_sweep_writes_the_policy_name_not_the_spec(self, capsys, tmp_path):
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--gallery", "basic-tradeoff", "--param", "y=2",
+                         "--policy", "batching:00,batching:0,batching,batching:01",
+                         "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text().splitlines()[1:] == 3 * [
+            "basic-tradeoff,batching,fixed,3,1,exact,1/1,2/1,1/2"] + [
+            "basic-tradeoff,batching:1,fixed,3,1,exact,2/1,2/1,1/1"]
 
     def test_sweep_infers_roles_like_simulate(self, capsys, tmp_path):
         # instance files carry no roles; greedy and dda need them inferred

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, BranchingLimitExceeded,
-                               FreeDisposalGreedy, NaiveGreedy, OnlineInstance,
-                               OnlinePolicy,
+                               FreeDisposalGreedy, MarketView, NaiveGreedy,
+                               OnlineInstance, OnlinePolicy,
                                WeightedGraph, batching, competitive_report,
                                enumerate_branches, exact_expectation,
                                geometric, make_instance, make_policy,
                                naive_greedy, offline_optimum,
                                patient_baseline, pg_stochastic,
-                               postponed_greedy, simulate, tabulated,
+                               postponed_greedy, realized_offline_optimum,
+                               simulate, tabulated,
                                write_report_csv)
 from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
@@ -130,6 +131,35 @@ class TestInformationHygiene:
                                ArrivalOrder.identity(3), 2, departures=(2, 2, 2))
         simulate(inst2, Probe())
         assert seen[("arrival", 2)] is False  # t=2 < 3: still unknown
+
+
+    def test_neighbors_of_a_vertex_that_has_not_arrived(self):
+        # hidden while some vertex is present, empty while none is; vertex
+        # 3 arrives at tick 3, and (1, 2) is matched at tick 2
+        inst = OnlineInstance(WeightedGraph(3, {(1, 2): F(1), (2, 3): F(1)}),
+                              ArrivalOrder.identity(3), 2, departures=(1, 0, 2))
+        seen = []
+
+        class Probe(OnlinePolicy):
+            def on_arrival(self, v):
+                self.record()
+                return [(1, 2)] if v == 2 else ()
+
+            def on_critical(self, v):
+                self.record()
+                return ()
+
+            def record(self):
+                try:
+                    neighbors = self.view.revealed_neighbors(3)
+                except LookupError:
+                    neighbors = "hidden"
+                seen.append((self.view.now, self.view.present(), neighbors))
+
+        assert MarketView(inst, inst.departures, 0).revealed_neighbors(3) == {}
+        simulate(inst, Probe())
+        assert seen == [(1, [1], "hidden"), (2, [1, 2], "hidden"), (2, [], {}),
+                        (2, [], {}), (3, [3], {}), (5, [3], {})]
 
 
 class TestExactExpectation:
@@ -577,3 +607,88 @@ class TestCompetitiveReport:
         path = tmp_path / "zero.csv"
         write_report_csv(rows, path)
         assert path.read_text().splitlines()[1] == "zero,patient,fixed,3,1,exact,0/1,0/1,"
+
+
+def modelled(model, n):
+    """A run's set-up reads only the model and n: no edges are needed."""
+    return OnlineInstance(WeightedGraph(n, {}), ArrivalOrder.identity(n), 2,
+                          departure_model=model)
+
+
+class TestOneDrawPerRun:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from((3, 5)),
+                              st.sampled_from((True, 1, 1.0, 0, 7))),
+                    min_size=1, max_size=12))
+    def test_every_draw_is_the_models_draw_for_the_seed(self, calls):
+        # equal models spelled two ways, repeats, one seed at two n, and
+        # seeds that are equal as numbers but print differently
+        models = (geometric(F(1, 2)), geometric("2/4"), geometric(F(1, 3)),
+                  tabulated({0: F(1, 4), 3: F(3, 4)}))
+        for index, n, seed in calls:
+            model = models[index]
+            assert engine.realized_departures(modelled(model, n), seed) == \
+                engine.sample_departures(model, n, engine._derive_seed(seed, "departures"))
+
+    def test_criterion_8s_run_draws_once(self):
+        # realized_departures, simulate, realized OPT: one draw per run,
+        # whatever was drawn before
+        rng = random.Random(8)
+        base = random_instance(rng, 8, 2)
+        inst = dataclasses.replace(base, departure_model=geometric(F(1, 2)))
+        with mock.patch.object(engine, "_last_drawn", ((), ())), \
+                mock.patch.object(engine, "sample_departures",
+                                  wraps=engine.sample_departures) as draw:
+            for seed in range(5):
+                deps = engine.realized_departures(inst, seed)
+                result = simulate(inst, pg_stochastic(), seed=seed)
+                assert result.collected <= realized_offline_optimum(inst, deps).weight
+                assert draw.call_count == seed + 1
+            # the benchmark's shape: two runs of one seed after the draw
+            deps = engine.realized_departures(inst, 5)
+            for policy in (pg_stochastic(), patient_baseline()):
+                simulate(inst, policy, seed=5)
+            assert draw.call_count == 6
+        assert deps == engine.sample_departures(inst.departure_model, inst.n,
+                                                engine._derive_seed(5, "departures"))
+
+
+class EagerBits:
+    """The bit stream as it was seeded before the generator became lazy."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(engine._derive_seed(seed, "policy-bits"))
+        self.used = 0
+
+    def flip(self):
+        self.used += 1
+        return self._rng.getrandbits(1)
+
+
+class TestLazyCoins:
+    def test_same_bits_as_an_eagerly_seeded_stream(self):
+        for seed in (0, 1, True, 2 ** 40):
+            lazy, eager = engine.BitStream(seed), EagerBits(seed)
+            assert [lazy.flip() for _ in range(64)] == [eager.flip() for _ in range(64)]
+            assert lazy.used == eager.used == 64
+
+    def test_pg_stochastic_runs_are_unchanged(self):
+        rng = random.Random(5)
+        flipped = 0
+        for index in range(20):
+            base = random_instance(rng, rng.randint(2, 9), rng.choice([1, 2, 3]))
+            inst = dataclasses.replace(base, departure_model=geometric(F(1, 2)))
+            lazy, eager = pg_stochastic(), pg_stochastic()
+            a = simulate(inst, lazy, seed=index)
+            b = simulate(inst, eager, seed=index, bits=EagerBits(index))
+            assert a == b and lazy.log == eager.log
+            flipped += a.bits_used
+        assert flipped > 0
+
+    def test_a_coin_free_run_never_seeds_the_coins(self):
+        rng = random.Random(6)
+        inst = random_constrained_bipartite(rng, 8, 2)
+        with mock.patch.object(engine, "_derive_seed", wraps=engine._derive_seed) as derive:
+            for name in ("patient", "batching", "dda", "greedy"):
+                assert simulate(inst, make_policy(name), seed=3).bits_used == 0, name
+        assert all(call.args[1] != "policy-bits" for call in derive.call_args_list)

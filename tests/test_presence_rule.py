@@ -4,8 +4,8 @@ Each property writes the rule out by hand and checks one of its users
 against it: the weights a policy sees through `MarketView`, the edge sets of
 `build_online_graph` and `realized_online_graph`, the on-the-spot pair
 check in `simulate`, which must agree with `validate_matching` under every
-source of departure offsets, and the present set that `MarketView.present()`
-keeps as the run goes.
+source of departure offsets, and the present and alive sets that
+`MarketView` keeps as the run goes, in the view and in copies of it.
 """
 
 import dataclasses
@@ -207,6 +207,12 @@ def present_by_formula(view, critical):
             and not view.is_matched(v)]
 
 
+def alive_by_formula(view, critical, lookahead):
+    """Arrived, critical time plus lookahead not yet passed; ascending."""
+    return [v for v in range(1, view.n + 1)
+            if view.has_arrived(v) and critical[v - 1] + lookahead >= view.now]
+
+
 @st.composite
 def market_runs(draw, base=instances()):
     """An instance from `base`, in half the cases cut down to a
@@ -247,9 +253,18 @@ def test_present_set_follows_the_written_out_definition(instance, spec, lookahea
     policy.lookahead = lookahead
     audited = []
 
+    def agrees(view):
+        return (view.present() == present_by_formula(view, critical)
+                and view.alive() == alive_by_formula(view, critical, lookahead))
+
     def audit(hook):
         def run(v):
-            assert policy.view.present() == present_by_formula(policy.view, critical)
+            # a copy taken before the view's first read at this tick, and
+            # one taken after it, each read at this tick
+            before = policy.view.clone()
+            assert agrees(policy.view)
+            after = policy.view.clone()
+            assert agrees(before) and agrees(after)
             audited.append(v)
             return hook(v)
         return run
