@@ -259,8 +259,8 @@ def test_present_set_follows_the_written_out_definition(instance, spec, lookahea
 
     def audit(hook):
         def run(v):
-            # a copy taken before the view's first read at this tick, and
-            # one taken after it, each read at this tick
+            # copies taken before and after the audit's own read, so a copy
+            # is read both before and after the view has pruned at this tick
             before = policy.view.clone()
             assert agrees(policy.view)
             after = policy.view.clone()
