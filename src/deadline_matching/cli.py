@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .coverlp import (certified_inflation, contract_expand, covered_power, extend_cover,
-                      load_certificate, lookahead_cover, quadratic_inflation,
+from .coverlp import (certified_inflation, check_file_n, contract_expand, covered_power,
+                      extend_cover, load_certificate, lookahead_cover, quadratic_inflation,
                       save_certificate, solve_cover_lp, verify_certificate)
 from .engine import (competitive_report, exact_expectation, simulate,
                      write_report_csv, BranchingLimitExceeded)
@@ -53,15 +53,18 @@ def _at_least(low: int):
     return integer
 
 
-def _load_target(spec: str):
+def _load_target(spec: str, n: int):
+    """C_N^D for the spec "cycle:N:D", built only once N is the certificate's n."""
     kind, *rest = spec.split(":")
     if kind == "cycle" and len(rest) == 2:
         try:
-            n, d = map(int, rest)
+            size, d = map(int, rest)
         except ValueError:
             pass
         else:
-            return cycle_power(n, d)
+            if size != n:
+                raise ValueError("target size disagrees with the certificate")
+            return cycle_power(size, d)
     raise UsageError(f"unknown target spec {spec!r}; use cycle:N:D")
 
 
@@ -177,7 +180,7 @@ def cmd_cover_lp(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     cert = load_certificate(args.cert)
-    target = _load_target(args.target)
+    target = _load_target(args.target, cert.n)
     report = verify_certificate(cert, target)
     if report.ok:
         print(f"OK alpha={_fmt(cert.alpha)} columns={len(cert.columns)}")
@@ -205,31 +208,32 @@ def _write_and_verify(cert, out, target) -> int:
 
 def cmd_extend_cert(args) -> int:
     cert = load_certificate(args.cert)
+    check_file_n(args.n)
     extended = extend_cover(cert, args.n)
-    if args.target:
-        return _write_and_verify(extended, args.out, _load_target(args.target))
-    # the input covers C_n1^power at its own n1, and extend_cover has checked C_n^power
-    power = covered_power(cert) or 0
-    target = cycle_power(extended.n, max(extended.d, power))
+    # by default C_n^power: the input covers C_n1^power, and extend_cover has checked C_n^power
+    target = (_load_target(args.target, extended.n) if args.target
+              else cycle_power(extended.n, max(extended.d, covered_power(cert) or 0)))
     return _write_and_verify(extended, args.out, target)
 
 
 def cmd_contract_cert(args) -> int:
     cert = load_certificate(args.cert)
     k = cert.d + 1
+    check_file_n(cert.n // k * (args.d + 1))  # the lifted size
     lifted = contract_expand(cert, args.d)
     v = (args.d + 1) % k
     if v:
         print(f"subset-family inflation: certified {_fmt(certified_inflation(args.d, k))}, "
               f"squared-loss formula {_fmt(quadratic_inflation(args.d, k))}")
-    target = (_load_target(args.target) if args.target
+    target = (_load_target(args.target, lifted.n) if args.target
               else cycle_power(lifted.n, lifted.d))
     return _write_and_verify(lifted, args.out, target)
 
 
 def cmd_lookahead_cert(args) -> int:
+    check_file_n(args.n)
     cert = lookahead_cover(args.n, args.d, args.l)
-    target = _load_target(args.target) if args.target else cycle_power(args.n, args.d)
+    target = _load_target(args.target, cert.n) if args.target else cycle_power(args.n, args.d)
     return _write_and_verify(cert, args.out, target)
 
 

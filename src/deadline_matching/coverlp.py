@@ -448,13 +448,18 @@ def certificate_to_json(cert: CoverCertificate) -> dict:
     }
 
 
+def check_file_n(n: int) -> None:
+    """Refuse a size that no certificate file may hold."""
+    if n > MAX_FILE_N:
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_FILE_N}")
+
+
 def certificate_from_json(data: dict) -> CoverCertificate:
     try:
         n = as_integer(data["n"])
         d = as_integer(data["d"])
         period = as_integer(data["period"])
-        if n > MAX_FILE_N:  # before the generators are expanded over n // period shifts
-            raise ValueError(f"n = {n} exceeds the limit of {MAX_FILE_N}")
+        check_file_n(n)  # before the generators are expanded over n // period shifts
         alpha = as_rational(data["alpha"])
         columns = []
         for entry in data["columns"]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,16 +21,23 @@ def brief(value) -> str:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, 'num/den' strings, and Fractions to an exact Fraction."""
+    """Coerce ints, 'num/den' strings, and Fractions to an exact Fraction. A
+    decimal exponent above CPython's limit on integer strings (4300 digits) is
+    refused before `Fraction` builds 10**exponent."""
     if isinstance(value, bool):
         raise TypeError("booleans are not weights")
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
+        limit = sys.int_info.default_max_str_digits
+        try:  # an exponent int() cannot read is one Fraction refuses too
+            if abs(int(value.lower().partition("e")[2] or 0)) > limit:
+                raise OverflowError
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{brief(value)} has a zero denominator") from None
+        except OverflowError:
+            raise ValueError(f"{brief(value)} has a decimal exponent beyond ±{limit}") from None
         except ValueError:
             raise ValueError(f"cannot interpret {brief(value)} as an exact rational") from None
     raise TypeError(f"cannot interpret {brief(value)} as an exact rational")

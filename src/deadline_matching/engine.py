@@ -269,7 +269,8 @@ class OnlinePolicy:
 
     def clone(self) -> "OnlinePolicy":
         """Copy the base fields, with an empty log; a subclass that defines
-        `state_key()` copies its own state fields on top. Fields are copied
+        `state_key()` copies its own state fields on top; what no hook writes,
+        such as the instance or declared roles, is shared. Fields are copied
         by name, never the whole instance dictionary, so hooks wrapped on
         this object stay with it."""
         other = type(self).__new__(type(self))
@@ -296,7 +297,7 @@ class RunResult:
     bits_used: int
 
 
-_last_drawn = ((), ())  # the last (model, n, derived seed) drawn and its offsets, replaced as one pair
+_last_drawn = ((), ())  # the last (model, n, seed text) drawn and its offsets, replaced as one pair
 
 
 def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
@@ -304,21 +305,21 @@ def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
     instance's `departures`, else its model's draw for the seed, else the
     deadline. The one place offsets come from.
 
-    The last draw is kept with its key, (model, n, `_derive_seed(seed,
-    "departures")`), and only that one: a caller that asks for a run's
-    offsets and then simulates it draws once. The key holds the derived
-    seed, not the seed, so seeds that print differently (True, 1, 1.0)
-    keep their different draws; equal models share one."""
+    The last draw is kept with its key, (model, n, f"{seed}"), and only
+    that one: a caller that asks for a run's offsets and then simulates it
+    draws once. The key holds the seed's text, which is what `_derive_seed`
+    hashes, so seeds that print differently (True, 1, 1.0) keep their
+    different draws, equal models share one, and only a miss pays the hash."""
     global _last_drawn
     if instance.departures is not None:
         return instance.departures
     model = instance.departure_model
     if model is None:
         return tuple([instance.deadline] * instance.n)
-    key = (model, instance.n, _derive_seed(seed, "departures"))
+    key = (model, instance.n, f"{seed}")
     last, offsets = _last_drawn
     if key != last:
-        offsets = sample_departures(model, instance.n, key[2])
+        offsets = sample_departures(model, instance.n, _derive_seed(seed, "departures"))
         _last_drawn = key, offsets
     return offsets
 
@@ -596,6 +597,8 @@ def competitive_report(instances, policies, arrival_model: str = "fixed",
     """
     if arrival_model not in ("fixed", "uniform"):
         raise ValueError("arrival_model is 'fixed' or 'uniform'")
+    if seeds < 0:
+        raise ValueError(f"seeds must be >= 0, got {seeds}")
     rows = []
     for idx, (instance_id, instance) in enumerate(instances):
         orders, exhaustive = _order_family(instance, arrival_model, seeds,

@@ -89,11 +89,7 @@ def _constrained_randomized_lb(x=Fraction(1)) -> NamedInstance:
 
 def _pg_tightness(eps=Fraction(1, 10)) -> NamedInstance:
     _check_range("eps", eps, Fraction(0), Fraction(1))
-    weights = {(2, 3): Fraction(1), (1, 3): 1 - eps, (2, 4): Fraction(1)}
-    graph = WeightedGraph(4, weights)
-    roles = {1: "seller", 2: "seller", 3: "buyer", 4: "buyer"}
-    inst = OnlineInstance(graph, ArrivalOrder.identity(4), 2, roles=roles)
-    return NamedInstance("pg-tightness", {"eps": eps}, inst)
+    return NamedInstance("pg-tightness", {"eps": eps}, _lb_shape(1 - eps, Fraction(1)))
 
 
 def _random_order_3cycle(v12=Fraction(0), v23=Fraction(0), v31=Fraction(1)) -> NamedInstance:

@@ -44,14 +44,15 @@ def infer_roles(instance: OnlineInstance) -> dict[int, str]:
 class _RoleBased(OnlinePolicy):
     def reset(self, view: MarketView, rng):
         super().reset(view, rng)
-        self.roles = self._roles(view)
-
-    def _roles(self, view: MarketView) -> dict[int, str]:
-        roles = view.roles()
-        if roles is None:
+        self.roles = view.roles()
+        if self.roles is None:
             raise NonBipartiteError(
                 f"{self.name} needs seller/buyer roles declared on the instance")
-        return roles
+
+    def clone(self):
+        other = super().clone()
+        other.roles = self.roles  # no hook writes them: shared, like the instance
+        return other
 
     def _check_bipartite_arrival(self, v: int) -> dict[int, int]:
         # Returns v's revealed neighbours. A seller may not see any live edge on
@@ -87,13 +88,14 @@ class _OverScale:
 
 
 class _BestMarginBids(OnlinePolicy):
-    """The free-disposal greedy bid shared by greedy, naive-greedy and pg.
+    """The free-disposal greedy bid and close of greedy, naive-greedy and pg.
 
     Sellers enter at price 0. A buyer bids once, on the seller with the
     largest positive margin (weight minus price); the seller's price rises to
     that weight and its previous tentative buyer is displaced for good.
-    Sellers close through `_finalize`. Prices and margins are integers over
-    the view's scale.
+    `tentative` holds the open sellers, in arrival order; each leaves at its
+    critical event and closes through `_finalize`. Prices and margins are
+    integers over the view's scale.
     """
 
     initial_margin = _OverScale()
@@ -142,11 +144,23 @@ class _BestMarginBids(OnlinePolicy):
             return ()
         return [(seller, buyer)]
 
+    def on_critical(self, v: int):
+        buyer = self.tentative.pop(v, None)  # the seller closes; buyers hold no entry
+        return self._finalize(v, buyer) if buyer is not None else ()
+
+    def state_key(self):
+        """Each open seller with its tentative buyer, in arrival order: all
+        that a future hook reads. The open sellers are the present ones, a
+        seller's price is the weight to its tentative buyer (0 without one),
+        and a buyer bids once and is matched only by the seller that holds
+        it, so the roles and matched flags of buyers and closed sellers
+        change no future hook, and the guard reads only the tick."""
+        return tuple(self.tentative.items())
+
 
 class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
     """Match each arriving buyer to its best-margin present seller, with free
-    disposal: a displaced buyer never gets matched again. Sellers finalize
-    their tentative buyer at their critical event, through `_finalize`."""
+    disposal: a displaced buyer never gets matched again."""
 
     name = "greedy"
 
@@ -158,35 +172,22 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
             self._bid(v, neighbors.items())  # a buyer's neighbours are sellers
         return ()
 
-    def on_critical(self, v: int):
-        buyer = self.tentative.pop(v, None)  # the seller closes; buyers hold no entry
-        return self._finalize(v, buyer) if buyer is not None else ()
+
+class NaiveGreedy(_BestMarginBids):
+    """Greedy whose roles come from one fair coin per arrival, so only
+    seller-to-later-buyer edges count. It needs no declared roles, skips the
+    bipartite arrival check, and its clone copies the roles its coins write."""
+
+    name = "naive-greedy"
+
+    def reset(self, view, rng):
+        super().reset(view, rng)
+        self.roles: dict[int, str] = {}
 
     def clone(self):
         other = super().clone()
         other.roles = dict(self.roles)
         return other
-
-    def state_key(self):
-        """Each open seller, one whose critical event has not run, with its
-        tentative buyer, in arrival order: all that a future hook reads.
-        The open sellers are the present ones, a seller's price is the
-        weight to its tentative buyer (0 without one), and a buyer bids once
-        and is matched only by the seller that holds it, so the roles and
-        matched flags of buyers and closed sellers change no future hook,
-        and the guard reads only the tick."""
-        return tuple(self.tentative.items())
-
-
-class NaiveGreedy(FreeDisposalGreedy):
-    """Greedy whose roles come from one fair coin per arrival, so only
-    seller-to-later-buyer edges count. It needs no declared roles and skips
-    the bipartite arrival check."""
-
-    name = "naive-greedy"
-
-    def _roles(self, view):
-        return {}
 
     def on_arrival(self, v: int):
         role = self.roles[v] = SELLER if self.rng.flip() else BUYER
@@ -204,7 +205,7 @@ class PostponedGreedy(_BestMarginBids):
     """Run greedy over a virtual market holding a seller and a buyer copy of
     every vertex, deferring each vertex's side to its critical event.
 
-    Arriving vertex k's buyer copy bids once on the active seller copies,
+    Arriving vertex k's buyer copy bids once on the open seller copies,
     then k adds a zero-price seller copy. When k becomes critical its seller
     copy leaves the virtual market. With a tentative buyer, k's side decides
     what happens: a seller finalizes the pair and collects, a buyer yields,
@@ -214,6 +215,7 @@ class PostponedGreedy(_BestMarginBids):
 
     A seller finalizes through `_finalize`, which drops a tentative partner
     that has departed or been matched, so pg runs under any departures.
+    The open vertices are exactly the keys of `tentative`, in arrival order.
     """
 
     name = "pg"
@@ -221,49 +223,46 @@ class PostponedGreedy(_BestMarginBids):
     def reset(self, view, rng):
         super().reset(view, rng)
         self.status: dict[int, str] = {}
-        self.active: set[int] = set()
 
     def clone(self):
         """Copy the open vertices' prices, tentative buyers and sides, and
         those buyers' sides: all that a hook or the key reads, so a copy
         costs the same late in a run as early. Its duals are not a run's."""
-        prices, tentative, status = {}, {}, {}
-        for k in self.active:
-            prices[k], tentative[k], status[k] = self.prices[k], self.tentative[k], self.status[k]
-            if (b := tentative[k]) is not None:
+        prices, status = {}, {}
+        for k, b in self.tentative.items():
+            prices[k], status[k] = self.prices[k], self.status[k]
+            if b is not None:
                 status[b] = self.status[b]
         other = OnlinePolicy.clone(self)
-        other.prices, other.tentative, other.status = prices, tentative, status
+        other.prices, other.tentative, other.status = prices, dict(self.tentative), status
         other._initial_margin = {}
-        other.active = set(self.active)
         return other
 
     def state_key(self):
-        """Each open vertex (its critical event not run), ascending, with its
-        tentative buyer, side and matched flag, and that buyer's side and
-        whether the guard drops it: all a future hook reads. A bid reads the
-        open seller copies' prices, each the weight to the copy's tentative
-        buyer; a critical vertex reads the rest. A buyer bids once, so only the copy holding
+        """Each open vertex, in arrival order, with its tentative buyer, side
+        and matched flag, and that buyer's side and whether the guard drops
+        it: all a future hook reads. A bid reads the open seller copies'
+        prices, each the weight to the copy's tentative buyer; a critical
+        vertex reads the rest. A buyer bids once, so only the copy holding
         it or its own critical event can match it. Margins are history."""
-        view, status, tentative, dropped = self.view, self.status, self.tentative, self._dropped
-        return tuple((k, b := tentative[k], status[k], view.is_matched(k), status.get(b),
-                      dropped(b)) for k in sorted(self.active))
+        view, status, dropped = self.view, self.status, self._dropped
+        return tuple((k, b, status[k], view.is_matched(k), status.get(b), dropped(b))
+                     for k, b in self.tentative.items())
 
     def on_arrival(self, k: int):
         weight = self.view.weight
-        self._bid(k, [(s, weight(s, k)) for s in sorted(self.active)])
+        self._bid(k, [(s, weight(s, k)) for s in sorted(self.tentative)])
         self._add_seller(k)
         self.status[k] = UNDETERMINED
-        self.active.add(k)
         return ()
 
     def on_critical(self, k: int):
-        partner = self.tentative.get(k)
+        partner = self.tentative[k]
         if partner is not None and self.status[k] == UNDETERMINED:
             # k is still open here, so a clone taken at the coin copies it
             self.status[k] = SELLER if self.rng.flip() else BUYER
             self.log.append(("coin", k, self.status[k]))
-        self.active.discard(k)
+        del self.tentative[k]  # k closes
         if partner is None:
             return ()
         emitted = ()
@@ -401,18 +400,14 @@ class PatientBaseline(OnlinePolicy):
         return [(v, max(neighbors, key=neighbors.get))] if neighbors else ()
 
 
-# Spec-facing constructors -----------------------------------------------
+# Spec-facing constructors: the classes, and pg under its stochastic name ---
 
-def greedy_free_disposal() -> FreeDisposalGreedy:
-    return FreeDisposalGreedy()
-
-
-def naive_greedy() -> NaiveGreedy:
-    return NaiveGreedy()
-
-
-def postponed_greedy() -> PostponedGreedy:
-    return PostponedGreedy()
+greedy_free_disposal = FreeDisposalGreedy
+naive_greedy = NaiveGreedy
+postponed_greedy = PostponedGreedy
+dda = DynamicDeferredAcceptance
+batching = BatchingPolicy
+patient_baseline = PatientBaseline
 
 
 def pg_stochastic() -> PostponedGreedy:
@@ -420,18 +415,6 @@ def pg_stochastic() -> PostponedGreedy:
     policy = PostponedGreedy()
     policy.name = "pg-stochastic"
     return policy
-
-
-def dda() -> DynamicDeferredAcceptance:
-    return DynamicDeferredAcceptance()
-
-
-def batching(lookahead: int = 0) -> BatchingPolicy:
-    return BatchingPolicy(lookahead)
-
-
-def patient_baseline() -> PatientBaseline:
-    return PatientBaseline()
 
 
 POLICY_FACTORIES = {

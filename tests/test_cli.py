@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
-                               load_certificate, load_instance, save_instance,
-                               verify_certificate)
+                               load_certificate, load_instance, make_instance,
+                               save_instance, verify_certificate)
 from deadline_matching import cli
 from deadline_matching.cli import main
 from deadline_matching.graphs import MAX_JSON_DEPTH
@@ -172,6 +173,48 @@ class TestCertificatePipeline:
         assert code == 0 and "verified against n=16" in out
         assert checked == [(16, d + 1)] * 2
 
+    @pytest.fixture
+    def lp_prime_2(self, capsys, tmp_path):
+        """The lp-prime k = 2 certificate, n = 8 and d = 1, as a file."""
+        base = tmp_path / "p2.json"
+        run(capsys, "cover-lp", "--variant", "lp-prime", "--k", "2", "--out", str(base))
+        return str(base)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-cert", "--cert", "{base}"],
+        ["extend-cert", "--cert", "{base}", "--n", "16", "--out", "{out}"],
+        ["contract-cert", "--cert", "{base}", "--d", "3", "--out", "{out}"],
+        ["lookahead-cert", "--n", "9", "--d", "1", "--l", "1", "--out", "{out}"],
+    ])
+    def test_a_target_of_another_size_is_refused_unbuilt(self, capsys, tmp_path, monkeypatch,
+                                                         lp_prime_2, argv):
+        def unbuilt(n, d):
+            raise AssertionError(f"built the target cycle:{n}:{d}")
+
+        monkeypatch.setattr(cli, "cycle_power", unbuilt)
+        out_path = tmp_path / "out.json"
+        argv = [arg.format(base=lp_prime_2, out=out_path) for arg in argv]
+        code, out, err = run(capsys, *argv, "--target", "cycle:100000000:2")
+        assert (code, out) == (1, "")
+        assert err == "error: target size disagrees with the certificate\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, n", [
+        (["extend-cert", "--cert", "{base}", "--n", "1000002"], 1000002),
+        (["lookahead-cert", "--n", "1000002", "--d", "1", "--l", "0"], 1000002),
+        (["contract-cert", "--cert", "{base}", "--d", "500000"], 8 // 2 * 500001),
+    ])
+    def test_a_size_no_file_holds_is_refused_unbuilt(self, capsys, tmp_path, monkeypatch,
+                                                     lp_prime_2, argv, n):
+        for builder in ("extend_cover", "lookahead_cover", "contract_expand"):
+            monkeypatch.setattr(cli, builder, None)  # calling one would raise a TypeError
+        out_path = tmp_path / "out.json"
+        argv = [arg.format(base=lp_prime_2) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: n = {n} exceeds the limit of 1000000\n"
+        assert not out_path.exists()
+
     def test_contract_prints_the_inflation_off_the_batch_size(self, capsys, tmp_path):
         base, lifted = tmp_path / "p3.json", tmp_path / "lifted.json"
         run(capsys, "cover-lp", "--variant", "lp-prime", "--k", "3", "--out", str(base))
@@ -191,6 +234,19 @@ class TestGalleryAndSweep:
         assert code == 0
         inst = load_instance(path)
         assert inst.n == 4 and inst.deadline == 2
+
+    def test_gallery_without_out_prints_the_instance(self, capsys, tmp_path):
+        # what --out writes, to stdout; instance files hold no roles
+        code, out, err = run(capsys, "gallery", "--name", "pg-tightness", "--param", "eps=1/3")
+        assert code == 0 and err == ""
+        printed = tmp_path / "printed.json"
+        printed.write_text(out)
+        written = tmp_path / "written.json"
+        run(capsys, "gallery", "--name", "pg-tightness", "--param", "eps=1/3",
+            "--out", str(written))
+        named = make_instance("pg-tightness", eps="1/3").instance
+        assert load_instance(printed) == load_instance(written) == \
+            dataclasses.replace(named, roles=None)
 
     def test_sweep_deterministic_csv(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -332,6 +388,24 @@ class TestMalformedInput:
             capture_output=True, text=True, timeout=60)
         assert fresh.returncode == 1 and fresh.stdout == ""
         assert in_process == fresh.stderr == "error: not valid JSON: nested too deeply to parse\n"
+
+    def test_truncated_files_end_with_one_line(self, capsys, tmp_path):
+        certificate = json.dumps(self.certificate(capsys, tmp_path))
+        instance = json.dumps({"n": 2, "d": 1, "edges": [[1, 2, "3/2"]]})
+        path = tmp_path / "truncated.json"
+        for text, argv in ((instance, ["offline", "--instance"]),
+                           (certificate, ["verify-cert", "--target", "cycle:8:1", "--cert"])):
+            path.write_text(text[:-3])
+            err = self.one_line_error(capsys, *argv, str(path))
+            assert err.startswith("error: not valid JSON: ")
+
+    def test_a_huge_exponent_ends_with_one_line(self, capsys, tmp_path):
+        # Fraction would build 10**999999999 first: hundreds of MB and a long stall
+        path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, "1e999999999"]]})
+        for argv in (["offline", "--instance", path],
+                     ["gallery", "--name", "basic-tradeoff", "--param", "y=1e999999999"]):
+            err = self.one_line_error(capsys, *argv)
+            assert err.endswith("'1e999999999' has a decimal exponent beyond ±4300\n")
 
     def test_instance_weight_with_zero_denominator(self, capsys, tmp_path):
         path = self.write(tmp_path, {"n": 2, "d": 1, "edges": [[1, 2, "1/0"]]})

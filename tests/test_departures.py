@@ -9,7 +9,21 @@ from deadline_matching import (ArrivalOrder, DepartureModel, OnlineInstance,
                                instance_to_json, pg_stochastic,
                                postponed_greedy, realized_offline_optimum,
                                sample_departures, simulate, tabulated)
+from deadline_matching.departures import as_rational
 from helpers import random_instance
+
+
+class TestExactNumbers:
+    def test_an_exponent_up_to_the_integer_string_limit_reads(self):
+        assert as_rational("1e3") == 1000
+        assert as_rational("1e4300") == 10 ** 4300
+        assert as_rational("1e-4300") == F(1, 10 ** 4300)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2.5E+999999999"])
+    def test_a_larger_exponent_is_refused_before_it_is_computed(self, text):
+        with pytest.raises(ValueError) as refused:
+            as_rational(text)
+        assert str(refused.value) == f"{text!r} has a decimal exponent beyond ±4300"
 
 
 class TestSampling:

@@ -337,6 +337,29 @@ def world_after(policy, instance, bits, events):
     return policy
 
 
+class TestGreedyClones:
+    def test_a_clone_taken_mid_run_runs_on_as_its_original(self):
+        # greedy's clone shares the declared roles, which no hook writes;
+        # naive-greedy's copies the roles its coins write
+        rng = random.Random(15)
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            instance = random_constrained_bipartite(rng, n, rng.randint(1, 3))
+            view = engine.MarketView(instance, engine.realized_departures(instance, 0), 0)
+            schedule = engine.event_schedule(view._windows)
+            cut = rng.randint(1, len(schedule) - 1)
+            bits = tuple(rng.getrandbits(1) for _ in range(n))
+            for factory in (FreeDisposalGreedy, NaiveGreedy):
+                policy = world_after(factory(), instance, bits, cut)
+                clone = policy.clone()
+                assert (clone.roles is policy.roles) == (factory is FreeDisposalGreedy)
+                runs, tail = [], bits[policy.rng.used:]  # naive-greedy: one coin per arrival
+                for world in (clone, policy):
+                    world.rng = ScriptedBits(tail)
+                    runs.append([engine._step(world, *event) for event in schedule[cut:]])
+                assert runs[0] == runs[1]
+
+
 class TestOpenSellerKey:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(coin_instances(max_n=7, max_d=3))
@@ -600,6 +623,18 @@ class TestCompetitiveReport:
         assert [(row.samples_or_exact, row.alg_value, row.off_value) for row in rows] == [
             ("exact", F(11, 2), 22), ("exact", 11, 22)]
 
+    def test_refuses_an_unknown_arrival_model(self):
+        with pytest.raises(ValueError, match="'fixed' or 'uniform'"):
+            competitive_report([("r", unit_pairs(2))], [("patient", patient_baseline)],
+                               arrival_model="adversarial")
+
+    @pytest.mark.parametrize("arrival_model", ["fixed", "uniform"])
+    def test_refuses_negative_seeds(self, arrival_model):
+        with pytest.raises(ValueError) as refused:
+            competitive_report([("r", unit_pairs(2))], [("patient", patient_baseline)],
+                               arrival_model=arrival_model, seeds=-1)
+        assert str(refused.value) == "seeds must be >= 0, got -1"
+
     def test_zero_optimum_leaves_the_ratio_empty(self, tmp_path):
         rows = competitive_report([("zero", zero_instance(3, 1))],
                                   [("patient", patient_baseline)])
@@ -651,6 +686,16 @@ class TestOneDrawPerRun:
             assert draw.call_count == 6
         assert deps == engine.sample_departures(inst.departure_model, inst.n,
                                                 engine._derive_seed(5, "departures"))
+
+    def test_a_hit_derives_no_seed(self):
+        inst = modelled(geometric(F(1, 2)), 6)
+        with mock.patch.object(engine, "_last_drawn", ((), ())):
+            drawn = engine.realized_departures(inst, 3)
+            with mock.patch.object(engine, "_derive_seed", wraps=engine._derive_seed) as derive:
+                assert engine.realized_departures(inst, 3) == drawn
+                assert derive.call_count == 0
+                engine.realized_departures(inst, True)  # a miss derives its seed once
+                assert derive.call_args_list == [mock.call(True, "departures")]
 
 
 class EagerBits:

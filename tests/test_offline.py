@@ -327,6 +327,14 @@ class TestOfflineDual:
             expected = tuple((edge, -slack) for edge, slack in slacks if slack < 0)
             assert verify_offline_dual(inst, lam).violations == expected
 
+    def test_report_reads_as_one_line(self):
+        named = make_instance("basic-tradeoff", y=F(3))
+        duals = {1: F(0), 2: F(1), 3: F(0)}
+        assert str(verify_offline_dual(named.instance, duals)) == \
+            "infeasible on 1 edge(s): (2, 3): short by 2"
+        duals[3] = F(2)
+        assert str(verify_offline_dual(named.instance, duals)) == "feasible, sum = 3"
+
     def test_negative_duals_rejected(self):
         named = make_instance("basic-tradeoff")
         with pytest.raises(ValueError):

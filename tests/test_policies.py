@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deadline_matching import (ArrivalOrder, NonBipartiteError, OnlineInstance,
-                               WeightedGraph, batched_matching_value, batching,
+from deadline_matching import (ArrivalOrder, BatchingPolicy, DynamicDeferredAcceptance,
+                               FreeDisposalGreedy, NaiveGreedy, NonBipartiteError,
+                               OnlineInstance, PatientBaseline, WeightedGraph,
+                               batched_matching_value, batching,
                                dda, exact_expectation, greedy_free_disposal,
                                infer_roles, instance_from_json, make_instance,
                                make_policy,
                                naive_greedy, offline_optimum, patient_baseline,
-                               postponed_greedy, realized_offline_optimum,
+                               pg_stochastic, postponed_greedy, realized_offline_optimum,
                                simulate, validate_matching, verify_offline_dual)
 from deadline_matching.departures import geometric
 from deadline_matching.engine import realized_departures
@@ -65,6 +67,15 @@ class TestGreedy:
         with pytest.raises(NonBipartiteError, match="roles"):
             simulate(inst, greedy_free_disposal())
         assert infer_roles(inst) == {1: "seller", 2: "buyer"}
+
+    def test_rejects_an_edge_between_buyers(self):
+        inst = OnlineInstance(WeightedGraph(2, {(1, 2): F(1)}), ArrivalOrder.identity(2), 1,
+                              roles={1: "buyer", 2: "buyer"})
+        for factory in (greedy_free_disposal, dda):
+            with pytest.raises(NonBipartiteError) as refused:
+                simulate(inst, factory())
+            assert str(refused.value) == ("edge between buyers 1 and 2; input is not "
+                                          "constrained bipartite")
 
 
 class TestNaiveGreedy:
@@ -154,14 +165,14 @@ class TestPostponedGreedy:
             def on_arrival(self, k):
                 emitted = super().on_arrival(k)
                 if k == 990:
-                    copies.append((self.clone(), set(self.active), dict(self.tentative),
+                    copies.append((self.clone(), set(self.tentative), dict(self.tentative),
                                    len(self.status)))
                 return emitted
 
         simulate(TestDDA._banded(random.Random(8), 1000, 4), CloneLate(), seed=3)
         clone, active, tentative, held = copies[0]
         buyers = {tentative[k] for k in active} - {None}
-        assert set(clone.prices) == set(clone.tentative) == clone.active == active
+        assert set(clone.prices) == set(clone.tentative) == active
         assert set(clone.status) == active | buyers
         assert len(clone.status) <= 2 * len(active) <= 10 < held == 990
 
@@ -358,6 +369,15 @@ class TestMakePolicy:
         assert make_policy("batching:10").lookahead == 10
         with pytest.raises(ValueError):
             make_policy("mystery")
+
+    def test_constructors_are_the_classes(self):
+        assert (greedy_free_disposal, naive_greedy, postponed_greedy, dda, batching,
+                patient_baseline) == (FreeDisposalGreedy, NaiveGreedy, PostponedGreedy,
+                                      DynamicDeferredAcceptance, BatchingPolicy,
+                                      PatientBaseline)
+        assert batching(2).name == "batching:2" and pg_stochastic().name == "pg-stochastic"
+        for spec, factory in POLICY_FACTORIES.items():
+            assert make_policy(spec).name == factory().name == spec
 
     @pytest.mark.parametrize("spec", ["batching:x", "batching:1_0", "batching:+1",
                                       "batching:-1", "batching:", "batching: 1",
