@@ -16,10 +16,9 @@ from pathlib import Path
 
 from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
                      format_rational, invert_permutation, read_json)
-from .masks import (PeriodicBatching, batching_from_order, combine,
-                    cover_deficits, cycle_power, cyclic_distance,
-                    enumerate_periodic_batchings, periodic_extension,
-                    rotate, rotation_keys, shift_orbit)
+from .masks import (PeriodicBatching, batching_from_order, cover_deficits,
+                    cycle_power, cyclic_distance, enumerate_periodic_batchings,
+                    periodic_extension, rotate, rotation_keys, shift_orbit)
 from .simplex import certify_min_geq, solve_min_geq
 
 
@@ -56,11 +55,14 @@ class CoverCertificate:
         object.__setattr__(self, "columns", cols)
 
     def combined_mask(self) -> WeightedGraph:
-        acc = WeightedGraph(self.n, {})
+        """Each pair's summed weight over the columns that batch it, in first-seen order."""
+        sums: dict[tuple[int, int], Fraction] = {}
         for pb, lam in self.columns:
             if lam:
-                acc = combine(1, acc, lam, pb.mask())
-        return acc
+                for batch in pb.batches:
+                    for pair in combinations(batch, 2):
+                        sums[pair] = sums.get(pair, 0) + lam
+        return WeightedGraph(self.n, sums)
 
 
 @dataclass(frozen=True)
@@ -340,27 +342,21 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
             out.append(tuple(sorted(batch + blocks[beta])))
         return out
 
-    new_cols: list[tuple[PeriodicBatching, Fraction]] = []
-    if v == 0:
-        residue_sets = [tuple(range(1, d + 2))]
-        per_set_scale = Fraction(1)
-    else:
-        residue_sets = list(combinations(range(1, d + 2), d + 1 - v))
-        per_set_scale = certified_inflation(d, k) / len(residue_sets)
-    for pb, lam in cert.columns:
-        for residues in residue_sets:
-            raw = lift_column(pb, residues)
-            full = pad_to_partition(raw, residues)
-            try:
-                column = PeriodicBatching(n, d + 1, period, tuple(full))
-            except ValueError:
-                column = PeriodicBatching(n, d + 1, n, tuple(full))
-            new_cols.append((column, lam * per_set_scale))
-    out_period = period if all(c.period == period for c, _ in new_cols) else n
-    if out_period == n:
-        new_cols = [(PeriodicBatching(n, d + 1, n, c.batches), lam) for c, lam in new_cols]
+    # when k | d + 1 the one residue set is 1..d+1, at inflation 1
+    residue_sets = list(combinations(range(1, d + 2), d + 1 - v))
+    per_set_scale = certified_inflation(d, k) / len(residue_sets)
+    lifted = [(tuple(pad_to_partition(lift_column(pb, residues), residues)), lam * per_set_scale)
+              for pb, lam in cert.columns for residues in residue_sets]
+
+    def columns(p: int):
+        return tuple((PeriodicBatching(n, d + 1, p, full), lam) for full, lam in lifted)
+
+    try:
+        new_cols = columns(period)
+    except ValueError:  # one column refuses the period, so every column takes n
+        period, new_cols = n, columns(n)
     alpha = sum((lam for _, lam in new_cols), Fraction(0))
-    return CoverCertificate(n, d, out_period, alpha, tuple(new_cols))
+    return CoverCertificate(n, d, period, alpha, new_cols)
 
 
 def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple, int]:

@@ -71,35 +71,31 @@ class OutOfBits(Exception):
 
 
 class ScriptedBits:
-    """Bits read from `script`. Past its end the source answers 0 and records
-    where, up to `limit` bits in all (by default the script's length, so no
-    bit past it); the flip after that raises OutOfBits. The 1-branches a run
-    passed are then the scripts that enumerate the rest of its coin tree."""
+    """Bits read from `script`, then zeros, up to `limit` bits in all (by
+    default the script's length, so no bit past it); the flip after that
+    raises OutOfBits. The zeros sit at positions len(script)..used - 1, and
+    their 1-branches are the scripts that enumerate the rest of a run's tree."""
 
     def __init__(self, script: tuple[int, ...], limit: int | None = None):
         self.script = script
         self.limit = len(script) if limit is None else limit
         self.used = 0
-        self.zeros: list[int] = []  # positions past the script answered 0
 
     def flip(self) -> int:
         used = self.used
         if used >= self.limit:
             raise OutOfBits(used)
         self.used = used + 1
-        if used < len(self.script):
-            return self.script[used]
-        self.zeros.append(used)
-        return 0
+        return self.script[used] if used < len(self.script) else 0
 
     def path(self) -> tuple[int, ...]:
         """Every bit answered so far."""
-        return self.script[:self.used] + (0,) * len(self.zeros)
+        return self.script[:self.used] + (0,) * (self.used - len(self.script))
 
     def branches(self) -> list[tuple[int, ...]]:
         """The script of each 1-branch the run passed, shallowest first."""
         path = self.path()
-        return [path[:i] + (1,) for i in self.zeros]
+        return [path[:i] + (1,) for i in range(len(self.script), self.used)]
 
 
 class _ForkBits(ScriptedBits):
@@ -249,7 +245,7 @@ class OnlinePolicy:
     keys a world right after each event, at that event's tick. `clone()`
     returns an independent copy, view included, of the state that hooks
     read; history that no hook reads (the log, initial margins) starts
-    empty, so a copy costs the same late in a run as early. The pass
+    empty, but the view's copy grows with the run (see `clone`). The pass
     clones a world at a hook's first coin and re-runs the hook from that
     clone for each other outcome, so whatever a hook with a state key does
     before its first coin must be safe to do twice. The base `state_key()`
@@ -272,7 +268,8 @@ class OnlinePolicy:
         `state_key()` copies its own state fields on top; what no hook writes,
         such as the instance or declared roles, is shared. Fields are copied
         by name, never the whole instance dictionary, so hooks wrapped on
-        this object stay with it."""
+        this object stay with it. The view is copied whole, its arrived and
+        matched sets included, which grow with the run."""
         other = type(self).__new__(type(self))
         other.name = self.name
         other.lookahead = self.lookahead

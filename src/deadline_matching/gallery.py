@@ -45,22 +45,23 @@ def make_instance(name: str, **params) -> NamedInstance:
     }
     if name not in builders:
         raise ValueError(f"unknown instance name {name!r}")
-    known = inspect.signature(builders[name]).parameters
-    unknown = sorted(set(params) - set(known))
+    signature = inspect.signature(builders[name])
+    unknown = sorted(set(params) - set(signature.parameters))
     if unknown:
         raise ValueError(f"{name} has no parameter {', '.join(map(repr, unknown))}; "
-                         f"it takes {', '.join(known)}")
-    return builders[name](**{k: as_rational(v) for k, v in params.items()})
+                         f"it takes {', '.join(signature.parameters)}")
+    bound = signature.bind(**{k: as_rational(v) for k, v in params.items()})
+    bound.apply_defaults()
+    return NamedInstance(name, dict(bound.arguments), builders[name](**bound.arguments))
 
 
-def _basic_tradeoff(y=Fraction(2)) -> NamedInstance:
+def _basic_tradeoff(y=Fraction(2)) -> OnlineInstance:
     # Two-edge path with d = 1: by period 2 the planner must take v12 = 1 or
     # gamble on the unseen y.
     if y < 0:
         raise ValueError("y must be >= 0")
     graph = WeightedGraph(3, {(1, 2): Fraction(1), (2, 3): y})
-    inst = OnlineInstance(graph, ArrivalOrder.identity(3), 1)
-    return NamedInstance("basic-tradeoff", {"y": y}, inst)
+    return OnlineInstance(graph, ArrivalOrder.identity(3), 1)
 
 
 def _lb_shape(w13: Fraction, x: Fraction) -> OnlineInstance:
@@ -76,29 +77,25 @@ def _lb_shape(w13: Fraction, x: Fraction) -> OnlineInstance:
     return OnlineInstance(graph, ArrivalOrder.identity(4), 2, roles=roles)
 
 
-def _constrained_deterministic_lb(w=GOLDEN_STANDIN, x=Fraction(1)) -> NamedInstance:
+def _constrained_deterministic_lb(w=GOLDEN_STANDIN, x=Fraction(1)) -> OnlineInstance:
     _check_range("w", w, Fraction(0), Fraction(1))
-    return NamedInstance("constrained-deterministic-lb", {"w": w, "x": x},
-                         _lb_shape(w, x))
+    return _lb_shape(w, x)
 
 
-def _constrained_randomized_lb(x=Fraction(1)) -> NamedInstance:
-    return NamedInstance("constrained-randomized-lb", {"x": x},
-                         _lb_shape(Fraction(1, 2), x))
+def _constrained_randomized_lb(x=Fraction(1)) -> OnlineInstance:
+    return _lb_shape(Fraction(1, 2), x)
 
 
-def _pg_tightness(eps=Fraction(1, 10)) -> NamedInstance:
+def _pg_tightness(eps=Fraction(1, 10)) -> OnlineInstance:
     _check_range("eps", eps, Fraction(0), Fraction(1))
-    return NamedInstance("pg-tightness", {"eps": eps}, _lb_shape(1 - eps, Fraction(1)))
+    return _lb_shape(1 - eps, Fraction(1))
 
 
-def _random_order_3cycle(v12=Fraction(0), v23=Fraction(0), v31=Fraction(1)) -> NamedInstance:
+def _random_order_3cycle(v12=Fraction(0), v23=Fraction(0), v31=Fraction(1)) -> OnlineInstance:
     if min(v12, v23, v31) < 0:
         raise ValueError("weights must be >= 0")
     graph = WeightedGraph(3, {(1, 2): v12, (2, 3): v23, (1, 3): v31})
-    inst = OnlineInstance(graph, ArrivalOrder.identity(3), 1)
-    return NamedInstance("random-order-3cycle",
-                         {"v12": v12, "v23": v23, "v31": v31}, inst)
+    return OnlineInstance(graph, ArrivalOrder.identity(3), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,16 @@ class ArrivalOrder:
         return self.sequence[slot - 1]
 
 
+def checked_offsets(offsets, n: int) -> tuple[int, ...]:
+    """Departure offsets as integers, one per vertex and none negative."""
+    deps = tuple(as_integer(t) for t in offsets)
+    if len(deps) != n:
+        raise ValueError("departures must list one offset per vertex")
+    if any(t < 0 for t in deps):
+        raise ValueError("departure offsets must be >= 0")
+    return deps
+
+
 @dataclass(frozen=True)
 class OnlineInstance:
     """A weighted graph arriving over time, with a deadline model.
@@ -182,12 +192,7 @@ class OnlineInstance:
         if self.departures is not None:
             if self.departure_model is not None:
                 raise ValueError("give either departures or departure_model, not both")
-            deps = tuple(as_integer(t) for t in self.departures)
-            if len(deps) != self.graph.n:
-                raise ValueError("departures must list one offset per vertex")
-            if any(t < 0 for t in deps):
-                raise ValueError("departure offsets must be >= 0")
-            object.__setattr__(self, "departures", deps)
+            object.__setattr__(self, "departures", checked_offsets(self.departures, self.graph.n))
         if self.roles is not None:
             if set(self.roles) != set(self.graph.vertices()):
                 raise ValueError("roles must cover every vertex")

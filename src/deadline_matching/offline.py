@@ -10,7 +10,7 @@ best(t-2) + w(t-1, t)), kept as two running integers. Every arrival order
 is read through `graphs.invert_permutation`, which checks it in linear time
 and keeps the last tuple it accepted, so the two sweep evaluators, given one
 tuple in turn, check it once; the batched evaluator cuts that arrival
-sequence into runs of d + 1, reading runs of two as pairs. Weights are
+sequence into runs of d + 1, reading them as pairs when d = 1. Weights are
 integers over one scale per graph (`WeightedGraph.scaled`, or the integers
 a `MarketView` reads), so every comparison and tie is exact; the sweep
 evaluators turn their totals into Fractions through one shared cache,
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
-                     WeightedGraph, as_rational,
+                     WeightedGraph, as_rational, checked_offsets,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
                      invert_permutation, ordered_pair, over_scale)
 
@@ -147,15 +147,15 @@ def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matchin
 def realized_online_graph(instance: OnlineInstance,
                           departures: tuple[int, ...]) -> WeightedGraph:
     """Keep edge (i, j) iff the later arrival comes while the earlier vertex
-    is still present under the realized departure offsets."""
-    return instance.windows(departures).subgraph(instance.graph)
+    is still present under the realized offsets, checked as an instance's."""
+    return instance.windows(checked_offsets(departures, instance.n)).subgraph(instance.graph)
 
 
 def realized_offline_optimum(instance: OnlineInstance,
                              departures: tuple[int, ...]) -> Matching:
-    """The offline benchmark under realized departures: optimal matching over
-    pairs whose presence windows overlap."""
-    return _band_optimum(instance, instance.windows(departures))
+    """The offline benchmark under realized departures, checked as an
+    instance's own are: optimal matching over pairs whose windows overlap."""
+    return _band_optimum(instance, instance.windows(checked_offsets(departures, instance.n)))
 
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -173,30 +173,20 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     """Sum of optimal matchings inside each consecutive (d+1)-slot batch.
     Refuses d < 0 and `slots` that are not a permutation of 1..graph.n.
 
-    The batches are consecutive runs of d + 1 in the arrival sequence. A
-    full band matches a batch alike in any order, so only pairs and triples,
-    which take a closed form, are put in ascending order for the lookup. A
-    batch of two is read as a pair straight from the sequence: every batch
-    when d = 1, else at most the last, partial one."""
+    The batches are consecutive runs of d + 1 in the arrival sequence, each
+    matched by the band DP with a full band. When d = 1 every batch is a
+    pair, read straight from the sequence."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     order = invert_permutation(slots, graph.n)
     ints, scale = graph.scaled
-    n, size = graph.n, d + 1
-    if size == 2:
-        pairs, batches = zip(order[::2], order[1::2]), ()
-    else:
-        full = n - 2 if n % size == 2 else n  # where a last batch of two starts
-        pairs = [order[full:]] if full < n else ()
-        batches = (order[start:start + size] for start in range(0, full, size))
     total = 0
-    for a, b in pairs:
-        total += ints.get((a, b) if a < b else (b, a), 0)
-    for batch in batches:
-        if len(batch) == 3:
-            a, b, c = sorted(batch)
-            total += max(ints.get((a, b), 0), ints.get((a, c), 0), ints.get((b, c), 0))
-        elif len(batch) > 3:
+    if d == 1:
+        for a, b in zip(order[::2], order[1::2]):
+            total += ints.get((a, b) if a < b else (b, a), 0)
+    else:
+        for start in range(0, graph.n, d + 1):
+            batch = order[start:start + d + 1]  # a refusal names the batch's own band
             total += _band_dp(ints, batch, len(batch) - 1)
     return over_scale(total, scale)
 

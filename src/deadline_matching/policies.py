@@ -145,7 +145,8 @@ class _BestMarginBids(OnlinePolicy):
         return [(seller, buyer)]
 
     def on_critical(self, v: int):
-        buyer = self.tentative.pop(v, None)  # the seller closes; buyers hold no entry
+        self.prices.pop(v, None)  # the seller closes (pg keeps prices for its duals)
+        buyer = self.tentative.pop(v, None)  # buyers hold no entry
         return self._finalize(v, buyer) if buyer is not None else ()
 
     def state_key(self):
@@ -176,7 +177,8 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
 class NaiveGreedy(_BestMarginBids):
     """Greedy whose roles come from one fair coin per arrival, so only
     seller-to-later-buyer edges count. It needs no declared roles, skips the
-    bipartite arrival check, and its clone copies the roles its coins write."""
+    bipartite arrival check, and keeps the roles its coins write until each
+    vertex's critical event; its clone copies them."""
 
     name = "naive-greedy"
 
@@ -188,6 +190,10 @@ class NaiveGreedy(_BestMarginBids):
         other = super().clone()
         other.roles = dict(self.roles)
         return other
+
+    def on_critical(self, v: int):
+        del self.roles[v]  # no later arrival sees v as a neighbour
+        return super().on_critical(v)
 
     def on_arrival(self, v: int):
         role = self.roles[v] = SELLER if self.rng.flip() else BUYER
@@ -226,8 +232,8 @@ class PostponedGreedy(_BestMarginBids):
 
     def clone(self):
         """Copy the open vertices' prices, tentative buyers and sides, and
-        those buyers' sides: all that a hook or the key reads, so a copy
-        costs the same late in a run as early. Its duals are not a run's."""
+        those buyers' sides: all that a hook or the key reads, so no more
+        late in a run than early (unlike the view). Its duals are not a run's."""
         prices, status = {}, {}
         for k, b in self.tentative.items():
             prices[k], status[k] = self.prices[k], self.status[k]

@@ -48,6 +48,10 @@ PINNED_COVER_DIGESTS = {
         "f8452f312a244eac88ae1069f4232a965c1c9d305a533828af72b9b13c4a3952",
     "contract_expand(lp-prime 4, 7)":
         "9d9bfab2bb56ff8ec9e3084dc694ce8b375a700b9507676952496097ed4e6c3a",
+    "contract_expand(lp-prime 3, 4)":
+        "37f468cf73d1f8849471cd13df95bc5059eabaa3211d9d862b22847c9c41325f",
+    "contract_expand(extend_cover(lp 1, 14), 2)":
+        "730f4fa7e5ceab0854eb39cfc1cf9ad6a3079e7064cfcf099a32886ade624088",
     "lookahead_cover(8, 2, 1)":
         "089df95af13518f2891877aea9099daeb941ca929e648767ba4e89f0549d0316",
 }
@@ -64,6 +68,12 @@ def test_covering_outputs_keep_their_pinned_bytes():
             ("extend_cover(lp 1, 24)", extend_cover(results["lp 1"].certificate, 24)),
             ("contract_expand(lp-prime 4, 7)",
              contract_expand(results["lp-prime 4"].certificate, 7)),
+            # v = 2 pads every batch; the lift keeps the period 10
+            ("contract_expand(lp-prime 3, 4)",
+             contract_expand(results["lp-prime 3"].certificate, 4)),
+            # r = 7 blocks: the period 6 does not divide n = 21, so it falls back to n
+            ("contract_expand(extend_cover(lp 1, 14), 2)",
+             contract_expand(extend_cover(results["lp 1"].certificate, 14), 2)),
             ("lookahead_cover(8, 2, 1)", lookahead_cover(8, 2, 1))):
         digests[name] = _sha256(certificate_to_json(cert))
     assert digests == PINNED_COVER_DIGESTS

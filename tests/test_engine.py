@@ -359,6 +359,23 @@ class TestGreedyClones:
                     runs.append([engine._step(world, *event) for event in schedule[cut:]])
                 assert runs[0] == runs[1]
 
+    def test_a_late_clone_holds_only_the_open_state(self):
+        # a closing seller drops its price, and naive-greedy drops a vertex's
+        # role at its critical event, so a late clone is no larger than an early one
+        n, d = 1000, 4
+        rng = random.Random(8)
+        roles = {v: rng.choice(["seller", "buyer"]) for v in range(1, n + 1)}
+        weights = {(i, j): F(rng.randint(1, 16), rng.choice([1, 2, 4, 8]))
+                   for i in range(1, n + 1) for j in range(i + 1, min(n, i + d) + 1)
+                   if roles[i] == "seller" and roles[j] == "buyer" and rng.random() < 0.7}
+        instance = OnlineInstance(WeightedGraph(n, weights), ArrivalOrder.identity(n), d,
+                                  roles=roles)
+        bits = tuple(rng.getrandbits(1) for _ in range(n))
+        greedy = world_after(FreeDisposalGreedy(), instance, bits, 1980).clone()
+        assert greedy.prices.keys() == greedy.tentative.keys() != set()
+        naive = world_after(NaiveGreedy(), instance, bits, 1980).clone()
+        assert 0 < len(naive.roles) <= d + 1
+
 
 class TestOpenSellerKey:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

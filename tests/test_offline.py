@@ -14,7 +14,8 @@ from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                hungarian_bipartite, make_instance,
                                matching_weight, max_weight_matching_exact,
                                offline_optimum, realized_offline_optimum,
-                               validate_matching, verify_offline_dual)
+                               realized_online_graph, validate_matching,
+                               verify_offline_dual)
 from deadline_matching.graphs import invert_permutation, over_scale
 from helpers import random_complete_graph, random_instance, random_weight
 from oracles import (batched_graph, max_weight_matching_value, multiply,
@@ -292,6 +293,20 @@ class TestRealizedOptimum:
         assert realized_offline_optimum(inst, (0, 0, 0)).weight == 0
         assert realized_offline_optimum(inst, (1, 0, 0)).weight == 5
         assert realized_offline_optimum(inst, (2, 2, 2)).weight == 5
+
+    def test_readers_refuse_the_offsets_an_instance_refuses(self):
+        g = WeightedGraph(3, {(1, 2): F(5), (2, 3): F(4)})
+        inst = OnlineInstance(g, ArrivalOrder.identity(3), 2)
+        for offsets in ((1,), (1, 1, 1, 1), (-1, 0, 0), (0.5, 1, 1), (True, 1, 1)):
+            with pytest.raises((TypeError, ValueError)) as refused:
+                OnlineInstance(g, ArrivalOrder.identity(3), 2, departures=offsets)
+            for reader in (realized_offline_optimum, realized_online_graph):
+                with pytest.raises(refused.type) as raised:
+                    reader(inst, offsets)
+                assert str(raised.value) == str(refused.value)
+        # an integer string reads as it does in an instance
+        for reader in (realized_offline_optimum, realized_online_graph):
+            assert reader(inst, ("1", 1, 1)) == reader(inst, (1, 1, 1))
 
 
 class TestOfflineDual:
