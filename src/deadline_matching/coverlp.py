@@ -15,10 +15,9 @@ from itertools import combinations
 from pathlib import Path
 
 from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
-                     format_rational, invert_permutation, read_json)
-from .masks import (PeriodicBatching, batching_from_order, cover_deficits,
-                    cycle_power, cyclic_distance, enumerate_periodic_batchings,
-                    periodic_extension, rotate, rotation_keys, shift_orbit)
+                     format_rational, read_json)
+from .masks import (PeriodicBatching, cover_deficits, cycle_power, cyclic_distance,
+                    enumerate_periodic_batchings, rotation_keys)
 from .simplex import certify_min_geq, solve_min_geq
 
 
@@ -182,26 +181,31 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
 
 
 # ---------------------------------------------------------------------------
-# Extension to larger n
+# Columns as generator batches over one period: the transforms below build
+# every column from its generators, translated round the new cycle.
 
-def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
-    """A p-periodic arrival order whose slot blocks induce this batching."""
-    n, p, size = pb.n, pb.period, pb.batch_size
-    if n % size:
-        raise ValueError("boundary batches have no realizing block order")
-    reps = pb.generator_batches()
-    for batch in reps:
-        if len(set(shift_orbit(batch, p, n))) != n // p:
-            raise ValueError("a batch orbit is shorter than n/p; not realizable")
-    if len(reps) != p // size:
-        raise ValueError("orbit count disagrees with blocks per period")
-    # the j-th representative fills slots j*size+1..(j+1)*size; the map from
-    # slots to the vertices in them is p-periodic like the order itself
-    occupant = periodic_extension([v for rep in reps for v in rep], p, n)
-    order = invert_permutation(occupant, n)
-    if batching_from_order(order, n, size - 1, period=p).canonical_key() != pb.canonical_key():
-        raise AssertionError("reconstructed order does not realize the batching")
-    return order
+def _translates(generators, step: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each generator batch moved by 0, step, 2 step, ... round the n-cycle."""
+    return tuple(tuple(sorted((v + t - 1) % n + 1 for v in gen))
+                 for gen in generators for t in range(0, n, step))
+
+
+def _lifted(pb: PeriodicBatching) -> list[tuple[int, ...]]:
+    """The column's generator batches as integer sets whose translates by the
+    period p partition the integers. Each batch is cut after its last largest
+    cyclic gap, which leaves the integer set with the smallest span, and is
+    shifted by a multiple of p to start in 1..p."""
+    n, p = pb.n, pb.period
+    lifted = []
+    for batch in pb.generator_batches():
+        k = len(batch)
+        gaps = [(batch[(i + 1) % k] - batch[i] - 1) % n + 1 for i in range(k)]
+        start = (max(range(k), key=lambda i: (gaps[i], i)) + 1) % k
+        run = batch[start:] + tuple(x + n for x in batch[:start])
+        lifted.append(tuple(x - (run[0] - 1) // p * p for x in run))
+    if sorted(x % p for batch in lifted for x in batch) != list(range(p)):
+        raise ValueError("a batch orbit is shorter than n/p; not realizable")
+    return lifted
 
 
 def covered_power(cert: CoverCertificate) -> int | None:
@@ -215,12 +219,16 @@ def covered_power(cert: CoverCertificate) -> int | None:
 def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
     """Extend a periodic cover of C_{n1}^P to a verified cover of C_n^P.
 
-    P is the input's `covered_power`. When n is a multiple of the period the
-    weights carry over unchanged. Otherwise the columns are rebuilt
-    u = floor(n/p) times with a block of n mod p extra vertices parked at the
-    tail slots, at weight lambda/(u-2), which multiplies alpha by u/(u-2);
-    this needs u >= 3. A result that does not cover C_n^P raises a ValueError
-    naming its first uncovered edge.
+    P is the input's `covered_power`. Each column is read as its lifted
+    generator batches (`_lifted`; a column with a batch orbit shorter than
+    n1/p has none and raises). When the period p divides n, the column is
+    their translates by p mod n, at the same weight. Otherwise, with
+    u, v = divmod(n, p), it is rebuilt u times from its translates mod p*u:
+    for each cut p*x, every vertex above the cut moves up by v and the v new
+    vertices after the cut form batches of d+1 in order. Each copy weighs
+    lambda/(u-2), which multiplies alpha by u/(u-2) and needs u >= 3. A
+    result that does not cover C_n^P raises a ValueError naming its first
+    uncovered edge.
     """
     n1, p, d = cert.n, cert.period, cert.d
     if n < n1:
@@ -233,32 +241,22 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
         raise ValueError("target n must be a multiple of the batch size d+1")
     if n == n1:
         return cert
-    heads = [(list(realizing_permutation(pb)[:p]), lam) for pb, lam in cert.columns]
+    lifted = [(_lifted(pb), lam) for pb, lam in cert.columns]
     if n % p == 0:
-        new_cols = []
-        for head, lam in heads:
-            order = periodic_extension(head, p, n)
-            new_cols.append((batching_from_order(order, n, d, period=p), lam))
-        extended = CoverCertificate(n, d, p, cert.alpha, tuple(new_cols))
+        extended = CoverCertificate(n, d, p, cert.alpha, tuple(
+            (PeriodicBatching(n, d + 1, p, _translates(gens, p, n)), lam) for gens, lam in lifted))
     else:
         u, v = divmod(n, p)
         if u < 3:
             raise ValueError(f"n={n} gives u={u} < 3 full periods; too small to extend")
         new_cols = []
         scale = Fraction(1, u - 2)
-        for head, lam in heads:
-            tilde = periodic_extension(head, p, p * u)
-            for x in range(1, u + 1):
-                cut = p * x
-                sigma = [0] * n
-                for i in range(1, n + 1):
-                    if i <= cut:
-                        sigma[i - 1] = tilde[i - 1]
-                    elif i <= cut + v:
-                        sigma[i - 1] = i + (u - x) * p  # parked at the tail slots
-                    else:
-                        sigma[i - 1] = tilde[i - v - 1]
-                new_cols.append((batching_from_order(sigma, n, d, period=n), lam * scale))
+        for gens, lam in lifted:
+            tilde = _translates(gens, p, p * u)
+            for cut in range(p, p * u + 1, p):
+                batches = [tuple(i + v if i > cut else i for i in b) for b in tilde]
+                batches += [tuple(range(i, i + d + 1)) for i in range(cut + 1, cut + v + 1, d + 1)]
+                new_cols.append((PeriodicBatching(n, d + 1, n, tuple(batches)), lam * scale))
         extended = CoverCertificate(n, d, n, cert.alpha * u * scale, tuple(new_cols))
     power = covered_power(cert)
     if power is None:
@@ -299,10 +297,17 @@ def certified_inflation(d: int, k: int) -> Fraction:
 def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
     """Lift a (alpha, k-1)-cover of C_{rk}^k to a verified cover of C_{r(d+1)}^d.
 
-    Case k | d+1: each contracted vertex expands into u = (d+1)/k consecutive
-    originals; alpha is unchanged. Otherwise every subset of d+1-v residues
-    per block is lifted and the weights are scaled by
-    certified_inflation(d, k) / C(d+1, d+1-v).
+    Vertex t of the input lies in block (t-1)//k of the output, whose
+    d+1 vertices carry the residues 1..d+1. Case k | d+1: each contracted
+    vertex expands into its chunk of u = (d+1)/k consecutive residues; alpha
+    is unchanged. Otherwise every subset of d+1-v residues is split into k
+    chunks in turn, and the weights are scaled by
+    certified_inflation(d, k) / C(d+1, d+1-v). Each column is expanded on its
+    generator batches over the input period P, generator j also taking the v
+    leftover residues of block j, and then translated by (P/k)(d+1). When k
+    does not divide P or an orbit is short, the whole column serves as the
+    generators, batch j taking block j. The output's period is 2(d+1) if
+    every column has it, else n.
     """
     k = cert.d + 1
     if cert.n % k:
@@ -314,42 +319,23 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
     v = (d + 1) % k
     u = (d + 1) // k
     period = 2 * (d + 1)
-
-    def lift_column(pb: PeriodicBatching, residues: tuple[int, ...]):
-        """Expand contracted vertices into residue groups inside each block."""
-        chunks = [residues[m * u:(m + 1) * u] for m in range(k)]
-        groups: dict[int, tuple[int, ...]] = {}
-        for beta in range(r):
-            for m in range(k):
-                t = beta * k + m + 1  # contracted vertex label
-                groups[t] = tuple((d + 1) * beta + phi for phi in chunks[m])
-        return [tuple(sorted(x for t in batch for x in groups[t]))
-                for batch in pb.batches]
-
-    def pad_to_partition(raw_batches: list[tuple[int, ...]], residues):
-        leftover_res = [phi for phi in range(1, d + 2) if phi not in residues]
-        if not leftover_res:
-            return [tuple(sorted(b)) for b in raw_batches]
-        blocks = {beta: tuple((d + 1) * beta + phi for phi in leftover_res)
-                  for beta in range(r)}
-        # hand block beta's leftovers to a batch, consistently under the
-        # period shift so the result stays 2(d+1)-periodic when possible
-        batches = sorted(raw_batches, key=lambda b: b[0])
-        assignment = _shift_consistent_assignment(batches, r, d, n)
-        out = []
-        for batch in batches:
-            beta = assignment[batch]
-            out.append(tuple(sorted(batch + blocks[beta])))
-        return out
-
     # when k | d + 1 the one residue set is 1..d+1, at inflation 1
     residue_sets = list(combinations(range(1, d + 2), d + 1 - v))
     per_set_scale = certified_inflation(d, k) / len(residue_sets)
-    lifted = [(tuple(pad_to_partition(lift_column(pb, residues), residues)), lam * per_set_scale)
-              for pb, lam in cert.columns for residues in residue_sets]
+    lifted = []
+    for pb, lam in cert.columns:
+        gens, step = pb.generator_batches(), pb.period // k * (d + 1)
+        if pb.period % k or len(gens) * k != pb.period:
+            gens, step = pb.batches, n
+        for residues in residue_sets:
+            chunks = [residues[m * u:(m + 1) * u] for m in range(k)]
+            leftover = [phi for phi in range(1, d + 2) if phi not in residues]
+            grown = [[(d + 1) * ((t - 1) // k) + phi for t in gen for phi in chunks[(t - 1) % k]]
+                     + [(d + 1) * j + phi for phi in leftover] for j, gen in enumerate(gens)]
+            lifted.append((_translates(grown, step, n), lam * per_set_scale))
 
     def columns(p: int):
-        return tuple((PeriodicBatching(n, d + 1, p, full), lam) for full, lam in lifted)
+        return tuple((PeriodicBatching(n, d + 1, p, batches), lam) for batches, lam in lifted)
 
     try:
         new_cols = columns(period)
@@ -357,33 +343,6 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
         period, new_cols = n, columns(n)
     alpha = sum((lam for _, lam in new_cols), Fraction(0))
     return CoverCertificate(n, d, period, alpha, new_cols)
-
-
-def _shift_consistent_assignment(batches, r: int, d: int, n: int) -> dict[tuple, int]:
-    """Bijection batches -> blocks commuting with the +2(d+1) shift if possible.
-
-    The r batches each take one of the r blocks, so while the orbit walk
-    stays among the batches a block is free for every unassigned one."""
-    period = 2 * (d + 1)
-    members = set(batches)
-    assignment: dict[tuple, int] = {}
-    free_blocks = set(range(r))
-    for batch in batches:
-        if batch in assignment:
-            continue
-        # walk the orbit, consuming blocks of matching parity-stride
-        beta = min(free_blocks)
-        cur = batch
-        while cur not in assignment:
-            if cur not in members or beta not in free_blocks:
-                # the shift leaves the batches or the orbit length mismatches
-                # the blocks; fall back to an arbitrary bijection
-                return {b: i for i, b in enumerate(batches)}
-            assignment[cur] = beta
-            free_blocks.discard(beta)
-            cur = rotate(cur, period, n)
-            beta = (beta + 2) % r
-    return assignment
 
 
 def contraction_bound(d: int, alphas: dict[int, Fraction]):
@@ -418,10 +377,9 @@ def lookahead_cover(n: int, d: int, l: int) -> CoverCertificate:
     if n % width:
         raise ValueError(f"n must be a multiple of d+l+1 = {width}")
     lam = Fraction(1, l + 1)
-    cols = []
-    for s in range(width):
-        sigma = periodic_extension((s + 1,), 1, n)  # sigma(i) = i + s mod n
-        cols.append((batching_from_order(sigma, n, d + l, period=width), lam))
+    # column s has the one generator 1-s..width-s (mod n)
+    cols = [(PeriodicBatching(n, width, width, _translates([range(1 - s, width + 1 - s)], width, n)),
+             lam) for s in range(width)]
     alpha = Fraction(width, l + 1)
     return CoverCertificate(n, d + l, width, alpha, tuple(cols))
 

@@ -51,11 +51,6 @@ def rotation_keys(batches, p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
                               for r in range(p)))
 
 
-def periodic_extension(head, p: int, n: int) -> tuple[int, ...]:
-    """Extend values on 1..p to 1..n by sigma(i + p) = sigma(i) + p (mod n)."""
-    return tuple((head[i % p] + i // p * p - 1) % n + 1 for i in range(n))
-
-
 def cycle_power(n: int, d: int) -> WeightedGraph:
     """The n-cycle to the power d: edge iff cyclic distance <= d."""
     if d < 1:

@@ -51,7 +51,7 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
-        raise SizeLimitError(f"band of {d} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
+        raise SizeLimitError(f"band of {band} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
     if band == 1:
         before = best = 0  # the best totals over the positions before u, and up to u
         for u, v in zip(order, order[1:]):
@@ -186,8 +186,7 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
             total += ints.get((a, b) if a < b else (b, a), 0)
     else:
         for start in range(0, graph.n, d + 1):
-            batch = order[start:start + d + 1]  # a refusal names the batch's own band
-            total += _band_dp(ints, batch, len(batch) - 1)
+            total += _band_dp(ints, order[start:start + d + 1], d)
     return over_scale(total, scale)
 
 

@@ -6,7 +6,9 @@ the bandwidth DP in `deadline_matching.offline`. The mask constructions,
 the pointwise product and the cover test spell out the covering analysis on
 explicit {0,1} graphs, and `solve_cover_lp_direct` solves the covering LP
 with one variable per column (or per permutation), which the
-orbit-collapsed `solve_cover_lp` must agree with. `replay_branches` walks
+orbit-collapsed `solve_cover_lp` must agree with; `realizing_permutation`
+gives a p-periodic arrival order that induces a periodic batching, the
+order reading of the columns that the covering transforms no longer use. `replay_branches` walks
 a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
@@ -23,10 +25,10 @@ from deadline_matching import engine
 from deadline_matching.engine import (MAX_FLIPS, BranchingLimitExceeded, OutOfBits,
                                       ScriptedBits)
 from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, WeightedGraph,
-                                      ordered_pair)
-from deadline_matching.masks import (batching_from_order, cover_deficits,
+                                      invert_permutation, ordered_pair)
+from deadline_matching.masks import (PeriodicBatching, batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
-                                     periodic_extension)
+                                     shift_orbit)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
 from deadline_matching.policies import NaiveGreedy, PostponedGreedy
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
@@ -143,6 +145,34 @@ def contract_cycle_mask(n: int, d: int, u: int) -> WeightedGraph:
         if gi != gj:
             weights[ordered_pair(gi, gj)] = ONE
     return WeightedGraph(m, weights)
+
+
+# ---------------------------------------------------------------------------
+# Periodic arrival orders
+
+def periodic_extension(head, p: int, n: int) -> tuple[int, ...]:
+    """Extend values on 1..p to 1..n by sigma(i + p) = sigma(i) + p (mod n)."""
+    return tuple((head[i % p] + i // p * p - 1) % n + 1 for i in range(n))
+
+
+def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
+    """A p-periodic arrival order whose slot blocks induce this batching."""
+    n, p, size = pb.n, pb.period, pb.batch_size
+    if n % size:
+        raise ValueError("boundary batches have no realizing block order")
+    reps = pb.generator_batches()
+    for batch in reps:
+        if len(set(shift_orbit(batch, p, n))) != n // p:
+            raise ValueError("a batch orbit is shorter than n/p; not realizable")
+    if len(reps) != p // size:
+        raise ValueError("orbit count disagrees with blocks per period")
+    # the j-th representative fills slots j*size+1..(j+1)*size; the map from
+    # slots to the vertices in them is p-periodic like the order itself
+    occupant = periodic_extension([v for rep in reps for v in rep], p, n)
+    order = invert_permutation(occupant, n)
+    if batching_from_order(order, n, size - 1, period=p).canonical_key() != pb.canonical_key():
+        raise AssertionError("reconstructed order does not realize the batching")
+    return order
 
 
 # ---------------------------------------------------------------------------

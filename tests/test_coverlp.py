@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deadline_matching import (CoverCertificate, arrival_window_matching_value,
+from deadline_matching import (CoverCertificate, PeriodicBatching,
+                               arrival_window_matching_value,
                                batched_matching_value, batching_from_order,
                                certified_inflation, contract_expand,
                                cycle_power, enumerate_periodic_batchings,
@@ -17,10 +19,12 @@ from deadline_matching import (CoverCertificate, arrival_window_matching_value,
                                lookahead_cover, quadratic_inflation,
                                save_certificate, solve_cover_lp,
                                verify_certificate)
+from deadline_matching import coverlp
 from deadline_matching.coverlp import (certificate_from_json, certificate_to_json,
-                                      contraction_bound, realizing_permutation)
+                                      contraction_bound)
+from deadline_matching.masks import cyclic_distance
 from helpers import random_complete_graph
-from oracles import solve_cover_lp_direct
+from oracles import realizing_permutation, solve_cover_lp_direct
 
 
 def _sha256(blob) -> str:
@@ -54,6 +58,10 @@ PINNED_COVER_DIGESTS = {
         "730f4fa7e5ceab0854eb39cfc1cf9ad6a3079e7064cfcf099a32886ade624088",
     "lookahead_cover(8, 2, 1)":
         "089df95af13518f2891877aea9099daeb941ca929e648767ba4e89f0549d0316",
+    "extend_cover(lp 3, 32)":
+        "487ddee542c11f40e4cdcbb99905a04f118b1bc919b3da4a53555ecf0ef7b8ff",
+    "extend_cover(lp 3, 28)":
+        "397c7659d0ec391b3ff263072071c3a3e9c8f042f76fe813f9bfb051ad8e5305",
 }
 
 
@@ -74,9 +82,56 @@ def test_covering_outputs_keep_their_pinned_bytes():
             # r = 7 blocks: the period 6 does not divide n = 21, so it falls back to n
             ("contract_expand(extend_cover(lp 1, 14), 2)",
              contract_expand(extend_cover(results["lp 1"].certificate, 14), 2)),
-            ("lookahead_cover(8, 2, 1)", lookahead_cover(8, 2, 1))):
+            ("lookahead_cover(8, 2, 1)", lookahead_cover(8, 2, 1)),
+            # the lifted batches of lp 3 straddle its period boundary
+            ("extend_cover(lp 3, 32)", extend_cover(results["lp 3"].certificate, 32)),
+            ("extend_cover(lp 3, 28)", extend_cover(results["lp 3"].certificate, 28))):
         digests[name] = _sha256(certificate_to_json(cert))
     assert digests == PINNED_COVER_DIGESTS
+
+
+@cache
+def solved(variant, parameter):
+    return solve_cover_lp(variant, parameter)
+
+
+def _outcome(transform, *args):
+    """The JSON of the certificate a transform builds, or its refusal's text."""
+    try:
+        return certificate_to_json(transform(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+# sha256 of every output of each transform over the sweeps below, as the
+# transforms gave them when these pins were taken
+PINNED_TRANSFORM_DIGESTS = {
+    "extend_cover": "d1e94fac2ce08dfe23efc11ae00b2bce29e2beb867fba069fbcf7a6112a2630e",
+    "contract_expand": "e951851d6336c63fcff3f090432a50c6f5a83c47329cce27bde16ffb7d812519",
+    "lookahead_cover": "c25bf4ccf1d2455d3e9509f79169690dd4e611d14174e7d3c2f84a03d823f20e",
+}
+
+
+def test_transforms_keep_their_pinned_bytes():
+    """Each solver certificate but lp 3's, extended to every multiple of
+    d + 1 from n to n + 2p and contracted to d = k..k+3, together with its
+    non-multiple extensions; and a spread of shift families."""
+    extended, contracted = [], []
+    for variant, parameter in (("lp", 1), ("lp", 2), ("lp-prime", 2),
+                               ("lp-prime", 3), ("lp-prime", 4)):
+        cert = solved(variant, parameter).certificate
+        k, p = cert.d + 1, cert.period
+        bases = [cert]
+        for n in range(cert.n, cert.n + 2 * p + 1, k):
+            extended.append(_outcome(extend_cover, cert, n))
+            if n % p and not isinstance(extended[-1], str):
+                bases.append(extend_cover(cert, n))
+        contracted.extend(_outcome(contract_expand, base, d)
+                          for base in bases for d in range(k, k + 4))
+    shifts = [certificate_to_json(lookahead_cover(*args))
+              for args in ((8, 2, 1), (10, 1, 3), (6, 1, 0), (12, 1, 1), (9, 2, 0), (12, 2, 1))]
+    assert {"extend_cover": _sha256(extended), "contract_expand": _sha256(contracted),
+            "lookahead_cover": _sha256(shifts)} == PINNED_TRANSFORM_DIGESTS
 
 
 class TestSolveCoverLP:
@@ -192,20 +247,20 @@ class TestExtendCover:
         assert verify_certificate(ext, cycle_power(21, 2)).ok
 
     def test_pinned_certificates_at_two_and_three_times_n(self):
-        for variant, parameter in (("lp", 1), ("lp", 2), ("lp-prime", 2),
+        for variant, parameter in (("lp", 1), ("lp", 2), ("lp", 3), ("lp-prime", 2),
                                    ("lp-prime", 3), ("lp-prime", 4)):
             base = solve_cover_lp(variant, parameter)
             for n in (2 * base.n, 3 * base.n):
                 ext = extend_cover(base.certificate, n)
                 assert ext.alpha == base.alpha
                 assert verify_certificate(ext, cycle_power(n, base.target_power)).ok
-        # lp 3's columns cover C_16^3 but not the larger cycles
-        base = solve_cover_lp("lp", 3).certificate
-        with pytest.raises(ValueError, match=r"n=32 does not cover C_32\^3: "
-                                             r"edge \(2, 31\) uncovered by 1/12"):
-            extend_cover(base, 32)
-        with pytest.raises(ValueError, match=r"n=48 does not cover C_48\^3: edge"):
-            extend_cover(base, 48)
+
+    def test_lp3_keeps_seven_thirds_at_every_multiple_of_its_period(self):
+        base = solved("lp", 3).certificate  # n = 16, p = 8
+        for n in range(24, 57, 8):
+            ext = extend_cover(base, n)
+            assert ext.alpha == F(7, 3)
+            assert verify_certificate(ext, cycle_power(n, 3)).ok
 
     def test_too_small_u_rejected(self):
         base = solve_cover_lp("lp", 1).certificate
@@ -213,6 +268,40 @@ class TestExtendCover:
             extend_cover(base, 10)  # u = 2
         with pytest.raises(ValueError):
             extend_cover(base, 15)  # not a multiple of d+1
+
+
+class TestLiftedColumns:
+    """A column's lifted generators: their translates by the period rebuild
+    it at its own n and give every multiple of the period the same
+    coverage per period, once the cycle is longer than a lifted batch's
+    span plus d."""
+
+    @staticmethod
+    def coverage(batches, n, p, d):
+        """Same-batch pairs at cyclic distance c <= d, keyed by (the
+        earlier endpoint's residue mod p, c), per period of the n-cycle."""
+        counts = Counter()
+        for batch in batches:
+            for a, b in combinations(batch, 2):
+                c = cyclic_distance(a, b, n)
+                if c <= d:
+                    counts[(a if (b - a) % n == c else b) % p, c] += 1
+        return {key: F(count * p, n) for key, count in counts.items()}
+
+    @pytest.mark.parametrize("n, p, d", [(12, 6, 2), (16, 8, 3)])
+    def test_translates_rebuild_the_column_and_its_coverage(self, n, p, d):
+        for pb in enumerate_periodic_batchings(n, p, d):
+            lifted = coverlp._lifted(pb)
+            assert PeriodicBatching(n, d + 1, p, coverlp._translates(lifted, p, n)) == pb
+            span = max(b[-1] - b[0] for b in lifted)
+            big = (span + d) // p * p + p  # the least multiple of p above span + d
+            assert (self.coverage(coverlp._translates(lifted, p, big), big, p, d)
+                    == self.coverage(coverlp._translates(lifted, p, big + 2 * p), big + 2 * p, p, d))
+
+    def test_a_short_orbit_has_no_lift(self):
+        pb = PeriodicBatching(8, 2, 4, ((1, 5), (2, 6), (3, 7), (4, 8)))  # {1,5} + 4 = {1,5}
+        with pytest.raises(ValueError, match="a batch orbit is shorter than n/p; not realizable"):
+            extend_cover(CoverCertificate(8, 1, 4, 1, ((pb, 1),)), 16)
 
 
 class TestContractExpand:
@@ -361,7 +450,6 @@ class TestColumnSoundness:
     """
 
     def test_d3_columns_are_realizable(self):
-        from deadline_matching.coverlp import realizing_permutation
         from deadline_matching import enumerate_periodic_batchings
         cols = enumerate_periodic_batchings(16, 8, 3)
         for pb in cols:

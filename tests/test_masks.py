@@ -9,12 +9,12 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, PeriodicBatching,
                                WeightedGraph, batching_from_order,
                                build_online_graph, combine, cycle_power,
                                enumerate_periodic_batchings)
-from deadline_matching.coverlp import realizing_permutation
-from deadline_matching.masks import periodic_extension, rotate, shift_orbit
+from deadline_matching.masks import rotate, shift_orbit
 from helpers import random_complete_graph, random_order
 from oracles import (batched_graph, contract_cycle_mask,
                      enumerate_periodic_permutations, is_cover,
-                     max_weight_matching_value, multiply, path_power)
+                     max_weight_matching_value, multiply, path_power,
+                     periodic_extension, realizing_permutation)
 
 
 class TestCyclePower:

@@ -213,6 +213,16 @@ class TestWindowEvaluators:
         with pytest.raises(ValueError, match="d must be >= 0"):
             evaluator(self.PATH, (1, 2, 3, 4), -1)
 
+    def test_both_sweeps_name_the_band_they_refuse(self):
+        # the window band and the one batch of 26 both have min(d, 26 - 1) = 25
+        graph, slots = WeightedGraph(26, {}), tuple(range(1, 27))
+        messages = []
+        for evaluator in (arrival_window_matching_value, batched_matching_value):
+            with pytest.raises(SizeLimitError) as refused:
+                evaluator(graph, slots, 30)
+            messages.append(str(refused.value))
+        assert messages == ["band of 25 on n=26 exceeds the cap of 23"] * 2
+
     def test_booleans_are_refused_by_every_reader(self):
         # True == 1, so (True, 2) equals an order just accepted; it is
         # another tuple, checked again and refused
