@@ -242,13 +242,16 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
     if n == n1:
         return cert
     lifted = [(_lifted(pb), lam) for pb, lam in cert.columns]
-    if n % p == 0:
+    u, v = divmod(n, p)
+    if v and u < 3:
+        raise ValueError(f"n={n} gives u={u} < 3 full periods; too small to extend")
+    power = covered_power(cert)  # read off the input, before any n-sized column is built
+    if power is None:
+        raise ValueError(f"the certificate covers no power of the {n1}-cycle")
+    if not v:
         extended = CoverCertificate(n, d, p, cert.alpha, tuple(
             (PeriodicBatching(n, d + 1, p, _translates(gens, p, n)), lam) for gens, lam in lifted))
     else:
-        u, v = divmod(n, p)
-        if u < 3:
-            raise ValueError(f"n={n} gives u={u} < 3 full periods; too small to extend")
         new_cols = []
         scale = Fraction(1, u - 2)
         for gens, lam in lifted:
@@ -258,9 +261,6 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
                 batches += [tuple(range(i, i + d + 1)) for i in range(cut + 1, cut + v + 1, d + 1)]
                 new_cols.append((PeriodicBatching(n, d + 1, n, tuple(batches)), lam * scale))
         extended = CoverCertificate(n, d, n, cert.alpha * u * scale, tuple(new_cols))
-    power = covered_power(cert)
-    if power is None:
-        raise ValueError(f"the certificate covers no power of the {n1}-cycle")
     report = verify_certificate(extended, cycle_power(n, power))
     if not report.ok:
         edge, deficit = report.uncovered[0]

@@ -141,14 +141,15 @@ class MarketView:
 
     def clone(self) -> "MarketView":
         """An independent copy of the run's progress; the instance and the
-        windows are shared, since no run changes them."""
+        windows are shared, since no run changes them. The alive set is
+        pruned before it is copied."""
         other = MarketView.__new__(MarketView)
         other._instance = self._instance
         other._windows = self._windows
         other._ints, other._scale = self._ints, self._scale
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
-        other._alive = set(self._alive)
+        other._alive = set(self._pruned_alive())
         other._pruned = self._pruned
         other.now = self.now
         return other
@@ -188,26 +189,34 @@ class MarketView:
     def is_matched(self, v: int) -> bool:
         return v in self._matched
 
+    def _is_present(self, v: int) -> bool:
+        """The presence rule, which `present()` and `revealed_neighbors` both
+        read: v has arrived, is not past its own departure period and is not
+        matched away."""
+        return (v in self._arrived and self._windows.critical[v - 1] >= self.now
+                and v not in self._matched)
+
     def present(self) -> list[int]:
-        """The alive vertices not past their own departure period and not
-        matched away, in ascending order."""
-        critical, now, matched = self._windows.critical, self.now, self._matched
-        return [v for v in self.alive() if critical[v - 1] >= now and v not in matched]
+        """The alive vertices that are present (`_is_present`), ascending."""
+        return list(filter(self._is_present, self.alive()))
 
     def alive(self) -> list[int]:
         """Arrived vertices, matched or not, that some pair could still use
-        at a tick >= now (critical time plus lookahead), in ascending order.
+        at a tick >= now (critical time plus lookahead), in ascending order."""
+        return sorted(self._pruned_alive())
 
-        The kept set is pruned at most once per tick: the floor moves only
-        with `now`, and a vertex arriving at tick t is critical no earlier
-        than t, so nothing added since the prune can be below it."""
+    def _pruned_alive(self) -> set[int]:
+        """The kept alive set, pruned at most once per tick: the floor moves
+        only with `now`, and a vertex arriving at tick t is critical no
+        earlier than t, so nothing added since the prune can be below it.
+        Reveals leave it unpruned; `alive()` and `clone` prune it."""
         now = self.now
         if self._pruned != now:
             windows = self._windows
             critical, floor = windows.critical, now - windows.lookahead
             self._alive = {v for v in self._alive if critical[v - 1] >= floor}
             self._pruned = now
-        return sorted(self._alive)
+        return self._alive
 
     @property
     def scale(self) -> int:
@@ -218,20 +227,23 @@ class MarketView:
             raise LookupError("weights to vertices that have not arrived are hidden")
         if not self._windows.live(u, v):
             return 0
-        return self._ints.get(ordered_pair(u, v), 0)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        return self._ints.get((u, v) if u < v else (v, u), 0)
 
     def revealed_neighbors(self, v: int) -> dict[int, int]:
         """Positive matchable weights from v to currently present vertices,
-        in ascending vertex order: `weight(u, v)` for each present u, read
-        straight from the scaled weights and the windows."""
-        present = self.present()
+        in ascending vertex order: `weight(u, v)` for each present u. It
+        reads only v's own edges (`WeightedGraph.adj`), so it costs O(deg v).
+        For a v that has not arrived it raises LookupError while any vertex
+        is present."""
         if v not in self._arrived:
-            if present:
+            if any(map(self._is_present, self._alive)):
                 raise LookupError("weights to vertices that have not arrived are hidden")
             return {}
-        ints, live = self._ints, self._windows.live
-        return {u: w for u in present
-                if u != v and (w := ints.get((u, v) if u < v else (v, u), 0)) and live(u, v)}
+        present, live = self._is_present, self._windows.live
+        edges = iter(self._instance.graph.adj[v])
+        return {u: w for u, w in zip(edges, edges) if present(u) and live(u, v)}
 
 
 class OnlinePolicy:

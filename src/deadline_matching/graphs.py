@@ -85,7 +85,11 @@ def ordered_pair(i: int, j: int) -> Pair:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative edge weights on vertices 1..n; absent edge = 0."""
+    """Symmetric nonnegative edge weights on vertices 1..n; absent edge = 0.
+
+    `scaled` and `adj` are read-only integer forms of the weights, built on
+    first use and kept with the graph; a graph made from this one
+    (`dataclasses.replace`, `PresenceWindows.subgraph`) builds its own."""
 
     n: int
     weights: dict[Pair, Fraction]
@@ -116,6 +120,18 @@ class WeightedGraph:
         and that scale; built on first use and kept with the graph."""
         scale = lcm(*(w.denominator for w in self.weights.values()))
         return {e: w.numerator * (scale // w.denominator) for e, w in self.weights.items()}, scale
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Indexed by vertex 0..n (entry 0 empty): the vertex's neighbours u,
+        ascending, each followed by its weight in `scaled`, as one flat tuple
+        u1, w1, u2, w2, ... (about a third of the memory of (u, w) pairs);
+        built on first use and kept with the graph."""
+        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for (i, j), w in sorted(self.scaled[0].items()):  # so every list comes out ascending
+            adj[i] += j, w
+            adj[j] += i, w
+        return tuple(map(tuple, adj))
 
     def edges(self):
         """Positive-weight edges as (i, j, weight) with i < j."""

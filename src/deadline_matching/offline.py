@@ -6,7 +6,11 @@ vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
 graph is a band of d; a batch, or a general graph on k vertices, is a full
 band of k - 1, whose value is the same in any order. At band 1 the state is
 one bit, so the DP is the path recurrence best(t) = max(best(t-1),
-best(t-2) + w(t-1, t)), kept as two running integers. Every arrival order
+best(t-2) + w(t-1, t)), kept as two running integers. A wider band lists
+each position's live edges first, following the weight table's own edges
+when it has fewer entries than the band has position pairs (a sparse
+online graph, O(k + E)) and probing the position pairs otherwise (a batch
+of a larger graph). Every arrival order
 is read through `graphs.invert_permutation`, which checks it in linear time
 and keeps the last tuple it accepted, so the two sweep evaluators, given one
 tuple in turn, check it once; the batched evaluator cuts that arrival
@@ -47,7 +51,11 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
     a live edge to a later one (bit i: position t - i): at most
     2**min(d, k - 1) states for k vertices. At band 1 that is one bit, so
     two running totals carry it; wider bands take one set-up pass that lists
-    each position's live edges and the drop masks."""
+    each position's live edges and the drop masks. That pass walks the
+    table's entries through a map from vertex to position when there are
+    fewer of them than the band's position pairs (a table may be a whole
+    graph's, so an edge may leave `order`), else it probes each position
+    pair; either way u is an edge's earlier endpoint."""
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
@@ -64,13 +72,27 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
         return best
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
-    for dist in range(1, band + 1):
-        bit = 1 << (dist - 1)
-        for s, (u, v) in enumerate(zip(order, order[dist:])):  # positions s and s + dist
-            w = ints.get((u, v) if u < v else (v, u))
-            if w is not None and (reach is None or dist <= reach[u - 1]):
-                back[s + dist].append((bit, w if tie is None else tie(u, v, w)))
-                last[s] = s + dist
+    if len(ints) < band * k - band * (band + 1) // 2:  # fewer edges than position pairs
+        at = {v: s for s, v in enumerate(order)}
+        for (u, v), w in ints.items():
+            s, t = at.get(u), at.get(v)
+            if s is None or t is None:
+                continue  # an endpoint outside `order`
+            if s > t:
+                s, t, u, v = t, s, v, u  # u is the earlier position s
+            dist = t - s
+            if dist <= band and (reach is None or dist <= reach[u - 1]):
+                back[t].append((1 << (dist - 1), w if tie is None else tie(u, v, w)))
+                if t > last[s]:
+                    last[s] = t
+    else:
+        for dist in range(1, band + 1):
+            bit = 1 << (dist - 1)
+            for s, (u, v) in enumerate(zip(order, order[dist:])):  # positions s and s + dist
+                w = ints.get((u, v) if u < v else (v, u))
+                if w is not None and (reach is None or dist <= reach[u - 1]):
+                    back[s + dist].append((bit, w if tie is None else tie(u, v, w)))
+                    last[s] = s + dist
     drop = [0] * k  # bits of the vertices whose last live edge is at position t
     for s, t in enumerate(last):
         drop[t] |= 1 << (t - s)

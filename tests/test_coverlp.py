@@ -269,6 +269,21 @@ class TestExtendCover:
         with pytest.raises(ValueError):
             extend_cover(base, 15)  # not a multiple of d+1
 
+    def test_a_cover_of_no_power_is_refused_before_any_column_is_built(self, monkeypatch):
+        column = enumerate_periodic_batchings(8, 4, 1)[0]
+        single = CoverCertificate(8, 1, 4, F(1), ((column, F(1)),))
+        built = []
+
+        def counted(pb):  # stops at the first column built, which would take seconds
+            built.append(pb.n)
+            raise AssertionError(f"built an {pb.n}-vertex column")
+
+        monkeypatch.setattr(PeriodicBatching, "__post_init__", counted)
+        for n in (400_000, 400_002):  # a multiple of the period 4, and u = 100,000, v = 2
+            with pytest.raises(ValueError, match="^the certificate covers no power of the 8-cycle$"):
+                extend_cover(single, n)
+        assert built == []
+
 
 class TestLiftedColumns:
     """A column's lifted generators: their translates by the period rebuild

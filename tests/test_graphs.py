@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, InstanceFormatError, Matching,
-                               OnlineInstance, WeightedGraph,
+                               OnlineInstance, OnlinePolicy, WeightedGraph,
                                build_online_graph, instance_from_json,
                                instance_to_json, load_instance,
-                               matching_weight, save_instance,
+                               matching_weight, save_instance, simulate,
                                validate_matching)
 from deadline_matching.departures import deterministic, geometric, tabulated
 from deadline_matching.graphs import MAX_JSON_DEPTH, read_json
@@ -39,6 +39,60 @@ class TestWeightedGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             WeightedGraph(3, {(1, 4): F(1)})
+
+
+def adjacency_from_table(graph):
+    """Each vertex's (neighbour, weight) pairs in `graph.scaled`, ascending."""
+    ints = graph.scaled[0]
+    return [sorted((u if v == w else w, x) for (u, w), x in ints.items() if v in (u, w))
+            for v in range(graph.n + 1)]
+
+
+class TestAdjacency:
+    def test_built_once_from_the_table_and_ascending(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            drawn = random_instance(rng, rng.randint(0, 9), 2).graph
+            edges = list(drawn.weights.items())
+            rng.shuffle(edges)  # the table's order is not the adjacency's
+            graph = WeightedGraph(drawn.n, dict(edges))
+            adj = graph.adj
+            assert graph.adj is adj  # cached on the graph
+            assert len(adj) == graph.n + 1 and adj[0] == ()
+            pairs = [list(zip(a[::2], a[1::2])) for a in adj]
+            assert pairs == adjacency_from_table(graph)
+            assert all(u < v for a in adj for u, v in zip(a[::2], a[2::2]))
+
+    def test_derived_graphs_build_their_own(self):
+        graph = WeightedGraph(4, {(1, 2): F(1, 2), (1, 4): F(3), (2, 3): F(2, 3)})
+        adj = graph.adj
+        halved = dataclasses.replace(graph, weights={e: w / 2 for e, w in graph.weights.items()})
+        assert halved.adj is not adj
+        assert [list(zip(a[::2], a[1::2])) for a in halved.adj] == adjacency_from_table(halved)
+        same = dataclasses.replace(graph)
+        assert same.adj == adj and same.adj is not adj
+        instance = OnlineInstance(graph, ArrivalOrder.identity(4), 1)
+        live = instance.windows().subgraph(graph)  # (1, 4) is three slots apart
+        assert live.adj == ((), (2, 3), (1, 3, 3, 4), (2, 4), ())
+        assert adj[1] == (2, 3, 4, 18)  # scale 6
+
+    def test_an_edgeless_graph_reveals_nothing(self):
+        class Reveals(OnlinePolicy):
+            def reset(self, view, rng):
+                super().reset(view, rng)
+                self.seen = []
+
+            def on_arrival(self, v):
+                self.seen.append(self.view.revealed_neighbors(v))
+                return ()
+
+            on_critical = on_arrival
+
+        policy = Reveals()
+        instance = OnlineInstance(WeightedGraph(3, {}), ArrivalOrder((2, 3, 1)), 2)
+        simulate(instance, policy)
+        assert policy.seen == [{}] * 6
+        assert instance.graph.adj == ((), (), (), ())
 
 
 class TestArrivalOrder:

@@ -223,3 +223,79 @@ def test_batched_value_equals_the_per_batch_subset_dp(case):
     batches = [by_slot[k:k + d + 1] for k in range(0, n, d + 1)]
     assert (batched_matching_value(graph, slots, d)
             == sum((max_weight_matching_value(graph, b) for b in batches), F(0)))
+
+
+class ReadsTable(dict):
+    """An edge table that records how `_band_dp` reads it: listing its items
+    (the set-up that follows the edges) or probing its pairs (the set-up
+    that walks the band's position pairs)."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = set()
+
+    def items(self):
+        self.reads.add("items")
+        return super().items()
+
+    def get(self, *args):
+        self.reads.add("get")
+        return super().get(*args)
+
+
+def live_by_position(ints, order, d, reach):
+    """The edges of `ints` that the band DP counts over `order`, written
+    out: both endpoints in `order`, at most d positions apart and, when
+    `reach` is given, the earlier one u reaching the later: gap <= reach[u - 1]."""
+    at = {v: s for s, v in enumerate(order)}
+    live = {}
+    for (u, v), w in ints.items():
+        if u in at and v in at:
+            gap, first = abs(at[u] - at[v]), min(u, v, key=at.get)
+            if gap <= d and (reach is None or gap <= reach[first - 1]):
+                live[u, v] = w
+    return live
+
+
+@st.composite
+def band_tables(draw):
+    """Integer weights on 1..n and an order of k >= 3 of the vertices, all
+    of them or the first run of an arrival order, as a batch over a larger
+    graph, with a band of at least 2 and maybe reaches. The table is banded
+    along the order, dense over all n vertices, or exactly as large as the
+    band's position pairs or one entry short of that."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(3, n))
+    order = tuple(draw(st.permutations(range(1, n + 1)))[:k])
+    d = draw(st.integers(2, 5))
+    band = min(d, k - 1)
+    position_pairs = band * k - band * (band + 1) // 2
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    every_pair = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    shape = draw(st.sampled_from(("banded", "dense", "exact", "one short")))
+    if shape == "banded":
+        edges = [tuple(sorted((order[s], order[t]))) for s in range(k)
+                 for t in range(s + 1, min(k, s + band + 1)) if rng.random() < 0.6]
+    elif shape == "dense":
+        edges = [e for e in every_pair if rng.random() < 0.8]
+    else:
+        edges = rng.sample(every_pair, position_pairs - (shape == "one short"))
+    ties = draw(st.booleans())
+    ints = {e: 1 if ties else rng.randint(1, 6) for e in edges}
+    reach = [rng.randint(0, d) for _ in range(n)] if draw(st.booleans()) else None
+    return n, ints, order, d, reach
+
+
+@PROPERTY
+@given(band_tables())
+def test_band_dp_set_up_equals_subset_dp_on_both_sides_of_the_switch(case):
+    n, ints, order, d, reach = case
+    live = live_by_position(ints, order, d, reach)
+    reference = max_weight_matching_exact(WeightedGraph(n, {e: F(w) for e, w in live.items()}))
+    band = min(d, len(order) - 1)
+    by_edges = len(ints) < band * len(order) - band * (band + 1) // 2
+    value_only, tie_broken = ReadsTable(ints), ReadsTable(ints)
+    assert offline._band_dp(value_only, order, d, reach) == reference.weight
+    assert (offline.band_matching(tie_broken, order, d, reach)
+            == (reference.weight, list(reference.sorted_pairs())))
+    assert value_only.reads == tie_broken.reads == ({"items"} if by_edges else {"get"})

@@ -4,8 +4,10 @@ Each property writes the rule out by hand and checks one of its users
 against it: the weights a policy sees through `MarketView`, the edge sets of
 `build_online_graph` and `realized_online_graph`, the on-the-spot pair
 check in `simulate`, which must agree with `validate_matching` under every
-source of departure offsets, and the present and alive sets that
-`MarketView` keeps as the run goes, in the view and in copies of it.
+source of departure offsets, the present and alive sets that `MarketView`
+keeps as the run goes, in the view and in copies of it, and the neighbours
+it reveals from a vertex's own edges, which must be the present vertices'
+positive weights, in runs and in the forward pass's worlds.
 """
 
 import dataclasses
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, MarketView, OnlineInstance,
                                OnlinePolicy, WeightedGraph, build_online_graph,
-                               deterministic, geometric, make_policy,
-                               realized_online_graph, simulate, tabulated,
+                               deterministic, exact_expectation, geometric,
+                               make_policy, realized_online_graph,
+                               sample_departures, simulate, tabulated,
                                validate_matching)
 from deadline_matching.engine import realized_departures
+from deadline_matching.policies import NaiveGreedy, PostponedGreedy
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -305,3 +309,117 @@ def test_validate_matching_reads_the_departure_model():
     assert r.schedule == {(1, 2): 4}
     assert validate_matching(instance, r.pairs, r.schedule) is None
     assert instance.windows(realized_departures(instance, 0)).critical == [4, 5]
+
+
+def reveals_by_formula(view, v):
+    """`weight(u, v)` for each present u other than v where it is positive,
+    ascending. For a v that has not arrived, `weight` raises while some
+    vertex is present, and there is nothing to read while none is."""
+    return {u: w for u in view.present() if u != v and (w := view.weight(u, v)) > 0}
+
+
+def audit_reveals(view):
+    """Every vertex's reveal against the written-out one, key order
+    included. The reveals are read before `present()` prunes the view."""
+    seen = {}
+    for v in range(1, view.n + 1):
+        try:
+            seen[v] = view.revealed_neighbors(v)
+        except LookupError:
+            seen[v] = "hidden"
+    for v, got in seen.items():
+        try:
+            want = reveals_by_formula(view, v)
+        except LookupError:
+            want = "hidden"
+        assert got == want and list(got) == list(want), (view.now, v, got, want)
+
+
+@PROPERTY
+@given(market_runs(modelled_instances()), st.sampled_from(POLICY_SPECS), st.integers(0, 1),
+       st.integers(0, 3))
+def test_reveals_follow_the_written_out_rule(instance, spec, lookahead, seed):
+    policy = make_policy(spec)
+    policy.lookahead = lookahead
+    audited = []
+
+    def audit(hook):
+        def run(v):
+            copy = policy.view.clone()
+            audit_reveals(policy.view)
+            audit_reveals(copy)
+            audited.append(v)
+            return hook(v)
+        return run
+
+    policy.on_arrival = audit(policy.on_arrival)
+    policy.on_critical = audit(policy.on_critical)
+    outcome = run_outcome(instance, policy, seed)
+    if outcome[0] != "refused":
+        assert len(audited) == 2 * instance.n
+
+    # the same run with the written-out reveal in place of the view's own
+    reference = make_policy(spec)
+    reference.lookahead = lookahead
+    with patch.object(MarketView, "revealed_neighbors", reveals_by_formula):
+        assert run_outcome(instance, reference, seed) == outcome
+
+
+class AuditsReveals:
+    """Audits the view's reveals before and after each hook, in every world
+    of the forward pass: a clone keeps the class and is marked, and the
+    pass clones a world at its hook's first coin, mid-tick, then re-runs
+    the hook from that clone for each other outcome."""
+
+    audits: list = []  # one entry per audit: whether the world was a clone
+
+    def clone(self):
+        other = super().clone()
+        other.is_clone = True
+        return other
+
+    def _audit(self):
+        audit_reveals(self.view)
+        self.audits.append(getattr(self, "is_clone", False))
+
+    def _audited(self, hook, v):
+        self._audit()
+        emitted = hook(v)
+        self._audit()
+        return emitted
+
+    def on_arrival(self, v):
+        return self._audited(super().on_arrival, v)
+
+    def on_critical(self, v):
+        return self._audited(super().on_critical, v)
+
+
+class AuditedNaiveGreedy(AuditsReveals, NaiveGreedy):
+    pass
+
+
+class AuditedPostponedGreedy(AuditsReveals, PostponedGreedy):
+    pass
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reveals_follow_the_rule_in_forward_pass_clones(instance, lookahead, geometric_draw,
+                                                        seed):
+    if geometric_draw:
+        instance = dataclasses.replace(
+            instance, departures=sample_departures(geometric(F(1, 2)), instance.n, seed))
+    for audited, plain in ((AuditedNaiveGreedy, NaiveGreedy),
+                           (AuditedPostponedGreedy, PostponedGreedy)):
+        AuditsReveals.audits = []
+        outcomes = []
+        for policy in (audited(), plain()):
+            policy.lookahead = lookahead
+            try:
+                outcomes.append(exact_expectation(instance, policy))
+            except ValueError as exc:  # a pair after a departure
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if plain is NaiveGreedy:  # a coin at every arrival: worlds fork at each one
+            assert any(AuditsReveals.audits)
