@@ -21,16 +21,12 @@ from .engine import (competitive_report, exact_expectation, simulate,
 from .gallery import make_instance
 from .graphs import format_rational, instance_to_json, load_instance, save_instance
 from .masks import cycle_power
-from .offline import offline_optimum
+from .offline import arrival_window_matching_value, offline_optimum
 from .policies import POLICY_FACTORIES, infer_roles, make_policy
 
 
 class UsageError(Exception):
     """A flag combination the command cannot run: one line, exit 2."""
-
-
-def _fmt(value) -> str:
-    return format_rational(Fraction(value))
 
 
 def _parse_params(items):
@@ -53,8 +49,9 @@ def _at_least(low: int):
     return integer
 
 
-def _load_target(spec: str, n: int):
-    """C_N^D for the spec "cycle:N:D", built only once N is the certificate's n."""
+def _load_target(spec: str, cert):
+    """C_N^D for the spec "cycle:N:D", built only once N is the certificate's
+    n and D is at most its batch size d + 1, where `covered_power` stops."""
     kind, *rest = spec.split(":")
     if kind == "cycle" and len(rest) == 2:
         try:
@@ -62,8 +59,10 @@ def _load_target(spec: str, n: int):
         except ValueError:
             pass
         else:
-            if size != n:
+            if size != cert.n:
                 raise ValueError("target size disagrees with the certificate")
+            if d > cert.d + 1:
+                raise ValueError(f"target power {d} exceeds the batch size {cert.d + 1}")
             return cycle_power(size, d)
     raise UsageError(f"unknown target spec {spec!r}; use cycle:N:D")
 
@@ -102,7 +101,7 @@ def cmd_simulate(args) -> int:
     the policy its spec builds ("batching:0" reads "batching"), or its
     error on stderr. Exits 1 if any policy failed."""
     name, instance = _resolve_instance(args)
-    opt = offline_optimum(instance).weight
+    opt = arrival_window_matching_value(instance.graph, instance.order.slots, instance.deadline)
     failed = False
     for spec in args.policy.split(","):
         try:
@@ -112,9 +111,9 @@ def cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
-        ratio = _fmt(value / opt) if opt else "n/a"
+        ratio = format_rational(value / opt) if opt else "n/a"
         print(f"instance={name} policy={policy_name} ({mode}) "
-              f"E={_fmt(value)} OPT={_fmt(opt)} ratio={ratio}")
+              f"E={format_rational(value)} OPT={format_rational(opt)} ratio={ratio}")
     return 1 if failed else 0
 
 
@@ -151,20 +150,17 @@ def cmd_offline(args) -> int:
     name, instance = _resolve_instance(args)
     matching = offline_optimum(instance)
     pairs = " ".join(f"({i},{j})" for i, j in matching.sorted_pairs())
-    print(f"instance={name} OPT={_fmt(matching.weight)} pairs={pairs or '-'}")
+    print(f"instance={name} OPT={format_rational(matching.weight)} pairs={pairs or '-'}")
     return 0
 
 
 def cmd_cover_lp(args) -> int:
-    if args.variant == "lp":
-        if args.d is None:
-            raise UsageError("--variant lp needs --d")
-        result = solve_cover_lp("lp", args.d)
-    else:
-        if args.k is None:
-            raise UsageError("--variant lp-prime needs --k")
-        result = solve_cover_lp("lp-prime", args.k)
-    print(f"alpha = {_fmt(result.alpha)}")
+    flag = "d" if args.variant == "lp" else "k"
+    parameter = getattr(args, flag)
+    if parameter is None:
+        raise UsageError(f"--variant {args.variant} needs --{flag}")
+    result = solve_cover_lp(args.variant, parameter)
+    print(f"alpha = {format_rational(result.alpha)}")
     print(f"n={result.n} target=cycle:{result.n}:{result.target_power} "
           f"columns={result.column_count} orbits={result.orbit_count}")
     if args.out:
@@ -180,10 +176,10 @@ def cmd_cover_lp(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     cert = load_certificate(args.cert)
-    target = _load_target(args.target, cert.n)
+    target = _load_target(args.target, cert)
     report = verify_certificate(cert, target)
     if report.ok:
-        print(f"OK alpha={_fmt(cert.alpha)} columns={len(cert.columns)}")
+        print(f"OK alpha={format_rational(cert.alpha)} columns={len(cert.columns)}")
         return 0
     print(f"FAIL: {report}")
     return 1
@@ -201,7 +197,7 @@ def _write_and_verify(cert, out, target) -> int:
     if not again.ok:
         print(f"FAIL after round-trip: {again}", file=sys.stderr)
         return 1
-    print(f"alpha = {_fmt(cert.alpha)}")
+    print(f"alpha = {format_rational(cert.alpha)}")
     print(f"certificate written to {out} (verified against n={target.n})")
     return 0
 
@@ -211,7 +207,7 @@ def cmd_extend_cert(args) -> int:
     check_file_n(args.n)
     extended = extend_cover(cert, args.n)
     # by default C_n^power: the input covers C_n1^power, and extend_cover has checked C_n^power
-    target = (_load_target(args.target, extended.n) if args.target
+    target = (_load_target(args.target, extended) if args.target
               else cycle_power(extended.n, max(extended.d, covered_power(cert) or 0)))
     return _write_and_verify(extended, args.out, target)
 
@@ -223,9 +219,10 @@ def cmd_contract_cert(args) -> int:
     lifted = contract_expand(cert, args.d)
     v = (args.d + 1) % k
     if v:
-        print(f"subset-family inflation: certified {_fmt(certified_inflation(args.d, k))}, "
-              f"squared-loss formula {_fmt(quadratic_inflation(args.d, k))}")
-    target = (_load_target(args.target, lifted.n) if args.target
+        print("subset-family inflation: "
+              f"certified {format_rational(certified_inflation(args.d, k))}, "
+              f"squared-loss formula {format_rational(quadratic_inflation(args.d, k))}")
+    target = (_load_target(args.target, lifted) if args.target
               else cycle_power(lifted.n, lifted.d))
     return _write_and_verify(lifted, args.out, target)
 
@@ -233,7 +230,7 @@ def cmd_contract_cert(args) -> int:
 def cmd_lookahead_cert(args) -> int:
     check_file_n(args.n)
     cert = lookahead_cover(args.n, args.d, args.l)
-    target = _load_target(args.target, cert.n) if args.target else cycle_power(args.n, args.d)
+    target = _load_target(args.target, cert) if args.target else cycle_power(args.n, args.d)
     return _write_and_verify(cert, args.out, target)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
                      format_rational, read_json)
 from .masks import (PeriodicBatching, cover_deficits, cycle_power, cyclic_distance,
-                    enumerate_periodic_batchings, rotation_keys)
+                    enumerate_periodic_batchings, rotation_keys, translates)
 from .simplex import certify_min_geq, solve_min_geq
 
 
@@ -184,12 +184,6 @@ def solve_cover_lp(variant: str, parameter: int) -> CoverLPResult:
 # Columns as generator batches over one period: the transforms below build
 # every column from its generators, translated round the new cycle.
 
-def _translates(generators, step: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Each generator batch moved by 0, step, 2 step, ... round the n-cycle."""
-    return tuple(tuple(sorted((v + t - 1) % n + 1 for v in gen))
-                 for gen in generators for t in range(0, n, step))
-
-
 def _lifted(pb: PeriodicBatching) -> list[tuple[int, ...]]:
     """The column's generator batches as integer sets whose translates by the
     period p partition the integers. Each batch is cut after its last largest
@@ -250,12 +244,12 @@ def extend_cover(cert: CoverCertificate, n: int) -> CoverCertificate:
         raise ValueError(f"the certificate covers no power of the {n1}-cycle")
     if not v:
         extended = CoverCertificate(n, d, p, cert.alpha, tuple(
-            (PeriodicBatching(n, d + 1, p, _translates(gens, p, n)), lam) for gens, lam in lifted))
+            (PeriodicBatching(n, d + 1, p, translates(gens, p, n)), lam) for gens, lam in lifted))
     else:
         new_cols = []
         scale = Fraction(1, u - 2)
         for gens, lam in lifted:
-            tilde = _translates(gens, p, p * u)
+            tilde = translates(gens, p, p * u)
             for cut in range(p, p * u + 1, p):
                 batches = [tuple(i + v if i > cut else i for i in b) for b in tilde]
                 batches += [tuple(range(i, i + d + 1)) for i in range(cut + 1, cut + v + 1, d + 1)]
@@ -332,7 +326,7 @@ def contract_expand(cert: CoverCertificate, d: int) -> CoverCertificate:
             leftover = [phi for phi in range(1, d + 2) if phi not in residues]
             grown = [[(d + 1) * ((t - 1) // k) + phi for t in gen for phi in chunks[(t - 1) % k]]
                      + [(d + 1) * j + phi for phi in leftover] for j, gen in enumerate(gens)]
-            lifted.append((_translates(grown, step, n), lam * per_set_scale))
+            lifted.append((translates(grown, step, n), lam * per_set_scale))
 
     def columns(p: int):
         return tuple((PeriodicBatching(n, d + 1, p, batches), lam) for batches, lam in lifted)
@@ -378,7 +372,7 @@ def lookahead_cover(n: int, d: int, l: int) -> CoverCertificate:
         raise ValueError(f"n must be a multiple of d+l+1 = {width}")
     lam = Fraction(1, l + 1)
     # column s has the one generator 1-s..width-s (mod n)
-    cols = [(PeriodicBatching(n, width, width, _translates([range(1 - s, width + 1 - s)], width, n)),
+    cols = [(PeriodicBatching(n, width, width, translates([range(1 - s, width + 1 - s)], width, n)),
              lam) for s in range(width)]
     alpha = Fraction(width, l + 1)
     return CoverCertificate(n, d + l, width, alpha, tuple(cols))

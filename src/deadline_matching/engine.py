@@ -35,7 +35,7 @@ from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindo
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
                      format_rational, ordered_pair)
 from .departures import sample_departures
-from .offline import offline_optimum
+from .offline import arrival_window_matching_value
 
 
 def event_schedule(windows: PresenceWindows) -> list[tuple[int, int, int]]:
@@ -601,7 +601,8 @@ def competitive_report(instances, policies, arrival_model: str = "fixed",
     averages over arrival orders, exhaustively for n <= 8 when seeds == 0,
     else by Monte Carlo over `seeds` sampled orders. With seeds == 0 coin
     randomness is exact unless `exact_expectation` refuses, else averaged
-    over max(seeds, 1) runs.
+    over max(seeds, 1) runs. Each order's offline optimum is read as the
+    window DP's value (`arrival_window_matching_value`), with no matching.
     Both inputs are lists of pairs: (name, instance) and (name, factory).
     """
     if arrival_model not in ("fixed", "uniform"):
@@ -614,7 +615,8 @@ def competitive_report(instances, policies, arrival_model: str = "fixed",
                                            _derive_seed(base_seed, f"orders-{idx}"))
         off_total = Fraction(0)
         for order in orders:
-            off_total += offline_optimum(instance.with_order(order)).weight
+            off_total += arrival_window_matching_value(instance.graph, order.slots,
+                                                       instance.deadline)
         off_value = off_total / len(orders)
         for policy_name, factory in policies:
             alg_total = Fraction(0)

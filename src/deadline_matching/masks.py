@@ -29,18 +29,10 @@ def rotate(batch, r: int, n: int) -> tuple[int, ...]:
     return tuple(sorted((v + r - 1) % n + 1 for v in batch))
 
 
-def shift_orbit(batch, p: int, n: int) -> list[tuple[int, ...]]:
-    """The sorted batch and its images under 1, ..., n/p - 1 shifts by p.
-
-    When p divides n the list is the batch's period-shift orbit, each member
-    repeated equally often if the orbit is shorter than n/p.
-    """
-    orbit = []
-    cur = tuple(sorted(batch))
-    for _ in range(n // p):
-        orbit.append(cur)
-        cur = rotate(cur, p, n)
-    return orbit
+def translates(generators, step: int, n: int) -> list[tuple[int, ...]]:
+    """Each generator batch moved by 0, step, 2 step, ... round the n-cycle
+    (n // step moves), sorted: when step divides n, a generator's orbit."""
+    return [rotate(gen, k * step, n) for gen in generators for k in range(n // step)]
 
 
 def rotation_keys(batches, p: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -156,16 +148,27 @@ class PeriodicBatching:
         for batch in self.batches:
             if batch not in covered:
                 reps.append(batch)
-                covered.update(shift_orbit(batch, self.period, self.n))
+                covered.update(translates([batch], self.period, self.n))
         return tuple(reps)
 
     @classmethod
     def from_generators(cls, n: int, batch_size: int, period: int,
                         generators) -> "PeriodicBatching":
+        """Cells: each generator, as given and sorted, with its translates by
+        the period, which must divide n. Each orbit is expanded once, and at
+        most `period` of them fit, since each covers a residue class mod it."""
         if period < 1:
             raise ValueError(f"period must be positive, got {period}")
-        batches = {b for gen in generators
-                   for b in shift_orbit([as_integer(v) for v in gen], period, n)}
+        if n % period:
+            raise ValueError("period must divide n")
+        batches, orbits = set(), 0
+        for gen in generators:
+            gen = tuple(sorted(as_integer(v) for v in gen))
+            if gen not in batches:  # else its orbit is placed
+                orbits += 1
+                if orbits > period:
+                    raise ValueError("batches must partition 1..n")
+                batches.update([gen], translates([gen], period, n))
         return cls(n, batch_size, period, tuple(batches))
 
 
@@ -208,7 +211,7 @@ def enumerate_periodic_batchings(n: int, p: int, d: int) -> list[PeriodicBatchin
             if len(residues) != size:
                 continue
             # distinct residues keep the cells disjoint and inside `remaining`
-            cells = shift_orbit(batch, p, n)
+            cells = translates([batch], p, n)
             recurse(remaining.difference(*cells), placed + cells)
 
     recurse(set(range(1, n + 1)), [])

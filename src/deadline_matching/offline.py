@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import (Matching, OnlineInstance, Pair, PresenceWindows,
-                     WeightedGraph, as_rational, checked_offsets,
+from .graphs import (Matching, OnlineInstance, Pair, WeightedGraph, as_rational,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
-                     invert_permutation, ordered_pair, over_scale)
+                     checked_offsets, invert_permutation, ordered_pair, over_scale)
 
 EXACT_MATCHING_CAP = 24  # a band of 24 or more (2**24 DP states) is refused
 
@@ -154,15 +153,14 @@ def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
 
 def offline_optimum(instance: OnlineInstance) -> Matching:
     """Maximum-weight matching of the deadline-masked online graph."""
-    return _band_optimum(instance, instance.windows())
+    return _band_optimum(instance)
 
 
-def _band_optimum(instance: OnlineInstance, windows: PresenceWindows) -> Matching:
-    """The bandwidth DP's optimum with its matching, over the edges live
-    under `windows`."""
+def _band_optimum(instance: OnlineInstance, reach=None) -> Matching:
+    """The bandwidth DP's optimum with its matching, over the band's edges
+    within `reach` (`PresenceWindows.reach`); the deadline's reach, d, is the band's."""
     ints, scale = instance.graph.scaled
-    value, pairs = band_matching(ints, instance.order.sequence, instance.deadline,
-                                 windows.reach)
+    value, pairs = band_matching(ints, instance.order.sequence, instance.deadline, reach)
     return Matching(frozenset(pairs), Fraction(value, scale))
 
 
@@ -177,7 +175,7 @@ def realized_offline_optimum(instance: OnlineInstance,
                              departures: tuple[int, ...]) -> Matching:
     """The offline benchmark under realized departures, checked as an
     instance's own are: optimal matching over pairs whose windows overlap."""
-    return _band_optimum(instance, instance.windows(checked_offsets(departures, instance.n)))
+    return _band_optimum(instance, instance.windows(checked_offsets(departures, instance.n)).reach)
 
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],

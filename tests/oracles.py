@@ -28,7 +28,7 @@ from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, WeightedGrap
                                       invert_permutation, ordered_pair)
 from deadline_matching.masks import (PeriodicBatching, batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
-                                     shift_orbit)
+                                     translates)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
 from deadline_matching.policies import NaiveGreedy, PostponedGreedy
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
@@ -162,7 +162,7 @@ def realizing_permutation(pb: PeriodicBatching) -> tuple[int, ...]:
         raise ValueError("boundary batches have no realizing block order")
     reps = pb.generator_batches()
     for batch in reps:
-        if len(set(shift_orbit(batch, p, n))) != n // p:
+        if len(set(translates([batch], p, n))) != n // p:
             raise ValueError("a batch orbit is shorter than n/p; not realizable")
     if len(reps) != p // size:
         raise ValueError("orbit count disagrees with blocks per period")

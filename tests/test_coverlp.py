@@ -22,7 +22,7 @@ from deadline_matching import (CoverCertificate, PeriodicBatching,
 from deadline_matching import coverlp
 from deadline_matching.coverlp import (certificate_from_json, certificate_to_json,
                                       contraction_bound)
-from deadline_matching.masks import cyclic_distance
+from deadline_matching.masks import cyclic_distance, translates
 from helpers import random_complete_graph
 from oracles import realizing_permutation, solve_cover_lp_direct
 
@@ -307,11 +307,11 @@ class TestLiftedColumns:
     def test_translates_rebuild_the_column_and_its_coverage(self, n, p, d):
         for pb in enumerate_periodic_batchings(n, p, d):
             lifted = coverlp._lifted(pb)
-            assert PeriodicBatching(n, d + 1, p, coverlp._translates(lifted, p, n)) == pb
+            assert PeriodicBatching(n, d + 1, p, translates(lifted, p, n)) == pb
             span = max(b[-1] - b[0] for b in lifted)
             big = (span + d) // p * p + p  # the least multiple of p above span + d
-            assert (self.coverage(coverlp._translates(lifted, p, big), big, p, d)
-                    == self.coverage(coverlp._translates(lifted, p, big + 2 * p), big + 2 * p, p, d))
+            assert (self.coverage(translates(lifted, p, big), big, p, d)
+                    == self.coverage(translates(lifted, p, big + 2 * p), big + 2 * p, p, d))
 
     def test_a_short_orbit_has_no_lift(self):
         pb = PeriodicBatching(8, 2, 4, ((1, 5), (2, 6), (3, 7), (4, 8)))  # {1,5} + 4 = {1,5}

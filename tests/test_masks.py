@@ -9,7 +9,7 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, PeriodicBatching,
                                WeightedGraph, batching_from_order,
                                build_online_graph, combine, cycle_power,
                                enumerate_periodic_batchings)
-from deadline_matching.masks import rotate, shift_orbit
+from deadline_matching.masks import rotate, translates
 from helpers import random_complete_graph, random_order
 from oracles import (batched_graph, contract_cycle_mask,
                      enumerate_periodic_permutations, is_cover,
@@ -232,7 +232,7 @@ class TestCyclicGeometry:
             assert orbit[0] == pb
             assert {m.batches for m in orbit} == {pb.shifted(r).batches for r in range(n)}
             for batch in pb.batches:
-                assert set(shift_orbit(batch, p, n)) <= set(pb.batches)
+                assert set(translates([batch], p, n)) <= set(pb.batches)
 
     def test_every_rotation_is_realizable(self, members):
         n, p, pbs = members
