@@ -38,13 +38,13 @@ from .departures import sample_departures
 from .offline import arrival_window_matching_value
 
 
-def event_schedule(windows: PresenceWindows) -> list[tuple[int, int, int]]:
-    """The run's events as sorted (time, kind, vertex) tuples, kind 0 an
-    arrival and 1 a critical event, so arrivals come first at a tick."""
+def event_schedule(windows: PresenceWindows) -> list[tuple[int, str, int]]:
+    """The run's events as sorted (time, "arrival" or "critical", vertex) tuples,
+    so arrivals come first at a tick; `simulate`'s trace holds them as they are."""
     events = []
     for v, (slot, critical) in enumerate(zip(windows.slots, windows.critical), start=1):
-        events.append((slot, 0, v))
-        events.append((critical, 1, v))
+        events.append((slot, "arrival", v))
+        events.append((critical, "critical", v))
     return sorted(events)
 
 
@@ -125,7 +125,8 @@ class MarketView:
     sums and comparisons of them are exact, and a constant compared with
     them must be scaled too. A lookahead of l models
     knowing the next l arrivals, implemented as a time extension per the
-    batching reduction.
+    batching reduction. `live_weights` and `revealed_neighbors` read one
+    vertex's own edges (`WeightedGraph.adj`), where `weight` reads a pair.
     """
 
     def __init__(self, instance: OnlineInstance, departures: tuple[int, ...],
@@ -230,6 +231,19 @@ class MarketView:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         return self._ints.get((u, v) if u < v else (v, u), 0)
+
+    def live_weights(self, v: int) -> dict[int, int]:
+        """`weight(u, v)` for each arrived u where it is positive, ascending,
+        read from v's own edges (`WeightedGraph.adj`) in O(deg v)."""
+        if v not in self._arrived:
+            raise LookupError("weights to vertices that have not arrived are hidden")
+        arrived, live, weights = self._arrived, self._windows.live, {}
+        edges = iter(self._instance.graph.adj[v])
+        for u in edges:  # a plain loop: at degree 1-3 a comprehension's set-up dominates
+            w = next(edges)
+            if u in arrived and live(u, v):
+                weights[u] = w
+        return weights
 
     def revealed_neighbors(self, v: int) -> dict[int, int]:
         """Positive matchable weights from v to currently present vertices,
@@ -376,7 +390,8 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     Each emitted pair is checked on the spot: both endpoints unmatched and
     the presence-window rule kept at the current tick, under the realized
     departures and the policy's lookahead allowance. An invalid pair aborts
-    the run with a ValueError.
+    the run with a ValueError. The trace holds the schedule's own event
+    tuples (`event_schedule`), each followed by (time, "match", pair) per pair.
     """
     departures = realized_departures(instance, seed)
     rng = bits if bits is not None else BitStream(seed)
@@ -386,9 +401,10 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     ints, scale = instance.graph.scaled
     collected = 0  # over scale
     trace: list[tuple] = []
-    for time, kind, vertex in event_schedule(view._windows):
+    for event in event_schedule(view._windows):
+        time, kind, vertex = event
         accepted = _step(policy, time, kind, vertex)
-        trace.append((time, ("arrival", "critical")[kind], vertex))
+        trace.append(event)
         for pair in accepted:
             pairs[pair] = time
             collected += ints.get(pair, 0)
@@ -397,7 +413,7 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
                      tuple(trace), rng.used)
 
 
-def _step(policy: OnlinePolicy, time: int, kind: int,
+def _step(policy: OnlinePolicy, time: int, kind: str,
           vertex: int) -> list[Pair] | tuple[()]:
     """Run one event of the schedule on the policy and its view; return the
     pairs it matched, `()` when the hook emitted none. Each emitted pair is
@@ -406,7 +422,7 @@ def _step(policy: OnlinePolicy, time: int, kind: int,
     with a ValueError."""
     view = policy.view
     view.now = time
-    if kind == 0:
+    if kind == "arrival":
         view._arrived.add(vertex)
         view._alive.add(vertex)
         emitted = policy.on_arrival(vertex)
@@ -533,7 +549,7 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
     return Fraction(total, scale << depth)
 
 
-def _event_outcomes(worlds, time: int, kind: int, vertex: int):
+def _event_outcomes(worlds, time: int, kind: str, vertex: int):
     """Run one event on every (mass, world), forking each world at its hook's
     first coin. Returns the outcomes as (mass, bits used, pairs matched,
     world) with the most bits any outcome used. Past 2 * MAX_WORLDS

@@ -260,7 +260,8 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
 # buyer is reached. Prices only rise and margins only fall, and the sum of
 # prices and margins over pre-existing vertices is conserved per insertion.
 # The market never divides: it runs on ints (DDA's weights over a common
-# scale) as it does on Fractions, keeping whichever it is given.
+# scale) as it does on Fractions, keeping whichever it is given. `moved`
+# names the vertices whose dual the last insertion set or changed.
 
 class AuctionMarket:
     def __init__(self):
@@ -269,12 +270,14 @@ class AuctionMarket:
         self.edges: dict[int, dict[int, int | Fraction]] = {}  # buyer -> {seller: weight}
         self.match_sb: dict[int, int] = {}
         self.match_bs: dict[int, int] = {}
+        self.moved: set[int] = set()
 
     # -- construction -------------------------------------------------------
     def add_seller(self, s: int):
         if s in self.prices or s in self.margins:
             raise ValueError(f"vertex {s} already in the market")
         self.prices[s] = 0
+        self.moved = {s}
 
     def add_buyer(self, b: int, edges: dict[int, int | Fraction]) -> int | Fraction:
         """Insert a buyer with its seller edges and rebalance; returns q_b.
@@ -298,6 +301,7 @@ class AuctionMarket:
                 margin = max(margin, w - self.prices[s])
         self.edges[b] = bids
         self.margins[b] = margin
+        self.moved = {b}
         if margin > 0:
             self._rebalance(b)
         return self.margins[b]
@@ -388,6 +392,7 @@ class AuctionMarket:
                 prices[s] += delta
             for b in blue:
                 margins[b] -= delta
+            self.moved.update(red, blue)
             # loop: either a new tight bid appeared (delta = delta2) or some
             # blue buyer reached margin zero (delta = delta1) and terminates
 

@@ -256,8 +256,8 @@ class PostponedGreedy(_BestMarginBids):
                      for k, b in self.tentative.items())
 
     def on_arrival(self, k: int):
-        weight = self.view.weight
-        self._bid(k, [(s, weight(s, k)) for s in sorted(self.tentative)])
+        # an open seller copy with no live edge to k would offer 0, which never wins
+        self._bid(k, [(s, w) for s, w in self.view.live_weights(k).items() if s in self.tentative])
         self._add_seller(k)
         self.status[k] = UNDETERMINED
         return ()
@@ -305,12 +305,15 @@ class DynamicDeferredAcceptance(_RoleBased):
     seller's critical event has not run, and the buyer bid across a live
     edge. Prices only rise, margins only fall, and the pre-existing dual
     mass is conserved per arrival. The market runs on the view's
-    integer weights; the records below read as Fractions.
+    integer weights; the records below read as Fractions. The dual
+    histories are kept as changes and expanded on read (`_history`).
     """
 
     name = "dda"
     initial_margin, final_price, final_margin = _OverScale(), _OverScale(), _OverScale()
     price_history, margin_history = _OverScale(), _OverScale()
+    _price_history = property(lambda self: self._history(SELLER))
+    _margin_history = property(lambda self: self._history(BUYER))
 
     def reset(self, view, rng):
         super().reset(view, rng)
@@ -318,24 +321,34 @@ class DynamicDeferredAcceptance(_RoleBased):
         self._initial_margin: dict[int, int] = {}
         self._final_price: dict[int, int] = {}
         self._final_margin: dict[int, int] = {}
-        self._price_history: dict[int, list[int]] = {}
-        self._margin_history: dict[int, list[int]] = {}
+        self._events = 0  # events run so far
+        self._changes: dict[int, list[tuple[int, int]]] = {}  # in arrival order
+        self._left: dict[int, int] = {}  # the event each vertex left the market at
 
-    def _snapshot(self):
-        for s, p in self.market.prices.items():
-            self._price_history.setdefault(s, []).append(p)
-        for b, q in self.market.margins.items():
-            self._margin_history.setdefault(b, []).append(q)
+    def _history(self, role) -> dict[int, list[int]]:
+        """Each `role` vertex's dual after every event from its entry until it
+        left the market (or the last event run), from its (event, dual) changes:
+        at its entry, at each insertion that moved it (`AuctionMarket.moved`)."""
+        history, now = {}, self._events
+        for v, series in self._changes.items():
+            if self.roles[v] == role:
+                ends = [e for e, _ in series[1:]] + [self._left.get(v, now)]
+                history[v] = [x for (e, x), end in zip(series, ends) for _ in range(end - e)]
+        return history
 
     def on_arrival(self, v: int):
         neighbors = self._check_bipartite_arrival(v)
+        market = self.market
         if self.roles[v] == SELLER:
-            self.market.add_seller(v)
+            market.add_seller(v)
         else:
             # every present seller is in the market: it leaves at its critical
             # event, after the arrivals of that tick
-            self._initial_margin[v] = self.market.add_buyer(v, neighbors)
-        self._snapshot()
+            self._initial_margin[v] = market.add_buyer(v, neighbors)
+        for u in market.moved:
+            dual = market.prices[u] if u in market.prices else market.margins[u]
+            self._changes.setdefault(u, []).append((self._events, dual))
+        self._events += 1
         return ()
 
     def on_critical(self, v: int):
@@ -346,8 +359,11 @@ class DynamicDeferredAcceptance(_RoleBased):
                 self._final_price[u] = market.prices[u]
             elif u in market.margins:
                 self._final_margin[u] = market.margins[u]
+            else:
+                continue
+            self._left[u] = self._events
         pair = market.remove(v)
-        self._snapshot()
+        self._events += 1
         return [pair] if pair else ()
 
     def conservation_sums(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -375,21 +391,22 @@ class BatchingPolicy(OnlinePolicy):
     def reset(self, view, rng):
         super().reset(view, rng)
         self.members: list[int] = []
+        self._width, self._last = view.deadline + self.lookahead + 1, view.n  # read once per run
 
     def on_arrival(self, v: int):
         self.members.append(v)
         slot = self.view.slot_of(v)
-        width = self.view.deadline + self.lookahead + 1
-        if slot % width and slot != self.view.n:
+        if slot % self._width and slot != self._last:
             return ()
         batch, self.members = self.members, []
         if len(batch) < 2:
             return ()
-        batch, weight, alive = sorted(batch), self.view.weight, set(self.view.alive())
+        batch, alive = sorted(batch), set(self.view.alive())
         # a member whose window has closed (departed early) is not matched
         live = [v for v in batch if v in alive]
-        ints = {(a, b): w for i, a in enumerate(live, 1) for b in live[i:]
-                if (w := weight(a, b))}
+        # the largest member's edges are read from their other ends
+        members, read = set(live), self.view.live_weights
+        ints = {(a, b): w for a in live[:-1] for b, w in read(a).items() if b > a and b in members}
         self.log.append(("batch", tuple(batch)))
         return band_matching(ints, live, len(live) - 1)[1]
 

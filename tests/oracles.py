@@ -13,7 +13,10 @@ a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
 and pg under finer state keys, over every alive vertex, which the forward
-pass must agree with over more worlds.
+pass must agree with over more worlds. `PairwisePostponedGreedy` and
+`PairwiseBatching` read one `weight` per pair where the library reads each
+vertex's own edges, and `SnapshotDDA` copies every price and margin at
+every event where the library keeps only the duals that moved.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, WeightedGrap
 from deadline_matching.masks import (PeriodicBatching, batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
                                      translates)
-from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError
-from deadline_matching.policies import NaiveGreedy, PostponedGreedy
+from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError, band_matching
+from deadline_matching.policies import (UNDETERMINED, BatchingPolicy,
+                                        DynamicDeferredAcceptance, NaiveGreedy,
+                                        PostponedGreedy)
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
 
 ONE = Fraction(1)
@@ -281,3 +286,71 @@ class AliveKeyedPostponedGreedy(PostponedGreedy):
         return (tuple(alive), tuple(map(self.view.is_matched, alive)),
                 tuple(map(tentative.get, alive)), tuple(map(status.get, alive)),
                 tuple(map(status.get, map(tentative.get, alive))))
+
+
+# ---------------------------------------------------------------------------
+# Policies reading one weight per pair, and dda's histories as snapshots
+
+class PairwisePostponedGreedy(PostponedGreedy):
+    """pg whose arriving buyer copy bids on `weight` to every open seller
+    copy, ascending, zero weights included."""
+
+    def on_arrival(self, k: int):
+        weight = self.view.weight
+        self._bid(k, [(s, weight(s, k)) for s in sorted(self.tentative)])
+        self._add_seller(k)
+        self.status[k] = UNDETERMINED
+        return ()
+
+
+class PairwiseBatching(BatchingPolicy):
+    """Batching whose table holds `weight` of every pair of alive members."""
+
+    def on_arrival(self, v: int):
+        self.members.append(v)
+        slot = self.view.slot_of(v)
+        width = self.view.deadline + self.lookahead + 1
+        if slot % width and slot != self.view.n:
+            return ()
+        batch, self.members = self.members, []
+        if len(batch) < 2:
+            return ()
+        batch, weight, alive = sorted(batch), self.view.weight, set(self.view.alive())
+        live = [v for v in batch if v in alive]
+        ints = {(a, b): w for i, a in enumerate(live, 1) for b in live[i:]
+                if (w := weight(a, b))}
+        self.log.append(("batch", tuple(batch)))
+        return band_matching(ints, live, len(live) - 1)[1]
+
+
+class SnapshotDDA(DynamicDeferredAcceptance):
+    """dda whose histories append every market price and margin after
+    every event."""
+
+    def reset(self, view, rng):
+        super().reset(view, rng)
+        self._snapshots: tuple[dict, dict] = ({}, {})
+
+    @property
+    def _price_history(self):
+        return self._snapshots[0]
+
+    @property
+    def _margin_history(self):
+        return self._snapshots[1]
+
+    def _snapshot(self):
+        for s, p in self.market.prices.items():
+            self._snapshots[0].setdefault(s, []).append(p)
+        for b, q in self.market.margins.items():
+            self._snapshots[1].setdefault(b, []).append(q)
+
+    def on_arrival(self, v: int):
+        emitted = super().on_arrival(v)
+        self._snapshot()
+        return emitted
+
+    def on_critical(self, v: int):
+        emitted = super().on_critical(v)
+        self._snapshot()
+        return emitted
