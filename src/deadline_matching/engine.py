@@ -117,16 +117,18 @@ class _ForkBits(ScriptedBits):
 class MarketView:
     """What a policy may observe: presence, slots, and matchable weights.
 
-    A weight is revealed only between vertices that have both arrived
-    (information about the future does not exist), and it reads as zero when
-    the presence-window rule under the realized departures and the policy's
+    The view keeps two sets, the arrived and the matched vertices, and the
+    tick; every other read follows from them and the windows. A weight is
+    revealed only between vertices that have both arrived (information
+    about the future does not exist), and it reads as zero when the
+    presence-window rule under the realized departures and the policy's
     lookahead allowance keeps no edge between them. Weights are integers
     over `scale`, the graph's common denominator (`WeightedGraph.scaled`):
     sums and comparisons of them are exact, and a constant compared with
-    them must be scaled too. A lookahead of l models
-    knowing the next l arrivals, implemented as a time extension per the
-    batching reduction. `live_weights` and `revealed_neighbors` read one
-    vertex's own edges (`WeightedGraph.adj`), where `weight` reads a pair.
+    them must be scaled too. A lookahead of l models knowing the next l
+    arrivals, implemented as a time extension per the batching reduction.
+    `live_weights` and `revealed_neighbors` read one vertex's own edges
+    (`WeightedGraph.adj`), where `weight` reads a pair.
     """
 
     def __init__(self, instance: OnlineInstance, departures: tuple[int, ...],
@@ -136,22 +138,18 @@ class MarketView:
         self._ints, self._scale = instance.graph.scaled
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
-        self._alive: set[int] = set()  # arrived; pruned lazily
-        self._pruned = -1  # the tick `_alive` was last pruned at
         self.now = 0
 
     def clone(self) -> "MarketView":
-        """An independent copy of the run's progress; the instance and the
-        windows are shared, since no run changes them. The alive set is
-        pruned before it is copied."""
+        """An independent copy of the run's progress, its arrived and matched
+        sets and the tick; the instance and the windows are shared, since no
+        run changes them."""
         other = MarketView.__new__(MarketView)
         other._instance = self._instance
         other._windows = self._windows
         other._ints, other._scale = self._ints, self._scale
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
-        other._alive = set(self._pruned_alive())
-        other._pruned = self._pruned
         other.now = self.now
         return other
 
@@ -183,9 +181,13 @@ class MarketView:
         return t
 
     def has_departed(self, v: int) -> bool:
+        """The one departed rule: v has arrived and its critical time plus
+        the lookahead allowance is below now, so no pair can use v at any
+        tick >= now (the bound `PresenceWindows.violations` applies)."""
         if v not in self._arrived:
             return False
-        return self._windows.critical[v - 1] < self.now
+        windows = self._windows
+        return windows.critical[v - 1] + windows.lookahead < self.now
 
     def is_matched(self, v: int) -> bool:
         return v in self._matched
@@ -198,26 +200,14 @@ class MarketView:
                 and v not in self._matched)
 
     def present(self) -> list[int]:
-        """The alive vertices that are present (`_is_present`), ascending."""
-        return list(filter(self._is_present, self.alive()))
+        """The arrived vertices that are present (`_is_present`), ascending."""
+        return sorted(filter(self._is_present, self._arrived))
 
     def alive(self) -> list[int]:
-        """Arrived vertices, matched or not, that some pair could still use
-        at a tick >= now (critical time plus lookahead), in ascending order."""
-        return sorted(self._pruned_alive())
-
-    def _pruned_alive(self) -> set[int]:
-        """The kept alive set, pruned at most once per tick: the floor moves
-        only with `now`, and a vertex arriving at tick t is critical no
-        earlier than t, so nothing added since the prune can be below it.
-        Reveals leave it unpruned; `alive()` and `clone` prune it."""
-        now = self.now
-        if self._pruned != now:
-            windows = self._windows
-            critical, floor = windows.critical, now - windows.lookahead
-            self._alive = {v for v in self._alive if critical[v - 1] >= floor}
-            self._pruned = now
-        return self._alive
+        """The arrived vertices, matched or not, that have not departed
+        (`has_departed`), ascending."""
+        departed = self.has_departed
+        return sorted(v for v in self._arrived if not departed(v))
 
     @property
     def scale(self) -> int:
@@ -252,7 +242,7 @@ class MarketView:
         For a v that has not arrived it raises LookupError while any vertex
         is present."""
         if v not in self._arrived:
-            if any(map(self._is_present, self._alive)):
+            if any(map(self._is_present, self._arrived)):
                 raise LookupError("weights to vertices that have not arrived are hidden")
             return {}
         present, live = self._is_present, self._windows.live
@@ -294,8 +284,8 @@ class OnlinePolicy:
         `state_key()` copies its own state fields on top; what no hook writes,
         such as the instance or declared roles, is shared. Fields are copied
         by name, never the whole instance dictionary, so hooks wrapped on
-        this object stay with it. The view is copied whole, its arrived and
-        matched sets included, which grow with the run."""
+        this object stay with it. The view's copy holds its arrived and
+        matched sets, which grow with the run (`MarketView.clone`)."""
         other = type(self).__new__(type(self))
         other.name = self.name
         other.lookahead = self.lookahead
@@ -424,7 +414,6 @@ def _step(policy: OnlinePolicy, time: int, kind: str,
     view.now = time
     if kind == "arrival":
         view._arrived.add(vertex)
-        view._alive.add(vertex)
         emitted = policy.on_arrival(vertex)
     else:
         emitted = policy.on_critical(vertex)

@@ -93,9 +93,9 @@ class _BestMarginBids(OnlinePolicy):
     Sellers enter at price 0. A buyer bids once, on the seller with the
     largest positive margin (weight minus price); the seller's price rises to
     that weight and its previous tentative buyer is displaced for good.
-    `tentative` holds the open sellers, in arrival order; each leaves at its
-    critical event and closes through `_finalize`. Prices and margins are
-    integers over the view's scale.
+    `tentative` holds the open sellers, in arrival order, and a bid takes no
+    other (`_bid`); each leaves at its critical event and closes through
+    `_finalize`. Prices and margins are integers over the view's scale.
     """
 
     initial_margin = _OverScale()
@@ -118,17 +118,19 @@ class _BestMarginBids(OnlinePolicy):
         self.tentative[s] = None
 
     def _bid(self, b: int, offers):
-        """Buyer b bids on `offers`, (seller, weight) pairs in ascending seller
-        order: only positive margins count, and a tie keeps the lowest seller."""
-        prices = self.prices
+        """Buyer b bids on `offers`, (vertex, weight) pairs in ascending vertex
+        order: only open sellers (`tentative`) with a positive margin count,
+        and a tie keeps the lowest seller."""
+        prices, tentative = self.prices, self.tentative
         best_s, best_w, best_margin = None, 0, 0
         for s, w in offers:
-            margin = w - prices[s]
-            if margin > best_margin:
-                best_s, best_w, best_margin = s, w, margin
+            if s in tentative:
+                margin = w - prices[s]
+                if margin > best_margin:
+                    best_s, best_w, best_margin = s, w, margin
         self._initial_margin[b] = best_margin
         if best_s is not None:
-            self.tentative[best_s] = b
+            tentative[best_s] = b
             prices[best_s] = best_w
             self.log.append(("bid", b, best_s, Fraction(best_margin, self.view.scale)))
 
@@ -151,7 +153,7 @@ class _BestMarginBids(OnlinePolicy):
 
     def state_key(self):
         """Each open seller with its tentative buyer, in arrival order: all
-        that a future hook reads. The open sellers are the present ones, a
+        that a future hook reads. A bid takes only the open sellers, a
         seller's price is the weight to its tentative buyer (0 without one),
         and a buyer bids once and is matched only by the seller that holds
         it, so the roles and matched flags of buyers and closed sellers
@@ -176,34 +178,20 @@ class FreeDisposalGreedy(_RoleBased, _BestMarginBids):
 
 class NaiveGreedy(_BestMarginBids):
     """Greedy whose roles come from one fair coin per arrival, so only
-    seller-to-later-buyer edges count. It needs no declared roles, skips the
-    bipartite arrival check, and keeps the roles its coins write until each
-    vertex's critical event; its clone copies them."""
+    seller-to-later-buyer edges count. It needs no declared roles and skips
+    the bipartite arrival check. A role is kept only in the log: a seller is
+    open (`tentative`) from its coin until its critical event and matched
+    only at its close, so a buyer's open sellers are its present sellers."""
 
     name = "naive-greedy"
 
-    def reset(self, view, rng):
-        super().reset(view, rng)
-        self.roles: dict[int, str] = {}
-
-    def clone(self):
-        other = super().clone()
-        other.roles = dict(self.roles)
-        return other
-
-    def on_critical(self, v: int):
-        del self.roles[v]  # no later arrival sees v as a neighbour
-        return super().on_critical(v)
-
     def on_arrival(self, v: int):
-        role = self.roles[v] = SELLER if self.rng.flip() else BUYER
+        role = SELLER if self.rng.flip() else BUYER
         self.log.append(("role", v, role))
         if role == SELLER:
             self._add_seller(v)
         else:
-            roles = self.roles
-            self._bid(v, [(s, w) for s, w in self.view.revealed_neighbors(v).items()
-                          if roles[s] == SELLER])
+            self._bid(v, self.view.live_weights(v).items())
         return ()
 
 
@@ -257,7 +245,7 @@ class PostponedGreedy(_BestMarginBids):
 
     def on_arrival(self, k: int):
         # an open seller copy with no live edge to k would offer 0, which never wins
-        self._bid(k, [(s, w) for s, w in self.view.live_weights(k).items() if s in self.tentative])
+        self._bid(k, self.view.live_weights(k).items())
         self._add_seller(k)
         self.status[k] = UNDETERMINED
         return ()
@@ -379,7 +367,9 @@ class BatchingPolicy(OnlinePolicy):
     Lookahead l >= 0 widens the window; knowing the next l arrivals at the
     moment the first batch member turns critical is what makes the late
     close admissible, and it is equivalent to running plain batching with
-    deadline d+l. A final partial batch closes at the last arrival.
+    deadline d+l. A final partial batch closes at the last arrival. A
+    member that has departed by the close (`MarketView.has_departed`) is
+    left out of the batch's matching; the log records the whole batch.
     """
 
     def __init__(self, lookahead: int = 0):
@@ -401,9 +391,8 @@ class BatchingPolicy(OnlinePolicy):
         batch, self.members = self.members, []
         if len(batch) < 2:
             return ()
-        batch, alive = sorted(batch), set(self.view.alive())
-        # a member whose window has closed (departed early) is not matched
-        live = [v for v in batch if v in alive]
+        batch, departed = sorted(batch), self.view.has_departed
+        live = [v for v in batch if not departed(v)]
         # the largest member's edges are read from their other ends
         members, read = set(live), self.view.live_weights
         ints = {(a, b): w for a in live[:-1] for b, w in read(a).items() if b > a and b in members}

@@ -13,7 +13,9 @@ a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
 and pg under finer state keys, over every alive vertex, which the forward
-pass must agree with over more worlds. `PairwisePostponedGreedy` and
+pass must agree with over more worlds. `RoleMapNaiveGreedy` keeps its coins'
+roles in a map and bids on its reveals of present sellers, where the
+library bids on live edges and takes only the open sellers. `PairwisePostponedGreedy` and
 `PairwiseBatching` read one `weight` per pair where the library reads each
 vertex's own edges, and `SnapshotDDA` copies every price and margin at
 every event where the library keeps only the duals that moved.
@@ -33,7 +35,7 @@ from deadline_matching.masks import (PeriodicBatching, batching_from_order, cove
                                      cycle_power, enumerate_periodic_batchings,
                                      translates)
 from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError, band_matching
-from deadline_matching.policies import (UNDETERMINED, BatchingPolicy,
+from deadline_matching.policies import (BUYER, SELLER, UNDETERMINED, BatchingPolicy,
                                         DynamicDeferredAcceptance, NaiveGreedy,
                                         PostponedGreedy)
 from deadline_matching.simplex import certify_min_geq, solve_min_geq
@@ -260,7 +262,8 @@ def replay_branches(instance, policy):
 
 class AliveKeyedNaiveGreedy(NaiveGreedy):
     """Naive-greedy keyed on each alive vertex's matched flag, tentative
-    buyer and role. A seller keeps its tentative buyer after its critical
+    buyer and role (whether it is a key of `tentative`). A seller keeps its
+    tentative buyer, and its place in `tentative`, after its critical
     event. The key is sound but finer than the open-seller key: it keeps
     worlds apart that differ only in a buyer or a closed seller."""
 
@@ -271,7 +274,51 @@ class AliveKeyedNaiveGreedy(NaiveGreedy):
     def state_key(self):
         alive = self.view.alive()
         return (tuple(alive), tuple(map(self.view.is_matched, alive)),
-                tuple(map(self.tentative.get, alive)), tuple(map(self.roles.get, alive)))
+                tuple(map(self.tentative.get, alive)), tuple(v in self.tentative for v in alive))
+
+
+class RoleMapNaiveGreedy(NaiveGreedy):
+    """Naive-greedy with a role map: each coin's role is written at the
+    arrival, copied by the clone and dropped at the critical event, and a
+    buyer bids on its reveals of present vertices whose role is seller,
+    with every offer counted."""
+
+    def reset(self, view, rng):
+        super().reset(view, rng)
+        self.roles: dict[int, str] = {}
+
+    def clone(self):
+        other = super().clone()
+        other.roles = dict(self.roles)
+        return other
+
+    def on_critical(self, v: int):
+        del self.roles[v]  # no later arrival sees v as a neighbour
+        return super().on_critical(v)
+
+    def on_arrival(self, v: int):
+        role = self.roles[v] = SELLER if self.rng.flip() else BUYER
+        self.log.append(("role", v, role))
+        if role == SELLER:
+            self._add_seller(v)
+        else:
+            roles = self.roles
+            self._bid(v, [(s, w) for s, w in self.view.revealed_neighbors(v).items()
+                          if roles[s] == SELLER])
+        return ()
+
+    def _bid(self, b: int, offers):
+        prices = self.prices
+        best_s, best_w, best_margin = None, 0, 0
+        for s, w in offers:
+            margin = w - prices[s]
+            if margin > best_margin:
+                best_s, best_w, best_margin = s, w, margin
+        self._initial_margin[b] = best_margin
+        if best_s is not None:
+            self.tentative[best_s] = b
+            prices[best_s] = best_w
+            self.log.append(("bid", b, best_s, Fraction(best_margin, self.view.scale)))
 
 
 class AliveKeyedPostponedGreedy(PostponedGreedy):

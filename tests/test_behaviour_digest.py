@@ -2,7 +2,8 @@
 
 A fixed seeded corpus of small instances (n 2..8, d 1..3; a third general,
 a third role-constrained, a third under geometric(1/2) departures) runs
-through every policy spec and every exact evaluator. Each output, or the
+through every policy spec and every exact evaluator, and the five gallery
+instances at default parameters run through every spec. Each output, or the
 text of the error it raises, is hashed into one digest per name, so a
 refactor that changes any value, pair, trace, log entry, tie-break or error
 text moves a named digest. Certificate loads hash the loaded JSON or the
@@ -20,8 +21,9 @@ from functools import cache
 
 import pytest
 
-from deadline_matching import (competitive_report, exact_expectation,
+from deadline_matching import (competitive_report, exact_expectation, make_instance,
                                make_policy, simulate, solve_cover_lp)
+from deadline_matching.cli import _with_roles
 from deadline_matching.coverlp import certificate_from_json, certificate_to_json
 from deadline_matching.departures import geometric
 from deadline_matching.engine import realized_departures
@@ -32,6 +34,8 @@ from helpers import random_constrained_bipartite, random_instance
 
 SPECS = (*POLICY_FACTORIES, "batching:1")
 SEEDS = (0, 1)
+GALLERY = ("basic-tradeoff", "constrained-deterministic-lb", "constrained-randomized-lb",
+           "pg-tightness", "random-order-3cycle")
 
 # sha256 of each name's outputs over the corpus, as the library gave them
 # when these pins were taken
@@ -49,6 +53,7 @@ PINNED_BEHAVIOUR_DIGESTS = {
     "exact expectations": "c348f03668ed146798b24efe50a8b65eb7e28a114eccb8dbe23b5571b3eb19c7",
     "competitive report rows": "3233d37d7c3bc3e4c0f964107fd66dac296692aa978126a67c118bdaf60ce574",
     "certificate loads": "da251dc6a378885a3c4876adf1c5ece9245dc652b4cfc0f8cf2e983ed2b3d3b4",
+    "gallery": "42d086507b7a17630068cd6a43a8a936b2b00bc677e97561ec09c5592c0e43cb",
 }
 
 
@@ -161,11 +166,16 @@ def _evaluator(name):
                 for arrival in ("fixed", "uniform") for seeds in (0, 2)]
     if name == "certificate loads":
         return [(key, outcome(reloaded, doc)) for key, doc in certificate_files().items()]
+    if name == "gallery":  # roles inferred as the CLI infers them
+        gallery = [_with_roles(make_instance(g).instance) for g in GALLERY]
+        return [(outcome(run_record, inst, spec, 0), outcome(run_record, inst, spec, 1),
+                 outcome(exact_expectation, inst, make_policy(spec)))
+                for inst in gallery for spec in SPECS]
     raise KeyError(name)
 
 
 EVALUATORS = ("window and batched values", "offline and realized optima",
-              "exact expectations", "competitive report rows", "certificate loads")
+              "exact expectations", "competitive report rows", "certificate loads", "gallery")
 
 
 def digest(name):

@@ -249,7 +249,7 @@ class SellerHungry(NaiveGreedy):
 
     def on_arrival(self, v):
         emitted = super().on_arrival(v)
-        for _ in range(20 if v == 7 and self.roles[v] == "seller" else 0):
+        for _ in range(20 if v == 7 and v in self.tentative else 0):
             self.rng.flip()
         return emitted
 
@@ -340,7 +340,7 @@ def world_after(policy, instance, bits, events):
 class TestGreedyClones:
     def test_a_clone_taken_mid_run_runs_on_as_its_original(self):
         # greedy's clone shares the declared roles, which no hook writes;
-        # naive-greedy's copies the roles its coins write
+        # naive-greedy keeps no roles: its open sellers are its tentative map
         rng = random.Random(15)
         for _ in range(30):
             n = rng.randint(3, 9)
@@ -352,7 +352,8 @@ class TestGreedyClones:
             for factory in (FreeDisposalGreedy, NaiveGreedy):
                 policy = world_after(factory(), instance, bits, cut)
                 clone = policy.clone()
-                assert (clone.roles is policy.roles) == (factory is FreeDisposalGreedy)
+                if factory is FreeDisposalGreedy:
+                    assert clone.roles is policy.roles
                 runs, tail = [], bits[policy.rng.used:]  # naive-greedy: one coin per arrival
                 for world in (clone, policy):
                     world.rng = ScriptedBits(tail)
@@ -360,8 +361,8 @@ class TestGreedyClones:
                 assert runs[0] == runs[1]
 
     def test_a_late_clone_holds_only_the_open_state(self):
-        # a closing seller drops its price, and naive-greedy drops a vertex's
-        # role at its critical event, so a late clone is no larger than an early one
+        # a closing seller drops its price and leaves the tentative map at its
+        # critical event, so a late clone is no larger than an early one
         n, d = 1000, 4
         rng = random.Random(8)
         roles = {v: rng.choice(["seller", "buyer"]) for v in range(1, n + 1)}
@@ -374,7 +375,8 @@ class TestGreedyClones:
         greedy = world_after(FreeDisposalGreedy(), instance, bits, 1980).clone()
         assert greedy.prices.keys() == greedy.tentative.keys() != set()
         naive = world_after(NaiveGreedy(), instance, bits, 1980).clone()
-        assert 0 < len(naive.roles) <= d + 1
+        assert naive.prices.keys() == naive.tentative.keys() != set()
+        assert len(naive.tentative) <= d + 1
 
 
 class TestOpenSellerKey:
