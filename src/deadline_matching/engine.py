@@ -38,14 +38,27 @@ from .departures import sample_departures
 from .offline import arrival_window_matching_value
 
 
-def event_schedule(windows: PresenceWindows) -> list[tuple[int, str, int]]:
+_last_schedule: tuple = (None, ())  # the last rule asked for and its schedule, replaced as one
+
+
+def event_schedule(windows: PresenceWindows) -> tuple[tuple[int, str, int], ...]:
     """The run's events as sorted (time, "arrival" or "critical", vertex) tuples,
-    so arrivals come first at a tick; `simulate`'s trace holds them as they are."""
-    events = []
-    for v, (slot, critical) in enumerate(zip(windows.slots, windows.critical), start=1):
-        events.append((slot, "arrival", v))
-        events.append((critical, "critical", v))
-    return sorted(events)
+    so arrivals come first at a tick; `simulate`'s trace holds them as they are.
+
+    The schedule of the last rule asked for is kept, keyed on that very
+    object, and only that one. `OnlineInstance.windows` hands out one rule
+    per (instance, offsets, lookahead) in turn, so the runs of a sweep or an
+    enumeration on one instance sort its events once and share the tuple."""
+    global _last_schedule
+    last, events = _last_schedule
+    if windows is not last:
+        events = []
+        for v, (slot, critical) in enumerate(zip(windows.slots, windows.critical), start=1):
+            events.append((slot, "arrival", v))
+            events.append((critical, "critical", v))
+        events = tuple(sorted(events))
+        _last_schedule = windows, events
+    return events
 
 
 class BitStream:
@@ -558,7 +571,8 @@ def _event_outcomes(worlds, time: int, kind: str, vertex: int):
             continue  # no coin, no clone
         base, first.base = first.base, None
         split = max(split, first.used)
-        scripts = first.branches()
+        # the first run read no script, so its 1-branches are 0...01
+        scripts = [(0,) * i + (1,) for i in range(first.used)]
         while scripts:  # the deepest 1-branch first, as the replays order them
             child = base.clone()
             child.rng = bits = ScriptedBits(scripts.pop(), cap)
@@ -567,7 +581,8 @@ def _event_outcomes(worlds, time: int, kind: str, vertex: int):
             if len(outcomes) > cap:
                 raise OutOfBits(len(outcomes))
             split = max(split, bits.used)
-            scripts.extend(bits.branches())
+            if bits.used > len(bits.script):  # it passed 1-branches of its own
+                scripts.extend(bits.branches())
     return outcomes, split
 
 

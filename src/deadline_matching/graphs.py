@@ -179,6 +179,10 @@ def checked_offsets(offsets, n: int) -> tuple[int, ...]:
     return deps
 
 
+# the last (instance, offsets, lookahead) asked for and its rule, replaced as one
+_last_windows: tuple = (None, (), 0, None)
+
+
 @dataclass(frozen=True)
 class OnlineInstance:
     """A weighted graph arriving over time, with a deadline model.
@@ -225,8 +229,25 @@ class OnlineInstance:
     def windows(self, offsets=None, lookahead: int = 0) -> "PresenceWindows":
         """The presence-window rule on this arrival order. Offsets default to
         the deadline for every vertex, whatever `departures` holds; a run's
-        offsets come from `engine.realized_departures`."""
-        return PresenceWindows(self.order.slots, self.deadline, offsets, lookahead)
+        offsets come from `engine.realized_departures`.
+
+        The last rule built is kept with its key, (this instance, the
+        offsets as a tuple, lookahead), and only that one: asked again for
+        the same key, the instance returns the kept rule, so a run, its
+        schedule (`engine.event_schedule`) and a dual check on the deadline
+        rule build it once. Offsets of None key as the deadline for every
+        vertex. The instance keys by identity, so equal but distinct
+        instances and `with_order` copies build their own. Callers share
+        the rule and must not change it."""
+        global _last_windows
+        offsets = (self.deadline,) * self.n if offsets is None else tuple(offsets)
+        instance, last_offsets, last_lookahead, rule = _last_windows
+        if (instance is self and type(lookahead) is int and lookahead == last_lookahead
+                and offsets == last_offsets):
+            return rule
+        rule = PresenceWindows(self.order.slots, self.deadline, offsets, lookahead)
+        _last_windows = self, offsets, lookahead, rule
+        return rule
 
 
 class PresenceWindows:
@@ -242,11 +263,18 @@ class PresenceWindows:
     period at which it can be matched; it departs at its end. A pair may be
     matched at tick t iff max slot <= t <= min critical time + lookahead. The
     lookahead allowance models a policy that knows the next arrivals; it is 0
-    in the base model. Offsets default to d for every vertex: the deadline
-    graph.
+    in the base model, and one below 0 or a bool is refused. Offsets default
+    to d for every vertex: the deadline graph.
+
+    `OnlineInstance.windows` builds one rule per (instance, offsets,
+    lookahead) and hands the same object to every caller that asks for
+    that key in turn, so a rule is read-only once built: ``reach`` and
+    ``critical`` are lists, but no caller may change them.
     """
 
     def __init__(self, slots, deadline: int, offsets=None, lookahead: int = 0):
+        if isinstance(lookahead, bool) or lookahead < 0:
+            raise ValueError("lookahead must be >= 0")
         self.slots = tuple(slots)
         self.offsets = tuple(offsets) if offsets is not None else (deadline,) * len(self.slots)
         self.lookahead = lookahead

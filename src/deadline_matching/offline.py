@@ -232,21 +232,28 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
     """Check v_ij <= lambda_i + lambda_j on every edge of the online graph.
 
     Also reports the dual objective and, when a primal value is claimed,
-    whether weak duality (sum >= claimed) holds.
+    whether weak duality (sum >= claimed) holds. A `Fraction` dual is read
+    as given and any other through `as_rational`; the signs and every edge
+    test are on integers over one common denominator, and only the edges
+    found short are sorted and built as Fractions. The online graph is the
+    deadline rule that `OnlineInstance.windows` keeps, the one a run with
+    fixed departures of d has just used.
     """
-    lam = {v: as_rational(lambdas.get(v, 0)) for v in instance.graph.vertices()}
-    if any(x < 0 for x in lam.values()):
-        bad = [v for v, x in lam.items() if x < 0]
+    lam = {}
+    for v in instance.graph.vertices():
+        x = lambdas.get(v, 0)
+        lam[v] = x if type(x) is Fraction else as_rational(x)
+    bad = [v for v, x in lam.items() if x.numerator < 0]
+    if bad:
         raise ValueError(f"dual values must be nonnegative; negative at {bad}")
-    # integers over one common denominator: no edge check builds a Fraction
     ints, scale = instance.graph.scaled
     common = lcm(scale, *(x.denominator for x in lam.values()))
     up = common // scale
     num = {v: x.numerator * (common // x.denominator) for v, x in lam.items()}
     live = instance.windows().live
-    violations = tuple(((i, j), Fraction(short, common))
-                       for (i, j), w in sorted(ints.items())
-                       if (short := w * up - num[i] - num[j]) > 0 and live(i, j))
+    shortfalls = [(e, short) for e, w in ints.items()
+                  if (short := w * up - num[e[0]] - num[e[1]]) > 0 and live(*e)]
+    violations = tuple((e, Fraction(short, common)) for e, short in sorted(shortfalls))
     total = Fraction(sum(num.values()), common)
     weak = True if claimed_primal is None else total >= claimed_primal
     return DualReport(not violations, total, weak, violations)

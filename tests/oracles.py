@@ -11,6 +11,8 @@ gives a p-periodic arrival order that induces a periodic batching, the
 order reading of the columns that the covering transforms no longer use. `replay_branches` walks
 a policy's coin tree with one replay per coin prefix, the reference for
 `engine.enumerate_branches`, which replays each leaf once.
+`verify_offline_dual` checks an offline dual with every value coerced to a
+Fraction and every edge walked, the reference for the library's check.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
 and pg under finer state keys, over every alive vertex, which the forward
 pass must agree with over more worlds. `RoleMapNaiveGreedy` keeps its coins'
@@ -25,16 +27,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from deadline_matching import engine
 from deadline_matching.engine import (MAX_FLIPS, BranchingLimitExceeded, OutOfBits,
                                       ScriptedBits)
-from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, WeightedGraph,
-                                      invert_permutation, ordered_pair)
+from deadline_matching.departures import as_rational
+from deadline_matching.graphs import (ArrivalOrder, Matching, Pair, PresenceWindows,
+                                      WeightedGraph, invert_permutation, ordered_pair)
 from deadline_matching.masks import (PeriodicBatching, batching_from_order, cover_deficits,
                                      cycle_power, enumerate_periodic_batchings,
                                      translates)
-from deadline_matching.offline import EXACT_MATCHING_CAP, SizeLimitError, band_matching
+from deadline_matching.offline import (EXACT_MATCHING_CAP, DualReport, SizeLimitError,
+                                       band_matching)
 from deadline_matching.policies import (BUYER, SELLER, UNDETERMINED, BatchingPolicy,
                                         DynamicDeferredAcceptance, NaiveGreedy,
                                         PostponedGreedy)
@@ -255,6 +260,33 @@ def replay_branches(instance, policy):
             continue
         assert result.bits_used == len(prefix)
         yield prefix, result
+
+
+# ---------------------------------------------------------------------------
+# The offline dual check, every dual coerced to a Fraction
+
+def verify_offline_dual(instance, lambdas, claimed_primal=None) -> DualReport:
+    """`offline.verify_offline_dual` with every dual coerced through
+    `as_rational`, signs tested as Fraction comparisons, every edge of the
+    graph walked in sorted order and the deadline rule built afresh; the
+    library keeps Fraction duals as given, tests signs on numerators, sorts
+    only the short edges and reads the rule that `OnlineInstance.windows`
+    keeps."""
+    lam = {v: as_rational(lambdas.get(v, 0)) for v in instance.graph.vertices()}
+    if any(x < 0 for x in lam.values()):
+        bad = [v for v, x in lam.items() if x < 0]
+        raise ValueError(f"dual values must be nonnegative; negative at {bad}")
+    ints, scale = instance.graph.scaled
+    common = lcm(scale, *(x.denominator for x in lam.values()))
+    up = common // scale
+    num = {v: x.numerator * (common // x.denominator) for v, x in lam.items()}
+    live = PresenceWindows(instance.order.slots, instance.deadline).live
+    violations = tuple(((i, j), Fraction(short, common))
+                       for (i, j), w in sorted(ints.items())
+                       if (short := w * up - num[i] - num[j]) > 0 and live(i, j))
+    total = Fraction(sum(num.values()), common)
+    weak = True if claimed_primal is None else total >= claimed_primal
+    return DualReport(not violations, total, weak, violations)
 
 
 # ---------------------------------------------------------------------------
