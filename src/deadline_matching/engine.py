@@ -33,7 +33,7 @@ from itertools import permutations
 
 from .graphs import (ArrivalOrder, Matching, OnlineInstance, Pair, PresenceWindows,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
-                     format_rational, ordered_pair)
+                     deadline_offsets, format_rational, ordered_pair)
 from .departures import sample_departures
 from .offline import arrival_window_matching_value
 
@@ -329,7 +329,8 @@ _last_drawn = ((), ())  # the last (model, n, seed text) drawn and its offsets, 
 def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
     """Each vertex's departure offset in the run with this seed: the
     instance's `departures`, else its model's draw for the seed, else the
-    deadline. The one place offsets come from.
+    deadline (`graphs.deadline_offsets`, one tuple while n and the deadline
+    stay). The one place offsets come from.
 
     The last draw is kept with its key, (model, n, f"{seed}"), and only
     that one: a caller that asks for a run's offsets and then simulates it
@@ -341,7 +342,7 @@ def realized_departures(instance: OnlineInstance, seed: int) -> tuple[int, ...]:
         return instance.departures
     model = instance.departure_model
     if model is None:
-        return tuple([instance.deadline] * instance.n)
+        return deadline_offsets(instance.deadline, instance.n)
     key = (model, instance.n, f"{seed}")
     last, offsets = _last_drawn
     if key != last:

@@ -87,8 +87,8 @@ def ordered_pair(i: int, j: int) -> Pair:
 class WeightedGraph:
     """Symmetric nonnegative edge weights on vertices 1..n; absent edge = 0.
 
-    `scaled` and `adj` are read-only integer forms of the weights, built on
-    first use and kept with the graph; a graph made from this one
+    `scaled`, `adj` and `rows` are read-only integer forms of the weights,
+    built on first use and kept with the graph; a graph made from this one
     (`dataclasses.replace`, `PresenceWindows.subgraph`) builds its own."""
 
     n: int
@@ -133,6 +133,19 @@ class WeightedGraph:
             adj[j] += i, w
         return tuple(map(tuple, adj))
 
+    @cached_property
+    def rows(self) -> tuple[dict[int, int], ...]:
+        """Indexed by vertex 0..n (entry 0 empty): the vertex's neighbours,
+        ascending, each mapped to its weight in `scaled`, so a pair reads as
+        ``rows[u].get(v)`` with no pair key to build; built on first use and
+        kept with the graph. Dicts take about six times the memory of `adj`,
+        so only the d = 1 sweep evaluators read them."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.n + 1)]
+        for (i, j), w in sorted(self.scaled[0].items()):  # so every row comes out ascending
+            rows[i][j] = w
+            rows[j][i] = w
+        return tuple(rows)
+
     def edges(self):
         """Positive-weight edges as (i, j, weight) with i < j."""
         for (i, j), w in sorted(self.weights.items()):
@@ -170,13 +183,32 @@ class ArrivalOrder:
 
 
 def checked_offsets(offsets, n: int) -> tuple[int, ...]:
-    """Departure offsets as integers, one per vertex and none negative."""
-    deps = tuple(as_integer(t) for t in offsets)
+    """Departure offsets as integers, one per vertex and none negative. A
+    tuple of plain ints comes back as itself; anything else goes through
+    `as_integer`, which refuses True, 1.0 and Fraction(1) alike."""
+    deps = tuple(offsets)
+    if not {*map(type, deps)} <= {int}:
+        deps = tuple(map(as_integer, deps))
     if len(deps) != n:
         raise ValueError("departures must list one offset per vertex")
-    if any(t < 0 for t in deps):
+    if deps and min(deps) < 0:
         raise ValueError("departure offsets must be >= 0")
     return deps
+
+
+@lru_cache(maxsize=1)
+def deadline_offsets(deadline: int, n: int) -> tuple[int, ...]:
+    """The deadline as every vertex's offset. The last tuple built is kept,
+    so the runs of an instance on its deadline and its deadline rule hand
+    `OnlineInstance.windows` one object, which its memo knows by identity."""
+    return (deadline,) * n
+
+
+def checked_lookahead(lookahead: int) -> int:
+    """A lookahead allowance: an int of at least 0, and not a bool."""
+    if isinstance(lookahead, bool) or lookahead < 0:
+        raise ValueError("lookahead must be >= 0")
+    return lookahead
 
 
 # the last (instance, offsets, lookahead) asked for and its rule, replaced as one
@@ -238,10 +270,21 @@ class OnlineInstance:
         rule build it once. Offsets of None key as the deadline for every
         vertex. The instance keys by identity, so equal but distinct
         instances and `with_order` copies build their own. Callers share
-        the rule and must not change it."""
+        the rule and must not change it.
+
+        Offsets are checked as an instance's own (`checked_offsets`) unless
+        they are the kept key itself, of length n, or the deadline tuple
+        (`deadline_offsets`) that every run on the deadline hands in. An
+        equal tuple is checked, since True, 1.0 and Fraction(1) equal 1 but
+        are refused; one of plain ints is kept as given, so it is known by
+        identity when it comes again."""
         global _last_windows
-        offsets = (self.deadline,) * self.n if offsets is None else tuple(offsets)
         instance, last_offsets, last_lookahead, rule = _last_windows
+        if offsets is None:
+            offsets = deadline_offsets(self.deadline, self.n)
+        elif not (offsets is last_offsets and len(offsets) == self.n
+                  or offsets is deadline_offsets(self.deadline, self.n)):
+            offsets = checked_offsets(offsets, self.n)
         if (instance is self and type(lookahead) is int and lookahead == last_lookahead
                 and offsets == last_offsets):
             return rule
@@ -273,11 +316,9 @@ class PresenceWindows:
     """
 
     def __init__(self, slots, deadline: int, offsets=None, lookahead: int = 0):
-        if isinstance(lookahead, bool) or lookahead < 0:
-            raise ValueError("lookahead must be >= 0")
+        self.lookahead = checked_lookahead(lookahead)
         self.slots = tuple(slots)
         self.offsets = tuple(offsets) if offsets is not None else (deadline,) * len(self.slots)
-        self.lookahead = lookahead
         self.reach = [min(t, deadline) + lookahead for t in self.offsets]
         self.critical = [s + t for s, t in zip(self.slots, self.offsets)]
 

@@ -6,20 +6,23 @@ vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
 graph is a band of d; a batch, or a general graph on k vertices, is a full
 band of k - 1, whose value is the same in any order. At band 1 the state is
 one bit, so the DP is the path recurrence best(t) = max(best(t-1),
-best(t-2) + w(t-1, t)), kept as two running integers. A wider band lists
-each position's live edges first, following the weight table's own edges
-when it has fewer entries than the band has position pairs (a sparse
-online graph, O(k + E)) and probing the position pairs otherwise (a batch
-of a larger graph). Every arrival order
-is read through `graphs.invert_permutation`, which checks it in linear time
-and keeps the last tuple it accepted, so the two sweep evaluators, given one
-tuple in turn, check it once; the batched evaluator cuts that arrival
-sequence into runs of d + 1, reading them as pairs when d = 1. Weights are
-integers over one scale per graph (`WeightedGraph.scaled`, or the integers
-a `MarketView` reads), so every comparison and tie is exact; the sweep
-evaluators turn their totals into Fractions through one shared cache,
-`graphs.over_scale`. Every matching returned has, among the maximum-weight
-ones, the lexicographically smallest sorted pair list.
+best(t-2) + w(t-1, t)), kept as two running integers (`_path_dp`), which
+reads each pair from per-vertex rows. A wider band lists each position's
+live edges first, following the weight table's own edges when it has fewer
+entries than the band has position pairs (a sparse online graph,
+O(k + E)) and probing the position pairs otherwise (a batch of a larger
+graph). Every arrival order is read through `graphs.invert_permutation`,
+which checks it in linear time and keeps the last tuple it accepted, so the
+two sweep evaluators, given one tuple in turn, check it once; the batched
+evaluator cuts that arrival sequence into runs of d + 1, reading them as
+pairs when d = 1. Weights are integers over one scale per graph
+(`WeightedGraph.scaled`, or the integers a `MarketView` reads), so every
+comparison and tie is exact. At d = 1 both sweep evaluators read them per
+vertex (`WeightedGraph.rows`), with no pair key to build; every other
+caller reads the pair table. The sweep evaluators turn their totals into
+Fractions through one shared cache, `graphs.over_scale`. Every matching
+returned has, among the maximum-weight ones, the lexicographically smallest
+sorted pair list.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import lcm
 
 from .graphs import (Matching, OnlineInstance, Pair, WeightedGraph, as_rational,
                      build_online_graph,  # noqa: F401 (perfbench/tracer.py wraps it here)
-                     checked_offsets, invert_permutation, ordered_pair, over_scale)
+                     invert_permutation, ordered_pair, over_scale)
 
 EXACT_MATCHING_CAP = 24  # a band of 24 or more (2**24 DP states) is refused
 
@@ -49,26 +52,23 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
     after position t has one bit per earlier vertex that is unmatched and has
     a live edge to a later one (bit i: position t - i): at most
     2**min(d, k - 1) states for k vertices. At band 1 that is one bit, so
-    two running totals carry it; wider bands take one set-up pass that lists
-    each position's live edges and the drop masks. That pass walks the
-    table's entries through a map from vertex to position when there are
-    fewer of them than the band's position pairs (a table may be a whole
-    graph's, so an edge may leave `order`), else it probes each position
-    pair; either way u is an edge's earlier endpoint."""
+    two running totals carry it (`_path_dp`); wider bands take one set-up
+    pass that lists each position's live edges and the drop masks. That
+    pass walks the table's entries through a map from vertex to position
+    when there are fewer of them than the band's position pairs (a table
+    may be a whole graph's, so an edge may leave `order`), else it probes
+    each position pair; either way u is an edge's earlier endpoint."""
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {band} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
-    if band == 1:
-        before = best = 0  # the best totals over the positions before u, and up to u
+    if band == 1:  # each live edge as the one entry of its earlier end's row
+        rows = {}
         for u, v in zip(order, order[1:]):
             w = ints.get((u, v) if u < v else (v, u))
-            if w is not None and (reach is None or reach[u - 1] >= 1):
-                w = before + (w if tie is None else tie(u, v, w))
-                before, best = best, (w if w > best else best)
-            else:
-                before = best
-        return best
+            live = w is not None and (reach is None or reach[u - 1] >= 1)
+            rows[u] = {v: w if tie is None else tie(u, v, w)} if live else {}
+        return _path_dp(rows, order)
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
     if len(ints) < band * k - band * (band + 1) // 2:  # fewer edges than position pairs
@@ -112,6 +112,20 @@ def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
                         nxt[key] = cand
         states = nxt
     return states[0]
+
+
+def _path_dp(rows, order) -> int:
+    """The band DP at band 1, where the state is one bit: the path
+    recurrence best(t) = max(best(t - 1), best(t - 2) + w(t - 1, t)) along
+    `order`, kept as two running totals. The weight of consecutive u, v is
+    ``rows[u].get(v, 0)``, 0 for no live edge, which leaves best unchanged."""
+    before = best = 0  # the best totals over the positions before v, and up to v
+    steps = iter(order)
+    u = next(steps, None)
+    for v in steps:
+        w = rows[u].get(v, 0) + before
+        before, best, u = best, (w if w > best else best), v
+    return best
 
 
 def band_matching(ints: dict[Pair, int], order, d: int, reach=None) -> tuple[int, list[Pair]]:
@@ -168,24 +182,26 @@ def realized_online_graph(instance: OnlineInstance,
                           departures: tuple[int, ...]) -> WeightedGraph:
     """Keep edge (i, j) iff the later arrival comes while the earlier vertex
     is still present under the realized offsets, checked as an instance's."""
-    return instance.windows(checked_offsets(departures, instance.n)).subgraph(instance.graph)
+    return instance.windows(departures).subgraph(instance.graph)
 
 
 def realized_offline_optimum(instance: OnlineInstance,
                              departures: tuple[int, ...]) -> Matching:
     """The offline benchmark under realized departures, checked as an
     instance's own are: optimal matching over pairs whose windows overlap."""
-    return _band_optimum(instance, instance.windows(checked_offsets(departures, instance.n)).reach)
+    return _band_optimum(instance, instance.windows(departures).reach)
 
 
 def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
                                   d: int) -> Fraction:
-    """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP.
+    """m(G masked to |slot(i) - slot(j)| <= d), by the bandwidth DP; at
+    d = 1, the path recurrence on the graph's rows (`WeightedGraph.rows`).
     Refuses d < 0 and `slots` that are not a permutation of 1..graph.n."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
+    order = invert_permutation(slots, graph.n)
     ints, scale = graph.scaled
-    return over_scale(_band_dp(ints, invert_permutation(slots, graph.n), d), scale)
+    return over_scale(_path_dp(graph.rows, order) if d == 1 else _band_dp(ints, order, d), scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -195,15 +211,16 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
 
     The batches are consecutive runs of d + 1 in the arrival sequence, each
     matched by the band DP with a full band. When d = 1 every batch is a
-    pair, read straight from the sequence."""
+    pair, read from the graph's rows (`WeightedGraph.rows`)."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     order = invert_permutation(slots, graph.n)
     ints, scale = graph.scaled
     total = 0
     if d == 1:
-        for a, b in zip(order[::2], order[1::2]):
-            total += ints.get((a, b) if a < b else (b, a), 0)
+        rows, arrivals = graph.rows, iter(order)
+        for a, b in zip(arrivals, arrivals):  # one iterator twice: positions 0 and 1, 2 and 3, ...
+            total += rows[a].get(b, 0)
     else:
         for start in range(0, graph.n, d + 1):
             total += _band_dp(ints, order[start:start + d + 1], d)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import MarketView, OnlinePolicy
-from .graphs import OnlineInstance, build_online_graph
+from .graphs import OnlineInstance, build_online_graph, checked_lookahead
 # perfbench/tracer.py times policies.max_weight_matching_exact, so the name stays
 from .offline import AuctionMarket, band_matching, max_weight_matching_exact  # noqa: F401
 
@@ -373,9 +373,7 @@ class BatchingPolicy(OnlinePolicy):
     """
 
     def __init__(self, lookahead: int = 0):
-        if lookahead < 0:
-            raise ValueError("lookahead must be >= 0")
-        self.lookahead = lookahead
+        self.lookahead = checked_lookahead(lookahead)
         self.name = "batching" if lookahead == 0 else f"batching:{lookahead}"
 
     def reset(self, view, rng):

@@ -95,6 +95,37 @@ class TestAdjacency:
         assert instance.graph.adj == ((), (), (), ())
 
 
+class TestRows:
+    def test_built_once_from_the_table_symmetric_and_ascending(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            drawn = random_instance(rng, rng.randint(0, 9), 2).graph
+            edges = list(drawn.weights.items())
+            rng.shuffle(edges)  # the table's order is not the rows'
+            graph = WeightedGraph(drawn.n, dict(edges))
+            assert "rows" not in vars(graph)  # built on first read
+            rows = graph.rows
+            assert graph.rows is rows  # cached on the graph
+            assert len(rows) == graph.n + 1 and rows[0] == {}
+            assert {(u, v): w for u, row in enumerate(rows) for v, w in row.items()
+                    if u < v} == graph.scaled[0]
+            assert all(rows[v][u] == w for u, row in enumerate(rows) for v, w in row.items())
+            assert [list(row.items()) for row in rows] == adjacency_from_table(graph)
+
+    def test_derived_graphs_build_their_own(self):
+        graph = WeightedGraph(4, {(1, 2): F(1, 2), (1, 4): F(3), (2, 3): F(2, 3)})
+        rows = graph.rows
+        assert rows == ({}, {2: 3, 4: 18}, {1: 3, 3: 4}, {2: 4}, {1: 18})  # scale 6
+        halved = dataclasses.replace(graph, weights={e: w / 2 for e, w in graph.weights.items()})
+        assert halved.rows is not rows
+        assert [list(row.items()) for row in halved.rows] == adjacency_from_table(halved)
+        same = dataclasses.replace(graph)
+        assert same.rows == rows and same.rows is not rows
+        instance = OnlineInstance(graph, ArrivalOrder.identity(4), 1)
+        live = instance.windows().subgraph(graph)  # (1, 4) is three slots apart
+        assert live.rows == ({}, {2: 3}, {1: 3, 3: 4}, {2: 4}, {})
+
+
 class TestArrivalOrder:
     def test_roundtrip(self):
         order = ArrivalOrder((2, 3, 1))
@@ -292,7 +323,7 @@ class TestInstanceFiles:
         again = instance_from_json(instance_to_json(inst))
         assert again.departure_model == inst.departure_model
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(doc=st.recursive(st.text("[]{}\"\\ a", max_size=6) | st.integers(),
                             lambda inner: st.lists(inner, max_size=3)
                             | st.dictionaries(st.text("[]{}\"\\ a", max_size=4), inner,

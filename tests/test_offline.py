@@ -11,10 +11,10 @@ from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                arrival_window_matching_value,
                                batched_matching_value, batching_from_order,
                                build_online_graph,
-                               hungarian_bipartite, make_instance,
+                               hungarian_bipartite, make_instance, make_policy,
                                matching_weight, max_weight_matching_exact,
                                offline_optimum, realized_offline_optimum,
-                               realized_online_graph, validate_matching,
+                               realized_online_graph, simulate, validate_matching,
                                verify_offline_dual)
 from deadline_matching.graphs import invert_permutation, over_scale
 from helpers import random_complete_graph, random_instance, random_weight
@@ -175,7 +175,7 @@ class TestWindowEvaluators:
             batching_from_order(slots, 4, 1)
         assert str(batched.value) == str(refused.value)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_every_reader_takes_or_refuses_an_order_alike(self, data):
         """Permutations, repeats, zeros, negatives, values past n and wrong
@@ -288,12 +288,77 @@ class TestCheckOnce:
                 assert (batched_matching_value(g, order, d)
                         == max_weight_matching_value(multiply(g, batched_graph(order, n, d))))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
     def test_scaled_results_equal_a_new_fraction(self, total, scale):
         assert over_scale(total, scale) == F(total, scale)
         assert type(over_scale(total, scale)) is F
         assert over_scale(total, scale) is over_scale(total, scale)
+
+
+class TestPairRows:
+    """At d = 1 the two sweep evaluators read each pair from the graph's
+    per-vertex rows (`WeightedGraph.rows`); every other d reads the pair
+    table and builds no rows."""
+
+    @staticmethod
+    def graphs(rng):
+        """Sparse, dense, edgeless and zero-weight graphs on n = 1..7, odd
+        and even n and n <= 2 among them."""
+        for n in range(1, 8):
+            for density in (0.0, 0.3, 1.0):
+                yield random_instance(rng, n, 1, density).graph
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            yield WeightedGraph(n, {e: random_weight(rng) * rng.randint(0, 1) for e in pairs})
+
+    @staticmethod
+    def orders(rng, n):
+        if n <= 5:
+            return list(itertools.permutations(range(1, n + 1)))
+        return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(12)]
+
+    def test_both_values_equal_the_brute_force_optimum(self):
+        rng = random.Random(32)
+        for g in self.graphs(rng):
+            for slots in self.orders(rng, g.n):
+                assert (arrival_window_matching_value(g, slots, 1)
+                        == brute_force_optimum(multiply(g, path_power(slots, g.n, 1))))
+                assert (batched_matching_value(g, slots, 1)
+                        == brute_force_optimum(multiply(g, batched_graph(slots, g.n, 1))))
+            for evaluator in (arrival_window_matching_value, batched_matching_value):
+                fresh = WeightedGraph(g.n, g.weights)
+                evaluator(fresh, tuple(range(1, g.n + 1)), 1)
+                assert "rows" in vars(fresh)  # each reads the rows
+        empty = WeightedGraph(0, {})
+        for evaluator in (arrival_window_matching_value, batched_matching_value):
+            assert evaluator(empty, (), 1) == 0
+
+    def test_other_deadlines_build_no_rows(self):
+        rng = random.Random(33)
+        for n in (2, 5, 8):
+            g = random_complete_graph(rng, n)
+            slots = tuple(rng.sample(range(1, n + 1), n))
+            for d in (0, 2, 3, 7):
+                assert (arrival_window_matching_value(g, slots, d)
+                        == brute_force_optimum(multiply(g, path_power(slots, n, d))))
+                assert (batched_matching_value(g, slots, d)
+                        == brute_force_optimum(multiply(g, batched_graph(slots, n, d))))
+            instance = OnlineInstance(g, ArrivalOrder(slots), 1)
+            offline_optimum(instance)
+            realized_offline_optimum(instance, (1,) * n)
+            simulate(instance, make_policy("batching"))
+            assert "rows" not in vars(g)
+
+    def test_refusals_read_as_before(self):
+        graph = TestWindowEvaluators.PATH
+        assert graph.rows[2] == {1: 1, 3: 5}  # built first, so each refusal meets kept rows
+        for evaluator in (arrival_window_matching_value, batched_matching_value):
+            with pytest.raises(ValueError, match=r"^d must be >= 0, got -1$"):
+                evaluator(graph, (1, 2, 3, 4), -1)
+            for slots in ((1, 2, 3), (1, 1, 2, 3), (True, 2, 3, 4)):
+                with pytest.raises(ValueError, match=r"^arrival order must be a permutation "
+                                                     r"of 1\.\.n$"):
+                    evaluator(graph, slots, 1)
 
 
 class TestRealizedOptimum:

@@ -5,8 +5,10 @@ the last schedule, one entry each, and hand the same objects to every
 caller that asks for that key in turn. These tests check that a kept rule
 is the one a fresh build gives, that runs, exact expectations, leaf
 enumerations and dual checks on an instance whose rule is kept equal the
-same calls on fresh copies, that the memo holds at most one instance, and
-that the shared rule refuses a lookahead below 0 or a bool. The dual check
+same calls on fresh copies, that the memo holds at most one instance, that
+the shared rule refuses a lookahead below 0 or a bool, and that it checks
+offsets as an instance's own when it is built, never letting a kept rule
+stand for offsets that a build refuses. The dual check
 itself is compared with `oracles.verify_offline_dual`, which coerces every
 dual to a Fraction and walks every edge.
 """
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph, engine,
-                               enumerate_branches, exact_expectation, geometric,
+                               enumerate_branches, exact_expectation, geometric, graphs,
                                make_policy, sample_departures, simulate,
                                validate_matching, verify_offline_dual)
 from deadline_matching.graphs import PresenceWindows
@@ -169,6 +171,66 @@ def test_a_lookahead_below_zero_or_a_bool_is_refused():
             instance.windows(None, bad)
     with pytest.raises(ValueError, match=r"^lookahead must be >= 0$"):
         simulate(instance, BatchingPolicy(True))
+
+
+def test_batching_refuses_a_bool_lookahead_as_it_is_built():
+    for bad in (-1, True, False):
+        with pytest.raises(ValueError, match=r"^lookahead must be >= 0$"):
+            BatchingPolicy(bad)
+    assert BatchingPolicy().name == "batching" and BatchingPolicy(2).name == "batching:2"
+
+
+def test_offsets_are_refused_where_the_rule_is_built():
+    """Every caller that passes offsets meets an instance's own refusal."""
+    graph = WeightedGraph(3, {(1, 2): F(5), (2, 3): F(4)})
+    instance = OnlineInstance(graph, ArrivalOrder.identity(3), 2)
+    for offsets in ((1,), (1, 1, 1, 1), (-2, 5, 1), (0.5, 1, 1), (True, 1, 1)):
+        with pytest.raises((TypeError, ValueError)) as refused:
+            OnlineInstance(graph, ArrivalOrder.identity(3), 2, departures=offsets)
+        for build in (instance.windows, lambda o: engine.MarketView(instance, o, 0)):
+            with pytest.raises(refused.type) as raised:
+                build(offsets)
+            assert str(raised.value) == str(refused.value)
+    assert instance.windows(("1", 0, 2)).critical == [2, 2, 5]
+
+
+def test_only_the_kept_key_or_the_deadline_tuple_skips_the_check(monkeypatch):
+    """A run on the deadline and the kept key itself pay no check; any
+    other offsets are checked, so an equal tuple that holds a bool, a float
+    or a Fraction is refused although it equals the kept key."""
+    instances = [OnlineInstance(WeightedGraph(3, {}), ArrivalOrder.identity(3), d)
+                 for d in (1, 2)]
+    checked = []
+    check = graphs.checked_offsets
+    monkeypatch.setattr(graphs, "checked_offsets",
+                        lambda offsets, n: checked.append(offsets) or check(offsets, n))
+    for instance in instances:
+        d = instance.deadline
+        rule = instance.windows()
+        assert instance.windows(engine.realized_departures(instance, 0)) is rule
+        assert rule.offsets == (d,) * 3 and checked == []
+        assert instance.windows([d] * 3) is rule and len(checked) == 1  # equal: checked, kept
+        given = (1, 0, 1)
+        kept = instance.windows(given)
+        assert kept.offsets is given and instance.windows(given) is kept
+        assert instance.windows(list(given)) is kept and len(checked) == 3
+        for equal in ((True, 0, 1), (1, False, 1), (1.0, 0, 1), (F(1), 0, 1),
+                      (d, float(d), d), (F(d), d, d), (True,) * 3 if d == 1 else (d, 2.0, d)):
+            with pytest.raises(TypeError, match="^cannot interpret"):
+                instance.windows(equal)
+        checked.clear()
+    key = instances[0].windows((1, 0, 1)).offsets  # the kept key itself, for n = 3
+    other = OnlineInstance(WeightedGraph(4, {}), ArrivalOrder.identity(4), 1)
+    with pytest.raises(ValueError, match="^departures must list one offset per vertex$"):
+        other.windows(key)
+
+
+def test_runs_on_the_deadline_hand_the_rule_one_tuple():
+    instance = random_instance(random.Random(5), 6, 2)
+    offsets = engine.realized_departures(instance, 0)
+    assert offsets == (2,) * 6 and engine.realized_departures(instance, 1) is offsets
+    rule = instance.windows()
+    assert rule.offsets is offsets and instance.windows(offsets) is rule
 
 
 @st.composite
