@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .graphs import (MAX_FILE_N, WeightedGraph, as_integer, as_rational, brief,
-                     format_rational, read_json)
+                     checked_lookahead, format_rational, read_json)
 from .masks import (PeriodicBatching, cover_deficits, cycle_power, cyclic_distance,
                     enumerate_periodic_batchings, rotation_keys, translates)
 from .simplex import certify_min_geq, solve_min_geq
@@ -365,8 +365,7 @@ def lookahead_cover(n: int, d: int, l: int) -> CoverCertificate:
     d+l+1, covering C_n^d with alpha = (d+l+1)/(l+1)."""
     if d < 0:
         raise ValueError("deadline must be >= 0")
-    if l < 0:
-        raise ValueError("lookahead must be >= 0")
+    l = checked_lookahead(l)
     width = d + l + 1
     if n % width:
         raise ValueError(f"n must be a multiple of d+l+1 = {width}")

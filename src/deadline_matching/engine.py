@@ -135,20 +135,20 @@ class MarketView:
     revealed only between vertices that have both arrived (information
     about the future does not exist), and it reads as zero when the
     presence-window rule under the realized departures and the policy's
-    lookahead allowance keeps no edge between them. Weights are integers
-    over `scale`, the graph's common denominator (`WeightedGraph.scaled`):
-    sums and comparisons of them are exact, and a constant compared with
-    them must be scaled too. A lookahead of l models knowing the next l
-    arrivals, implemented as a time extension per the batching reduction.
-    `live_weights` and `revealed_neighbors` read one vertex's own edges
-    (`WeightedGraph.adj`), where `weight` reads a pair.
+    lookahead allowance keeps no edge between them. Weights are the
+    graph's one integer form, its rows over `scale`, the common denominator
+    (`WeightedGraph.rows` and `.scale`): sums and comparisons of them are
+    exact, and a constant compared with them must be scaled too. A
+    lookahead of l models knowing the next l arrivals, implemented as a
+    time extension per the batching reduction. `weight` reads one entry of
+    a row, and `live_weights` and `revealed_neighbors` one vertex's row.
     """
 
     def __init__(self, instance: OnlineInstance, departures: tuple[int, ...],
                  lookahead: int):
         self._instance = instance
         self._windows = instance.windows(departures, lookahead)
-        self._ints, self._scale = instance.graph.scaled
+        self._rows, self._scale = instance.graph.rows, instance.graph.scale
         self._arrived: set[int] = set()
         self._matched: set[int] = set()
         self.now = 0
@@ -160,7 +160,7 @@ class MarketView:
         other = MarketView.__new__(MarketView)
         other._instance = self._instance
         other._windows = self._windows
-        other._ints, other._scale = self._ints, self._scale
+        other._rows, other._scale = self._rows, self._scale
         other._arrived = set(self._arrived)
         other._matched = set(self._matched)
         other.now = self.now
@@ -233,17 +233,15 @@ class MarketView:
             return 0
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        return self._ints.get((u, v) if u < v else (v, u), 0)
+        return self._rows[u].get(v, 0)
 
     def live_weights(self, v: int) -> dict[int, int]:
         """`weight(u, v)` for each arrived u where it is positive, ascending,
-        read from v's own edges (`WeightedGraph.adj`) in O(deg v)."""
+        read from v's row in O(deg v)."""
         if v not in self._arrived:
             raise LookupError("weights to vertices that have not arrived are hidden")
         arrived, live, weights = self._arrived, self._windows.live, {}
-        edges = iter(self._instance.graph.adj[v])
-        for u in edges:  # a plain loop: at degree 1-3 a comprehension's set-up dominates
-            w = next(edges)
+        for u, w in self._rows[v].items():  # at degree 1-3 a comprehension's set-up dominates
             if u in arrived and live(u, v):
                 weights[u] = w
         return weights
@@ -251,7 +249,7 @@ class MarketView:
     def revealed_neighbors(self, v: int) -> dict[int, int]:
         """Positive matchable weights from v to currently present vertices,
         in ascending vertex order: `weight(u, v)` for each present u. It
-        reads only v's own edges (`WeightedGraph.adj`), so it costs O(deg v).
+        reads only v's row, so it costs O(deg v).
         For a v that has not arrived it raises LookupError while any vertex
         is present."""
         if v not in self._arrived:
@@ -259,8 +257,7 @@ class MarketView:
                 raise LookupError("weights to vertices that have not arrived are hidden")
             return {}
         present, live = self._is_present, self._windows.live
-        edges = iter(self._instance.graph.adj[v])
-        return {u: w for u, w in zip(edges, edges) if present(u) and live(u, v)}
+        return {u: w for u, w in self._rows[v].items() if present(u) and live(u, v)}
 
 
 class OnlinePolicy:
@@ -402,8 +399,8 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
     view = MarketView(instance, departures, policy.lookahead)
     policy.reset(view, rng)
     pairs: dict[Pair, int] = {}
-    ints, scale = instance.graph.scaled
-    collected = 0  # over scale
+    rows = view._rows
+    collected = 0  # over the graph's scale
     trace: list[tuple] = []
     for event in event_schedule(view._windows):
         time, kind, vertex = event
@@ -411,9 +408,9 @@ def simulate(instance: OnlineInstance, policy: OnlinePolicy, seed: int = 0,
         trace.append(event)
         for pair in accepted:
             pairs[pair] = time
-            collected += ints.get(pair, 0)
+            collected += rows[pair[0]].get(pair[1], 0)
             trace.append((time, "match", pair))
-    return RunResult(frozenset(pairs), dict(pairs), Fraction(collected, scale),
+    return RunResult(frozenset(pairs), dict(pairs), Fraction(collected, view.scale),
                      tuple(trace), rng.used)
 
 
@@ -526,7 +523,7 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
     view = MarketView(instance, realized_departures(instance, 0), policy.lookahead)
     policy.reset(view, ScriptedBits(()))
     events = event_schedule(view._windows)
-    weights, scale = instance.graph.scaled
+    rows = view._rows
     worlds = [(1, policy)]  # (mass, world): probability mass / 2**depth
     depth = 0
     total = 0  # sum of mass * collected weight, over scale << depth
@@ -541,7 +538,7 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
         for mass, used, accepted, world in outcomes:
             mass <<= split - used
             for pair in accepted:
-                total += mass * weights.get(pair, 0)
+                total += mass * rows[pair[0]].get(pair[1], 0)
             # a lone world has nothing to merge with
             key = world.state_key() if len(outcomes) > 1 else None
             seen = merged.get(key)
@@ -549,7 +546,7 @@ def _merged_expectation(instance: OnlineInstance, policy: OnlinePolicy) -> Fract
         worlds = list(merged.values())
         if len(worlds) > MAX_WORLDS:
             return None  # merging does not keep up: leave it to the replays
-    return Fraction(total, scale << depth)
+    return Fraction(total, view.scale << depth)
 
 
 def _event_outcomes(worlds, time: int, kind: str, vertex: int):

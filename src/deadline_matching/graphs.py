@@ -87,7 +87,7 @@ def ordered_pair(i: int, j: int) -> Pair:
 class WeightedGraph:
     """Symmetric nonnegative edge weights on vertices 1..n; absent edge = 0.
 
-    `scaled`, `adj` and `rows` are read-only integer forms of the weights,
+    `rows` and `scale` are the one integer form of the weights, read-only,
     built on first use and kept with the graph; a graph made from this one
     (`dataclasses.replace`, `PresenceWindows.subgraph`) builds its own."""
 
@@ -115,35 +115,20 @@ class WeightedGraph:
         return self.weights.get(ordered_pair(i, j), ZERO)
 
     @cached_property
-    def scaled(self) -> tuple[dict[Pair, int], int]:
-        """The weights as integers over the LCM of all their denominators,
-        and that scale; built on first use and kept with the graph."""
-        scale = lcm(*(w.denominator for w in self.weights.values()))
-        return {e: w.numerator * (scale // w.denominator) for e, w in self.weights.items()}, scale
-
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Indexed by vertex 0..n (entry 0 empty): the vertex's neighbours u,
-        ascending, each followed by its weight in `scaled`, as one flat tuple
-        u1, w1, u2, w2, ... (about a third of the memory of (u, w) pairs);
-        built on first use and kept with the graph."""
-        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for (i, j), w in sorted(self.scaled[0].items()):  # so every list comes out ascending
-            adj[i] += j, w
-            adj[j] += i, w
-        return tuple(map(tuple, adj))
+    def scale(self) -> int:
+        """The LCM of all the weights' denominators."""
+        return lcm(*(w.denominator for w in self.weights.values()))
 
     @cached_property
     def rows(self) -> tuple[dict[int, int], ...]:
         """Indexed by vertex 0..n (entry 0 empty): the vertex's neighbours,
-        ascending, each mapped to its weight in `scaled`, so a pair reads as
-        ``rows[u].get(v)`` with no pair key to build; built on first use and
-        kept with the graph. Dicts take about six times the memory of `adj`,
-        so only the d = 1 sweep evaluators read them."""
+        ascending, each mapped to its weight as an integer over `scale`, so
+        a pair reads as ``rows[u].get(v)`` and a vertex's own edges as
+        ``rows[v].items()``."""
+        scale = self.scale
         rows: list[dict[int, int]] = [{} for _ in range(self.n + 1)]
-        for (i, j), w in sorted(self.scaled[0].items()):  # so every row comes out ascending
-            rows[i][j] = w
-            rows[j][i] = w
+        for (i, j), w in sorted(self.weights.items()):  # so every row comes out ascending
+            rows[i][j] = rows[j][i] = w.numerator * (scale // w.denominator)
         return tuple(rows)
 
     def edges(self):

@@ -4,25 +4,24 @@ Every matching comes from one exact DP, `_band_dp`, which runs along the
 participating vertices in arrival order with one state bit per waiting
 vertex, O(k * 2^d * d) for k vertices and band d. The deadline-masked online
 graph is a band of d; a batch, or a general graph on k vertices, is a full
-band of k - 1, whose value is the same in any order. At band 1 the state is
-one bit, so the DP is the path recurrence best(t) = max(best(t-1),
-best(t-2) + w(t-1, t)), kept as two running integers (`_path_dp`), which
-reads each pair from per-vertex rows. A wider band lists each position's
-live edges first, following the weight table's own edges when it has fewer
-entries than the band has position pairs (a sparse online graph,
-O(k + E)) and probing the position pairs otherwise (a batch of a larger
-graph). Every arrival order is read through `graphs.invert_permutation`,
-which checks it in linear time and keeps the last tuple it accepted, so the
-two sweep evaluators, given one tuple in turn, check it once; the batched
-evaluator cuts that arrival sequence into runs of d + 1, reading them as
-pairs when d = 1. Weights are integers over one scale per graph
-(`WeightedGraph.scaled`, or the integers a `MarketView` reads), so every
-comparison and tie is exact. At d = 1 both sweep evaluators read them per
-vertex (`WeightedGraph.rows`), with no pair key to build; every other
-caller reads the pair table. The sweep evaluators turn their totals into
-Fractions through one shared cache, `graphs.over_scale`. Every matching
-returned has, among the maximum-weight ones, the lexicographically smallest
-sorted pair list.
+band of k - 1, whose value is the same in any order. Weights are the
+graph's one integer form, per-vertex rows over one scale
+(`WeightedGraph.rows` and `.scale`, or the rows a `MarketView` reads), so
+every comparison and tie is exact and no pair key is built. At band 1 the
+state is one bit, so the value is the path recurrence best(t) =
+max(best(t-1), best(t-2) + w(t-1, t)), kept as two running integers
+(`_path_dp`). A wider band, or band 1 with a reach or a tie-break key,
+lists each position's live edges first, walking the participants' rows
+when they hold fewer entries than the band has position pairs (a sparse
+online graph, O(k + E)) and probing the position pairs otherwise (a batch
+of a larger graph). Every arrival order is read through
+`graphs.invert_permutation`, which checks it in linear time and keeps the
+last tuple it accepted, so the two sweep evaluators, given one tuple in
+turn, check it once; the batched evaluator cuts that arrival sequence into
+runs of d + 1, reading them as pairs when d = 1. The sweep evaluators turn
+their totals into Fractions through one shared cache, `graphs.over_scale`.
+Every matching returned has, among the maximum-weight ones, the
+lexicographically smallest sorted pair list.
 """
 
 from __future__ import annotations
@@ -42,53 +41,44 @@ class SizeLimitError(ValueError):
     """Input too large for the exact-by-enumeration guarantee."""
 
 
-def _band_dp(ints: dict[Pair, int], order, d: int, reach=None, tie=None) -> int:
+def _band_dp(rows, order, d: int, reach=None, tie=None) -> int:
     """Best total over matchings of the live edges among `order`, the
     participating vertices in arrival order, an edge (u, v) counting as its
-    integer weight w in `ints` or as `tie(u, v, w)` when a tie-break key is
-    given. An edge is live when its endpoints are at most d positions apart
-    and, when `reach` (`PresenceWindows.reach`, by vertex) is given, the
-    earlier endpoint u reaches the later one: gap <= reach[u - 1]. The state
-    after position t has one bit per earlier vertex that is unmatched and has
-    a live edge to a later one (bit i: position t - i): at most
-    2**min(d, k - 1) states for k vertices. At band 1 that is one bit, so
-    two running totals carry it (`_path_dp`); wider bands take one set-up
-    pass that lists each position's live edges and the drop masks. That
-    pass walks the table's entries through a map from vertex to position
-    when there are fewer of them than the band's position pairs (a table
-    may be a whole graph's, so an edge may leave `order`), else it probes
-    each position pair; either way u is an edge's earlier endpoint."""
+    integer weight w = ``rows[u][v]`` or as `tie(u, v, w)` when a tie-break
+    key is given. An edge is live when its endpoints are at most d positions
+    apart and, when `reach` (`PresenceWindows.reach`, by vertex) is given,
+    the earlier endpoint u reaches the later one: gap <= reach[u - 1]. The
+    state after position t has one bit per earlier vertex that is unmatched
+    and has a live edge to a later one (bit i: position t - i): at most
+    2**min(d, k - 1) states for k vertices. At band 1 with neither a reach
+    nor a tie key, two running totals carry it (`_path_dp`); otherwise one
+    set-up pass lists each position's live edges and the drop masks. That
+    pass walks each participant's row from its earlier end when the rows
+    hold fewer entries than the band's position pairs (a row may reach
+    vertices outside `order`), else it probes each position pair."""
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {band} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
-    if band == 1:  # each live edge as the one entry of its earlier end's row
-        rows = {}
-        for u, v in zip(order, order[1:]):
-            w = ints.get((u, v) if u < v else (v, u))
-            live = w is not None and (reach is None or reach[u - 1] >= 1)
-            rows[u] = {v: w if tie is None else tie(u, v, w)} if live else {}
+    if band == 1 and reach is None and tie is None:
         return _path_dp(rows, order)
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
-    if len(ints) < band * k - band * (band + 1) // 2:  # fewer edges than position pairs
+    if sum(len(rows[u]) for u in order) < band * k - band * (band + 1) // 2:
         at = {v: s for s, v in enumerate(order)}
-        for (u, v), w in ints.items():
-            s, t = at.get(u), at.get(v)
-            if s is None or t is None:
-                continue  # an endpoint outside `order`
-            if s > t:
-                s, t, u, v = t, s, v, u  # u is the earlier position s
-            dist = t - s
-            if dist <= band and (reach is None or dist <= reach[u - 1]):
-                back[t].append((1 << (dist - 1), w if tie is None else tie(u, v, w)))
-                if t > last[s]:
-                    last[s] = t
+        for s, u in enumerate(order):
+            end = s + (band if reach is None else min(band, reach[u - 1]))
+            for v, w in rows[u].items():
+                t = at.get(v, s)  # s itself for a v outside `order`
+                if s < t <= end:
+                    back[t].append((1 << (t - s - 1), w if tie is None else tie(u, v, w)))
+                    if t > last[s]:
+                        last[s] = t
     else:
         for dist in range(1, band + 1):
             bit = 1 << (dist - 1)
             for s, (u, v) in enumerate(zip(order, order[dist:])):  # positions s and s + dist
-                w = ints.get((u, v) if u < v else (v, u))
+                w = rows[u].get(v)
                 if w is not None and (reach is None or dist <= reach[u - 1]):
                     back[s + dist].append((bit, w if tie is None else tie(u, v, w)))
                     last[s] = s + dist
@@ -128,8 +118,9 @@ def _path_dp(rows, order) -> int:
     return best
 
 
-def band_matching(ints: dict[Pair, int], order, d: int, reach=None) -> tuple[int, list[Pair]]:
-    """The band DP's optimum over `order` and its pairs, ascending.
+def band_matching(rows, order, d: int, reach=None) -> tuple[int, list[Pair]]:
+    """The band DP's optimum over `order` and its pairs, ascending, on the
+    integer weights ``rows[u][v]``.
 
     With the k participants ranked 1..k by label, the DP counts the edge
     between ranks i < j as w * B**k + (k + 1 - j) * B**(k - i) with
@@ -149,7 +140,7 @@ def band_matching(ints: dict[Pair, int], order, d: int, reach=None) -> tuple[int
             i, j = j, i
         return w << shift | (k + 1 - j) << b * (k - i)
 
-    best = _band_dp(ints, order, d, reach, tie)
+    best = _band_dp(rows, order, d, reach, tie)
     digits = format(best & ((1 << shift) - 1), f"0{shift}b")
     pairs = [(v, verts[k - end]) for i, v in enumerate(verts)
              if (end := int(digits[i * b:(i + 1) * b], 2))]
@@ -160,9 +151,8 @@ def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
     """Maximum-weight matching of a general graph: the band DP with a full
     band over its ascending vertices. Refuses graphs beyond the cap rather
     than silently approximating."""
-    ints, scale = graph.scaled
-    value, pairs = band_matching(ints, graph.vertices(), graph.n - 1)
-    return Matching(frozenset(pairs), Fraction(value, scale))
+    value, pairs = band_matching(graph.rows, graph.vertices(), graph.n - 1)
+    return Matching(frozenset(pairs), Fraction(value, graph.scale))
 
 
 def offline_optimum(instance: OnlineInstance) -> Matching:
@@ -173,9 +163,9 @@ def offline_optimum(instance: OnlineInstance) -> Matching:
 def _band_optimum(instance: OnlineInstance, reach=None) -> Matching:
     """The bandwidth DP's optimum with its matching, over the band's edges
     within `reach` (`PresenceWindows.reach`); the deadline's reach, d, is the band's."""
-    ints, scale = instance.graph.scaled
-    value, pairs = band_matching(ints, instance.order.sequence, instance.deadline, reach)
-    return Matching(frozenset(pairs), Fraction(value, scale))
+    graph = instance.graph
+    value, pairs = band_matching(graph.rows, instance.order.sequence, instance.deadline, reach)
+    return Matching(frozenset(pairs), Fraction(value, graph.scale))
 
 
 def realized_online_graph(instance: OnlineInstance,
@@ -200,8 +190,8 @@ def arrival_window_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     order = invert_permutation(slots, graph.n)
-    ints, scale = graph.scaled
-    return over_scale(_path_dp(graph.rows, order) if d == 1 else _band_dp(ints, order, d), scale)
+    rows = graph.rows
+    return over_scale(_path_dp(rows, order) if d == 1 else _band_dp(rows, order, d), graph.scale)
 
 
 def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
@@ -215,16 +205,15 @@ def batched_matching_value(graph: WeightedGraph, slots: tuple[int, ...],
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     order = invert_permutation(slots, graph.n)
-    ints, scale = graph.scaled
-    total = 0
+    rows, total = graph.rows, 0
     if d == 1:
-        rows, arrivals = graph.rows, iter(order)
+        arrivals = iter(order)
         for a, b in zip(arrivals, arrivals):  # one iterator twice: positions 0 and 1, 2 and 3, ...
             total += rows[a].get(b, 0)
     else:
         for start in range(0, graph.n, d + 1):
-            total += _band_dp(ints, order[start:start + d + 1], d)
-    return over_scale(total, scale)
+            total += _band_dp(rows, order[start:start + d + 1], d)
+    return over_scale(total, graph.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +240,25 @@ def verify_offline_dual(instance: OnlineInstance, lambdas: dict[int, Fraction],
     Also reports the dual objective and, when a primal value is claimed,
     whether weak duality (sum >= claimed) holds. A `Fraction` dual is read
     as given and any other through `as_rational`; the signs and every edge
-    test are on integers over one common denominator, and only the edges
-    found short are sorted and built as Fractions. The online graph is the
+    test, one per edge of the graph's rows, are on integers over one common
+    denominator, and only the edges found short are sorted and built as
+    Fractions. The online graph is the
     deadline rule that `OnlineInstance.windows` keeps, the one a run with
     fixed departures of d has just used.
     """
-    lam = {}
-    for v in instance.graph.vertices():
+    graph, lam = instance.graph, {}
+    for v in graph.vertices():
         x = lambdas.get(v, 0)
         lam[v] = x if type(x) is Fraction else as_rational(x)
     bad = [v for v, x in lam.items() if x.numerator < 0]
     if bad:
         raise ValueError(f"dual values must be nonnegative; negative at {bad}")
-    ints, scale = instance.graph.scaled
-    common = lcm(scale, *(x.denominator for x in lam.values()))
-    up = common // scale
+    common = lcm(graph.scale, *(x.denominator for x in lam.values()))
+    up = common // graph.scale
     num = {v: x.numerator * (common // x.denominator) for v, x in lam.items()}
     live = instance.windows().live
-    shortfalls = [(e, short) for e, w in ints.items()
-                  if (short := w * up - num[e[0]] - num[e[1]]) > 0 and live(*e)]
+    shortfalls = [((u, v), short) for u, row in enumerate(graph.rows) for v, w in row.items()
+                  if u < v and (short := w * up - num[u] - num[v]) > 0 and live(u, v)]
     violations = tuple((e, Fraction(short, common)) for e, short in sorted(shortfalls))
     total = Fraction(sum(num.values()), common)
     weak = True if claimed_primal is None else total >= claimed_primal

@@ -389,13 +389,10 @@ class BatchingPolicy(OnlinePolicy):
         batch, self.members = self.members, []
         if len(batch) < 2:
             return ()
-        batch, departed = sorted(batch), self.view.has_departed
+        batch, departed, read = sorted(batch), self.view.has_departed, self.view.live_weights
         live = [v for v in batch if not departed(v)]
-        # the largest member's edges are read from their other ends
-        members, read = set(live), self.view.live_weights
-        ints = {(a, b): w for a in live[:-1] for b, w in read(a).items() if b > a and b in members}
         self.log.append(("batch", tuple(batch)))
-        return band_matching(ints, live, len(live) - 1)[1]
+        return band_matching({a: read(a) for a in live}, live, len(live) - 1)[1]
 
 
 class PatientBaseline(OnlinePolicy):

@@ -69,3 +69,13 @@ def unit_pairs(pairs: int = 22) -> OnlineInstance:
     return OnlineInstance(WeightedGraph(n, {(2 * i - 1, 2 * i): Fraction(1)
                                             for i in range(1, pairs + 1)}),
                           ArrivalOrder.identity(n), 1)
+
+
+def rows_of(n: int, table) -> list[dict[int, int]]:
+    """A hand-written {(u, v): w} table with u < v as per-vertex rows 0..n,
+    the form `offline._band_dp` and `band_matching` read: each pair entered
+    at both ends, every row ascending."""
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for (u, v), w in sorted(table.items()):
+        rows[u][v] = rows[v][u] = w
+    return rows

@@ -10,7 +10,9 @@ orbit-collapsed `solve_cover_lp` must agree with; `realizing_permutation`
 gives a p-periodic arrival order that induces a periodic batching, the
 order reading of the columns that the covering transforms no longer use. `replay_branches` walks
 a policy's coin tree with one replay per coin prefix, the reference for
-`engine.enumerate_branches`, which replays each leaf once.
+`engine.enumerate_branches`, which replays each leaf once. An oracle that
+needs integer weights builds them from `graph.weights` with its own LCM
+(`integer_weights`), so none reads the library's integer form.
 `verify_offline_dual` checks an offline dual with every value coerced to a
 Fraction and every edge walked, the reference for the library's check.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
@@ -51,14 +53,21 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # The subset DP
 
+def integer_weights(graph: WeightedGraph) -> tuple[dict[Pair, int], int]:
+    """The weights as integers over the LCM of their denominators, and that
+    scale, computed here from `graph.weights` alone."""
+    scale = lcm(*(w.denominator for w in graph.weights.values()))
+    return {e: int(w * scale) for e, w in graph.weights.items()}, scale
+
+
 def _subset_dp(graph: WeightedGraph, verts):
     """dp[mask]: best scaled matching value on the ascending vertices
-    verts[i] with bit i set in `mask`, over `graph.scaled`; returns dp and
-    the scaled adjacency lists."""
+    verts[i] with bit i set in `mask`, over `integer_weights`; returns dp,
+    the scaled adjacency lists and the scale."""
     k = len(verts)
     if k > EXACT_MATCHING_CAP:
         raise SizeLimitError(f"n={k} exceeds the exact cap of {EXACT_MATCHING_CAP}")
-    ints = graph.scaled[0]
+    ints, scale = integer_weights(graph)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for i, u in enumerate(verts):
         for j in range(i + 1, k):
@@ -78,20 +87,20 @@ def _subset_dp(graph: WeightedGraph, verts):
                 if cand > best:
                     best = cand
         dp[mask] = best
-    return dp, adj
+    return dp, adj, scale
 
 
 def max_weight_matching_value(graph: WeightedGraph, vertices=None) -> Fraction:
     """Optimal matching value of the subgraph induced by `vertices` (default: all)."""
     verts = sorted(set(vertices)) if vertices is not None else graph.vertices()
-    dp, _ = _subset_dp(graph, verts)
-    return Fraction(dp[-1], graph.scaled[1])
+    dp, _, scale = _subset_dp(graph, verts)
+    return Fraction(dp[-1], scale)
 
 
 def max_weight_matching_exact(graph: WeightedGraph) -> Matching:
     """Maximum-weight matching of a general graph by the subset DP. Refuses
     graphs beyond the cap rather than silently approximating."""
-    dp, adj = _subset_dp(graph, graph.vertices())
+    dp, adj, _ = _subset_dp(graph, graph.vertices())
     pairs: list[Pair] = []
     mask = len(dp) - 1
     while mask:  # the lowest vertex takes its smallest partner that keeps the optimum
@@ -276,7 +285,7 @@ def verify_offline_dual(instance, lambdas, claimed_primal=None) -> DualReport:
     if any(x < 0 for x in lam.values()):
         bad = [v for v, x in lam.items() if x < 0]
         raise ValueError(f"dual values must be nonnegative; negative at {bad}")
-    ints, scale = instance.graph.scaled
+    ints, scale = integer_weights(instance.graph)
     common = lcm(scale, *(x.denominator for x in lam.values()))
     up = common // scale
     num = {v: x.numerator * (common // x.denominator) for v, x in lam.items()}
@@ -383,7 +392,7 @@ class PairwisePostponedGreedy(PostponedGreedy):
 
 
 class PairwiseBatching(BatchingPolicy):
-    """Batching whose table holds `weight` of every pair of alive members."""
+    """Batching whose rows hold `weight` of every pair of alive members."""
 
     def on_arrival(self, v: int):
         self.members.append(v)
@@ -396,10 +405,9 @@ class PairwiseBatching(BatchingPolicy):
             return ()
         batch, weight, alive = sorted(batch), self.view.weight, set(self.view.alive())
         live = [v for v in batch if v in alive]
-        ints = {(a, b): w for i, a in enumerate(live, 1) for b in live[i:]
-                if (w := weight(a, b))}
+        rows = {a: {b: w for b in live if b != a and (w := weight(a, b))} for a in live}
         self.log.append(("batch", tuple(batch)))
-        return band_matching(ints, live, len(live) - 1)[1]
+        return band_matching(rows, live, len(live) - 1)[1]
 
 
 class SnapshotDDA(DynamicDeferredAcceptance):

@@ -395,6 +395,12 @@ class TestLookaheadCover:
         with pytest.raises(ValueError):
             lookahead_cover(9, 2, 1)
 
+    @pytest.mark.parametrize("l", [True, False, -1])
+    def test_refuses_the_lookaheads_the_presence_rule_refuses(self, l):
+        # True would otherwise build the l = 1 cover, alpha 3/2
+        with pytest.raises(ValueError, match=r"^lookahead must be >= 0$"):
+            lookahead_cover(6, 1, l)
+
 
 class TestCertificateFiles:
     def test_round_trip(self, tmp_path):

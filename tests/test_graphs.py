@@ -16,6 +16,7 @@ from deadline_matching import (ArrivalOrder, InstanceFormatError, Matching,
 from deadline_matching.departures import deterministic, geometric, tabulated
 from deadline_matching.graphs import MAX_JSON_DEPTH, read_json
 from helpers import random_instance
+from oracles import integer_weights
 
 
 def fig1_instance(y=F(2)):
@@ -41,40 +42,43 @@ class TestWeightedGraph:
             WeightedGraph(3, {(1, 4): F(1)})
 
 
-def adjacency_from_table(graph):
-    """Each vertex's (neighbour, weight) pairs in `graph.scaled`, ascending."""
-    ints = graph.scaled[0]
-    return [sorted((u if v == w else w, x) for (u, w), x in ints.items() if v in (u, w))
+def adjacency_from_weights(graph):
+    """Each vertex's (neighbour, weight) pairs, ascending, over the oracles'
+    own integer weights (`integer_weights`)."""
+    ints, _ = integer_weights(graph)
+    return [sorted((b if a == v else a, w) for (a, b), w in ints.items() if v in (a, b))
             for v in range(graph.n + 1)]
 
 
-class TestAdjacency:
-    def test_built_once_from_the_table_and_ascending(self):
-        rng = random.Random(27)
+class TestRows:
+    def test_built_once_from_the_table_symmetric_and_ascending(self):
+        rng = random.Random(32)
         for _ in range(40):
             drawn = random_instance(rng, rng.randint(0, 9), 2).graph
             edges = list(drawn.weights.items())
-            rng.shuffle(edges)  # the table's order is not the adjacency's
+            rng.shuffle(edges)  # the table's order is not the rows'
             graph = WeightedGraph(drawn.n, dict(edges))
-            adj = graph.adj
-            assert graph.adj is adj  # cached on the graph
-            assert len(adj) == graph.n + 1 and adj[0] == ()
-            pairs = [list(zip(a[::2], a[1::2])) for a in adj]
-            assert pairs == adjacency_from_table(graph)
-            assert all(u < v for a in adj for u, v in zip(a[::2], a[2::2]))
+            assert "rows" not in vars(graph)  # built on first read
+            rows = graph.rows
+            assert graph.rows is rows  # cached on the graph
+            assert graph.scale == integer_weights(graph)[1]
+            assert len(rows) == graph.n + 1 and rows[0] == {}
+            assert all(rows[v][u] == w for u, row in enumerate(rows) for v, w in row.items())
+            assert [list(row.items()) for row in rows] == adjacency_from_weights(graph)
 
     def test_derived_graphs_build_their_own(self):
         graph = WeightedGraph(4, {(1, 2): F(1, 2), (1, 4): F(3), (2, 3): F(2, 3)})
-        adj = graph.adj
+        rows = graph.rows
+        assert graph.scale == 6
+        assert rows == ({}, {2: 3, 4: 18}, {1: 3, 3: 4}, {2: 4}, {1: 18})
         halved = dataclasses.replace(graph, weights={e: w / 2 for e, w in graph.weights.items()})
-        assert halved.adj is not adj
-        assert [list(zip(a[::2], a[1::2])) for a in halved.adj] == adjacency_from_table(halved)
+        assert halved.rows is not rows and halved.scale == 12
+        assert [list(row.items()) for row in halved.rows] == adjacency_from_weights(halved)
         same = dataclasses.replace(graph)
-        assert same.adj == adj and same.adj is not adj
+        assert same.rows == rows and same.rows is not rows
         instance = OnlineInstance(graph, ArrivalOrder.identity(4), 1)
         live = instance.windows().subgraph(graph)  # (1, 4) is three slots apart
-        assert live.adj == ((), (2, 3), (1, 3, 3, 4), (2, 4), ())
-        assert adj[1] == (2, 3, 4, 18)  # scale 6
+        assert live.rows == ({}, {2: 3}, {1: 3, 3: 4}, {2: 4}, {})
 
     def test_an_edgeless_graph_reveals_nothing(self):
         class Reveals(OnlinePolicy):
@@ -92,38 +96,7 @@ class TestAdjacency:
         instance = OnlineInstance(WeightedGraph(3, {}), ArrivalOrder((2, 3, 1)), 2)
         simulate(instance, policy)
         assert policy.seen == [{}] * 6
-        assert instance.graph.adj == ((), (), (), ())
-
-
-class TestRows:
-    def test_built_once_from_the_table_symmetric_and_ascending(self):
-        rng = random.Random(32)
-        for _ in range(40):
-            drawn = random_instance(rng, rng.randint(0, 9), 2).graph
-            edges = list(drawn.weights.items())
-            rng.shuffle(edges)  # the table's order is not the rows'
-            graph = WeightedGraph(drawn.n, dict(edges))
-            assert "rows" not in vars(graph)  # built on first read
-            rows = graph.rows
-            assert graph.rows is rows  # cached on the graph
-            assert len(rows) == graph.n + 1 and rows[0] == {}
-            assert {(u, v): w for u, row in enumerate(rows) for v, w in row.items()
-                    if u < v} == graph.scaled[0]
-            assert all(rows[v][u] == w for u, row in enumerate(rows) for v, w in row.items())
-            assert [list(row.items()) for row in rows] == adjacency_from_table(graph)
-
-    def test_derived_graphs_build_their_own(self):
-        graph = WeightedGraph(4, {(1, 2): F(1, 2), (1, 4): F(3), (2, 3): F(2, 3)})
-        rows = graph.rows
-        assert rows == ({}, {2: 3, 4: 18}, {1: 3, 3: 4}, {2: 4}, {1: 18})  # scale 6
-        halved = dataclasses.replace(graph, weights={e: w / 2 for e, w in graph.weights.items()})
-        assert halved.rows is not rows
-        assert [list(row.items()) for row in halved.rows] == adjacency_from_table(halved)
-        same = dataclasses.replace(graph)
-        assert same.rows == rows and same.rows is not rows
-        instance = OnlineInstance(graph, ArrivalOrder.identity(4), 1)
-        live = instance.windows().subgraph(graph)  # (1, 4) is three slots apart
-        assert live.rows == ({}, {2: 3}, {1: 3, 3: 4}, {2: 4}, {})
+        assert instance.graph.rows == ({}, {}, {}, {}) and instance.graph.scale == 1
 
 
 class TestArrivalOrder:

@@ -23,6 +23,7 @@ from deadline_matching import (ArrivalOrder, OnlineInstance, WeightedGraph,
                                geometric, offline, offline_optimum,
                                realized_offline_optimum, realized_online_graph,
                                sample_departures)
+from helpers import rows_of
 from oracles import (max_weight_matching_exact, max_weight_matching_value,
                      multiply, path_power)
 
@@ -121,13 +122,13 @@ def induced(graph, vertices):
 @given(foreign_denominator_instances())
 def test_graph_wide_scale_keeps_values_and_tie_breaks(instance):
     graph, slots, n, d = instance.graph, instance.order.slots, instance.n, instance.deadline
-    ints, scale = graph.scaled
+    rows, scale = graph.rows, graph.scale
     assert scale == lcm(*(w.denominator for w in graph.weights.values()))
     assert scale % 11 == 0
-    assert all(F(ints[e], scale) == w for e, w in graph.weights.items())
+    assert all(F(rows[i][j], scale) == w for (i, j), w in graph.weights.items())
 
     masked = multiply(graph, path_power(slots, n, d))
-    assert masked.scaled[1] % 11 != 0
+    assert masked.scale % 11 != 0
     assert arrival_window_matching_value(graph, slots, d) == max_weight_matching_value(masked)
 
     order = sorted(range(1, n + 1), key=lambda v: slots[v - 1])
@@ -143,18 +144,19 @@ def test_graph_wide_scale_keeps_values_and_tie_breaks(instance):
 @given(foreign_denominator_instances())
 def test_derived_graphs_build_their_own_table(instance):
     graph = instance.graph
-    table, scale = graph.scaled
-    assert graph.scaled is graph.scaled  # cached on the graph
+    rows, scale = graph.rows, graph.scale
+    assert graph.rows is rows and vars(graph)["scale"] == scale  # both kept with the graph
     live = instance.windows().subgraph(graph)
-    assert live.scaled is not graph.scaled
-    assert live.scaled[1] % 11 != 0
-    assert live.scaled[0] == {e: table[e] * live.scaled[1] // scale for e in live.weights}
+    assert live.rows is not rows
+    assert live.scale % 11 != 0
+    assert ({(u, v): w for u, row in enumerate(live.rows) for v, w in row.items() if u < v}
+            == {(u, v): rows[u][v] * live.scale // scale for u, v in live.weights})
     halved = replace(graph, weights={e: w / 2 for e, w in graph.weights.items()})
-    ints, half_scale = halved.scaled
+    half_rows, half_scale = halved.rows, halved.scale
     assert half_scale == lcm(*(w.denominator for w in halved.weights.values()))
-    assert all(F(ints[e], half_scale) == w / 2 for e, w in graph.weights.items())
+    assert all(F(half_rows[i][j], half_scale) == w / 2 for (i, j), w in graph.weights.items())
     same = replace(graph)
-    assert same.scaled == graph.scaled and same.scaled[0] is not table
+    assert same.rows == rows and same.rows is not rows and same.scale == scale
 
 
 def test_repeated_vertices_count_once():
@@ -206,11 +208,11 @@ def test_two_vertices_give_the_pair_or_nothing(u, v, d, weight, reach):
     if u == v:
         v = u % 6 + 1
     pair = (min(u, v), max(u, v))
-    ints = {} if weight is None else {pair: weight}
+    rows = rows_of(6, {} if weight is None else {pair: weight})
     reaches = [reach] * 6
     expected = (weight, [pair]) if weight is not None and reach >= 1 else (0, [])
-    assert offline.band_matching(ints, [u, v], d, reaches) == expected
-    assert offline.band_matching(ints, [u, v], d) == ((weight, [pair]) if weight else (0, []))
+    assert offline.band_matching(rows, [u, v], d, reaches) == expected
+    assert offline.band_matching(rows, [u, v], d) == ((weight, [pair]) if weight else (0, []))
 
 
 @PROPERTY
@@ -225,14 +227,15 @@ def test_batched_value_equals_the_per_batch_subset_dp(case):
             == sum((max_weight_matching_value(graph, b) for b in batches), F(0)))
 
 
-class ReadsTable(dict):
-    """An edge table that records how `_band_dp` reads it: listing its items
-    (the set-up that follows the edges) or probing its pairs (the set-up
-    that walks the band's position pairs)."""
+class ReadsRow(dict):
+    """One vertex's row that records, in a set it shares with the other
+    rows, how `_band_dp` reads it: listing its items (the set-up that walks
+    the participants' rows) or probing one entry (the set-up that walks the
+    band's position pairs)."""
 
-    def __init__(self, table):
-        super().__init__(table)
-        self.reads = set()
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
 
     def items(self):
         self.reads.add("items")
@@ -241,6 +244,12 @@ class ReadsTable(dict):
     def get(self, *args):
         self.reads.add("get")
         return super().get(*args)
+
+
+def recording_rows(n, table):
+    """`rows_of(n, table)` as `ReadsRow`s, with the set they record into."""
+    reads = set()
+    return [ReadsRow(row, reads) for row in rows_of(n, table)], reads
 
 
 def live_by_position(ints, order, d, reach):
@@ -257,13 +266,21 @@ def live_by_position(ints, order, d, reach):
     return live
 
 
+def participant_degrees(n, table, order):
+    """How many row entries the participants in `order` hold: each edge of
+    `table` counts once per endpoint in `order`."""
+    members = set(order)
+    return sum((u in members) + (v in members) for u, v in table)
+
+
 @st.composite
 def band_tables(draw):
     """Integer weights on 1..n and an order of k >= 3 of the vertices, all
     of them or the first run of an arrival order, as a batch over a larger
     graph, with a band of at least 2 and maybe reaches. The table is banded
-    along the order, dense over all n vertices, or exactly as large as the
-    band's position pairs or one entry short of that."""
+    along the order, dense over all n vertices, or as large as the
+    participants' rows can be while they hold exactly the band's position
+    pairs or one entry short of that."""
     n = draw(st.integers(3, 12))
     k = draw(st.integers(3, n))
     order = tuple(draw(st.permutations(range(1, n + 1)))[:k])
@@ -279,7 +296,10 @@ def band_tables(draw):
     elif shape == "dense":
         edges = [e for e in every_pair if rng.random() < 0.8]
     else:
-        edges = rng.sample(every_pair, position_pairs - (shape == "one short"))
+        target, edges = position_pairs - (shape == "one short"), []
+        for e in rng.sample(every_pair, len(every_pair)):
+            if participant_degrees(n, [*edges, e], order) <= target:
+                edges.append(e)
     ties = draw(st.booleans())
     ints = {e: 1 if ties else rng.randint(1, 6) for e in edges}
     reach = [rng.randint(0, d) for _ in range(n)] if draw(st.booleans()) else None
@@ -293,9 +313,27 @@ def test_band_dp_set_up_equals_subset_dp_on_both_sides_of_the_switch(case):
     live = live_by_position(ints, order, d, reach)
     reference = max_weight_matching_exact(WeightedGraph(n, {e: F(w) for e, w in live.items()}))
     band = min(d, len(order) - 1)
-    by_edges = len(ints) < band * len(order) - band * (band + 1) // 2
-    value_only, tie_broken = ReadsTable(ints), ReadsTable(ints)
+    by_rows = participant_degrees(n, ints, order) < band * len(order) - band * (band + 1) // 2
+    (value_only, value_reads), (tie_broken, tie_reads) = (recording_rows(n, ints),
+                                                          recording_rows(n, ints))
     assert offline._band_dp(value_only, order, d, reach) == reference.weight
     assert (offline.band_matching(tie_broken, order, d, reach)
             == (reference.weight, list(reference.sorted_pairs())))
-    assert value_only.reads == tie_broken.reads == ({"items"} if by_edges else {"get"})
+    assert value_reads == tie_reads == ({"items"} if by_rows else {"get"})
+
+
+def test_a_few_members_of_a_large_graph_walk_their_rows():
+    """The switch reads the participants' rows, not the graph's size: four
+    members with five row entries, against six position pairs at band 3,
+    walk their rows inside a graph of over 200 edges, one of them leaving
+    the batch."""
+    n = 220
+    table = {(i, i + 1): 1 + i % 5 for i in range(10, n)}
+    table.update({(1, 3): 5, (2, 4): 7, (4, 100): 3})
+    order = (3, 1, 4, 2)
+    live = live_by_position(table, order, 3, None)
+    assert live == {(1, 3): 5, (2, 4): 7}
+    rows, reads = recording_rows(n, table)
+    assert offline._band_dp(rows, order, 3) == 12
+    assert offline.band_matching(rows, order, 3) == (12, [(1, 3), (2, 4)])
+    assert reads == {"items"}

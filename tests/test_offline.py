@@ -11,10 +11,10 @@ from deadline_matching import (ArrivalOrder, AuctionMarket, OnlineInstance,
                                arrival_window_matching_value,
                                batched_matching_value, batching_from_order,
                                build_online_graph,
-                               hungarian_bipartite, make_instance, make_policy,
+                               hungarian_bipartite, make_instance,
                                matching_weight, max_weight_matching_exact,
                                offline_optimum, realized_offline_optimum,
-                               realized_online_graph, simulate, validate_matching,
+                               realized_online_graph, validate_matching,
                                verify_offline_dual)
 from deadline_matching.graphs import invert_permutation, over_scale
 from helpers import random_complete_graph, random_instance, random_weight
@@ -298,8 +298,8 @@ class TestCheckOnce:
 
 class TestPairRows:
     """At d = 1 the two sweep evaluators read each pair from the graph's
-    per-vertex rows (`WeightedGraph.rows`); every other d reads the pair
-    table and builds no rows."""
+    per-vertex rows (`WeightedGraph.rows`), the DP's one integer form at
+    every d."""
 
     @staticmethod
     def graphs(rng):
@@ -333,7 +333,7 @@ class TestPairRows:
         for evaluator in (arrival_window_matching_value, batched_matching_value):
             assert evaluator(empty, (), 1) == 0
 
-    def test_other_deadlines_build_no_rows(self):
+    def test_other_deadlines_equal_the_brute_force_optimum(self):
         rng = random.Random(33)
         for n in (2, 5, 8):
             g = random_complete_graph(rng, n)
@@ -344,10 +344,9 @@ class TestPairRows:
                 assert (batched_matching_value(g, slots, d)
                         == brute_force_optimum(multiply(g, batched_graph(slots, n, d))))
             instance = OnlineInstance(g, ArrivalOrder(slots), 1)
-            offline_optimum(instance)
-            realized_offline_optimum(instance, (1,) * n)
-            simulate(instance, make_policy("batching"))
-            assert "rows" not in vars(g)
+            window = brute_force_optimum(multiply(g, path_power(slots, n, 1)))
+            assert offline_optimum(instance).weight == window
+            assert realized_offline_optimum(instance, (1,) * n).weight == window
 
     def test_refusals_read_as_before(self):
         graph = TestWindowEvaluators.PATH

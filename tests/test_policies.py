@@ -437,7 +437,7 @@ class TestScaleCovariance:
             seventh = dataclasses.replace(inst, graph=WeightedGraph(
                 n, {e: w / 7 for e, w in inst.graph.weights.items()}))
             if any(w.numerator % 7 for w in inst.graph.weights.values()):
-                assert seventh.graph.scaled[1] == 7 * inst.graph.scaled[1]
+                assert seventh.graph.scale == 7 * inst.graph.scale
             for spec in specs:
                 big_policy, small_policy = make_policy(spec), make_policy(spec)
                 big = simulate(inst, big_policy, seed=run_seed)
