@@ -18,7 +18,10 @@ its world there and re-runs once per other outcome, and worlds whose
 are the same. Merging is what keeps the table small, so the pass has no
 coin cap: naive-greedy's 2^n coin tree collapses to its open sellers,
 those whose critical event has not run, each with its tentative buyer,
-and pg's to its open vertices with their tentative buyers' sides.
+less the idle ones, which hold no buyer and which no arrival to come can
+reach (`MarketView.horizon`); pg's collapses to its open vertices with
+their tentative buyers' sides. A key reads the tick through the departed
+rule and, for idle sellers, the horizon.
 """
 
 from __future__ import annotations
@@ -112,19 +115,25 @@ class ScriptedBits:
 
 
 class _ForkBits(ScriptedBits):
-    """The forward pass's source for a world's first run of an event: at the
-    hook's first coin, before answering it, it clones the world it runs in.
-    That clone is the base every 1-branch of the event re-runs from."""
+    """The forward pass's source for each world's first run of an event:
+    bits that answer 0 and, at the hook's first coin, before answering it,
+    clone `world`, the world the run is in. That clone, `base`, is what
+    every 1-branch of the event re-runs from. One source serves all the
+    worlds of an event in turn: the pass sets `world` and `used` before
+    each run and takes `base` after it."""
 
-    def __init__(self, world: "OnlinePolicy", limit: int):
+    def __init__(self, limit: int):
         super().__init__((), limit)
-        self.world = world
-        self.base = None
+        self.world = self.base = None
 
     def flip(self) -> int:
         if self.world is not None:
             self.base, self.world = self.world.clone(), None
-        return super().flip()
+        used = self.used  # ScriptedBits.flip on an empty script, one call less per coin
+        if used >= self.limit:
+            raise OutOfBits(used)
+        self.used = used + 1
+        return 0
 
 
 class MarketView:
@@ -221,6 +230,13 @@ class MarketView:
         (`has_departed`), ascending."""
         departed = self.has_departed
         return sorted(v for v in self._arrived if not departed(v))
+
+    def horizon(self) -> list[int]:
+        """Per vertex v (index v - 1), the slot of the last arrival that can
+        meet it, 0 if none can (`PresenceWindows.horizon`): built once per
+        rule and shared. It tells of arrivals yet to come, so no hook may
+        act on it; a `state_key` may, to leave out what no future hook reads."""
+        return self._windows.horizon(self._rows)
 
     @property
     def scale(self) -> int:
@@ -558,19 +574,22 @@ def _event_outcomes(worlds, time: int, kind: str, vertex: int):
     cap = 2 * MAX_WORLDS
     outcomes = []
     split = 0
+    first = _ForkBits(cap)
     for mass, world in worlds:
-        first = world.rng = _ForkBits(world, cap)
+        first.world, first.used = world, 0
+        world.rng = first
         accepted = _step(world, time, kind, vertex)
-        first.world = None  # no cycle between a world and its bits
-        outcomes.append((mass, first.used, accepted, world))
+        first.world = None  # no world is cloned past its first run
+        used = first.used
+        outcomes.append((mass, used, accepted, world))
         if len(outcomes) > cap:
             raise OutOfBits(len(outcomes))
-        if not first.used:
+        if not used:
             continue  # no coin, no clone
         base, first.base = first.base, None
-        split = max(split, first.used)
+        split = max(split, used)
         # the first run read no script, so its 1-branches are 0...01
-        scripts = [(0,) * i + (1,) for i in range(first.used)]
+        scripts = [(0,) * i + (1,) for i in range(used)]
         while scripts:  # the deepest 1-branch first, as the replays order them
             child = base.clone()
             child.rng = bits = ScriptedBits(scripts.pop(), cap)

@@ -306,10 +306,24 @@ class PresenceWindows:
         self.offsets = tuple(offsets) if offsets is not None else (deadline,) * len(self.slots)
         self.reach = [min(t, deadline) + lookahead for t in self.offsets]
         self.critical = [s + t for s, t in zip(self.slots, self.offsets)]
+        self._horizon = (None, None)  # the rows last asked for and their horizons
 
     def live(self, u: int, v: int) -> bool:
         gap = self.slots[v - 1] - self.slots[u - 1]
         return gap <= self.reach[u - 1] if gap > 0 else -gap <= self.reach[v - 1]
+
+    def horizon(self, rows) -> list[int]:
+        """Per vertex v (index v - 1), the slot of its last later neighbour
+        in `rows` that the rule keeps an edge to, 0 without one: once that
+        slot has arrived, no arrival can meet v. Built on the first call and
+        kept for those very rows, like the rule, read-only."""
+        last, horizon = self._horizon
+        if rows is not last:
+            slots = self.slots
+            horizon = [max((slots[u - 1] for u in rows[v] if s < slots[u - 1] <= s + r), default=0)
+                       for v, (s, r) in enumerate(zip(slots, self.reach), start=1)]
+            self._horizon = rows, horizon
+        return horizon
 
     def subgraph(self, graph: WeightedGraph) -> WeightedGraph:
         """The edges of `graph` that the rule keeps."""

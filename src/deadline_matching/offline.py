@@ -10,8 +10,8 @@ graph's one integer form, per-vertex rows over one scale
 every comparison and tie is exact and no pair key is built. At band 1 the
 state is one bit, so the value is the path recurrence best(t) =
 max(best(t-1), best(t-2) + w(t-1, t)), kept as two running integers
-(`_path_dp`). A wider band, or band 1 with a reach or a tie-break key,
-lists each position's live edges first, walking the participants' rows
+(`_path_dp`; `_band_dp` runs it with a reach or a tie-break key). A wider
+band lists each position's live edges first, walking the participants' rows
 when they hold fewer entries than the band has position pairs (a sparse
 online graph, O(k + E)) and probing the position pairs otherwise (a batch
 of a larger graph). Every arrival order is read through
@@ -50,8 +50,8 @@ def _band_dp(rows, order, d: int, reach=None, tie=None) -> int:
     the earlier endpoint u reaches the later one: gap <= reach[u - 1]. The
     state after position t has one bit per earlier vertex that is unmatched
     and has a live edge to a later one (bit i: position t - i): at most
-    2**min(d, k - 1) states for k vertices. At band 1 with neither a reach
-    nor a tie key, two running totals carry it (`_path_dp`); otherwise one
+    2**min(d, k - 1) states for k vertices. At band 1 two running totals
+    carry it, as in `_path_dp`; otherwise one
     set-up pass lists each position's live edges and the drop masks. That
     pass walks each participant's row from its earlier end when the rows
     hold fewer entries than the band's position pairs (a row may reach
@@ -60,8 +60,16 @@ def _band_dp(rows, order, d: int, reach=None, tie=None) -> int:
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {band} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
-    if band == 1 and reach is None and tie is None:
-        return _path_dp(rows, order)
+    if band == 1:  # `_path_dp`'s recurrence, with the reach and the tie key
+        before = best = 0
+        for u, v in zip(order, order[1:]):
+            w = rows[u].get(v)
+            if w is None or reach is not None and reach[u - 1] < 1:
+                before = best
+                continue
+            w = (w if tie is None else tie(u, v, w)) + before
+            before, best = best, (w if w > best else best)
+        return best
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
     if sum(len(rows[u]) for u in order) < band * k - band * (band + 1) // 2:

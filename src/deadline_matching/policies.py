@@ -152,13 +152,18 @@ class _BestMarginBids(OnlinePolicy):
         return self._finalize(v, buyer) if buyer is not None else ()
 
     def state_key(self):
-        """Each open seller with its tentative buyer, in arrival order: all
-        that a future hook reads. A bid takes only the open sellers, a
-        seller's price is the weight to its tentative buyer (0 without one),
-        and a buyer bids once and is matched only by the seller that holds
-        it, so the roles and matched flags of buyers and closed sellers
-        change no future hook, and the guard reads only the tick."""
-        return tuple(self.tentative.items())
+        """Each open seller but an idle one, with its tentative buyer, in
+        arrival order: all that a future hook reads. A bid takes only the open
+        sellers, a seller's price is the weight to its tentative buyer (0
+        without one), and a buyer bids once and is matched only by the
+        seller that holds it, so the roles and matched flags of buyers and
+        closed sellers change no future hook, and the guard reads only the
+        tick. An idle seller holds no buyer and its last possible bidder
+        has arrived (`MarketView.horizon`): it closes with nothing, as a
+        buyer that bid on nothing, so it is left out."""
+        now, horizon = self.view.now, self.view.horizon()
+        return tuple([(s, b) for s, b in self.tentative.items()
+                      if b is not None or horizon[s - 1] > now])
 
 
 class FreeDisposalGreedy(_RoleBased, _BestMarginBids):

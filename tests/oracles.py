@@ -17,7 +17,8 @@ needs integer weights builds them from `graph.weights` with its own LCM
 Fraction and every edge walked, the reference for the library's check.
 `AliveKeyedNaiveGreedy` and `AliveKeyedPostponedGreedy` are naive-greedy
 and pg under finer state keys, over every alive vertex, which the forward
-pass must agree with over more worlds. `RoleMapNaiveGreedy` keeps its coins'
+pass must agree with over more worlds; `OpenSellerKeyedNaiveGreedy` keys
+on every open seller, idle ones included. `RoleMapNaiveGreedy` keeps its coins'
 roles in a map and bids on its reveals of present sellers, where the
 library bids on live edges and takes only the open sellers. `PairwisePostponedGreedy` and
 `PairwiseBatching` read one `weight` per pair where the library reads each
@@ -316,6 +317,16 @@ class AliveKeyedNaiveGreedy(NaiveGreedy):
         alive = self.view.alive()
         return (tuple(alive), tuple(map(self.view.is_matched, alive)),
                 tuple(map(self.tentative.get, alive)), tuple(v in self.tentative for v in alive))
+
+
+class OpenSellerKeyedNaiveGreedy(NaiveGreedy):
+    """Naive-greedy keyed on every open seller with its tentative buyer, in
+    arrival order, idle sellers included: those that hold no buyer and that
+    no arrival to come can bid on. The key is sound but finer than the
+    library's, which leaves idle sellers out."""
+
+    def state_key(self):
+        return tuple(self.tentative.items())
 
 
 class RoleMapNaiveGreedy(NaiveGreedy):

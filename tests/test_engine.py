@@ -22,7 +22,8 @@ from deadline_matching import engine
 from deadline_matching.engine import ScriptedBits
 from deadline_matching.policies import POLICY_FACTORIES, PostponedGreedy
 from helpers import random_constrained_bipartite, random_instance, unit_pairs
-from oracles import AliveKeyedNaiveGreedy, AliveKeyedPostponedGreedy, replay_branches
+from oracles import (AliveKeyedNaiveGreedy, AliveKeyedPostponedGreedy,
+                     OpenSellerKeyedNaiveGreedy, replay_branches)
 
 
 def zero_instance(n=5, d=2):
@@ -330,7 +331,8 @@ def world_after(policy, instance, bits, events):
     """`policy` after the first `events` events of the schedule with its
     coins scripted (for naive-greedy the arrivals' roles, 1 a seller), its
     view at the last event's tick, where the forward pass keys it."""
-    view = engine.MarketView(instance, engine.realized_departures(instance, 0), 0)
+    view = engine.MarketView(instance, engine.realized_departures(instance, 0),
+                             policy.lookahead)
     policy.reset(view, ScriptedBits(bits))
     for time, kind, vertex in engine.event_schedule(view._windows)[:events]:
         engine._step(policy, time, kind, vertex)
@@ -420,6 +422,68 @@ class TestOpenSellerKey:
         instance = random_instance(random.Random(12), 12, 2)
         runs = []
         for factory in (naive_greedy, AliveKeyedNaiveGreedy):
+            with mock.patch.object(engine, "_step", wraps=engine._step) as step:
+                assert exact_expectation(instance, factory()) == F(579, 64)
+            runs.append(step.call_count)
+        new, old = runs
+        assert new < old
+
+    @staticmethod
+    def with_lookahead(policy, lookahead):
+        policy.lookahead = lookahead
+        return policy
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(coin_instances(), st.integers(0, 2))
+    def test_equals_the_reference_key_and_the_leaf_sum(self, instance, lookahead):
+        # an idle seller holds no buyer and no arrival to come can bid on it:
+        # one with no later live neighbour, or whose last one has arrived;
+        # explicit offsets and a lookahead move that last neighbour
+        merged, runs = [], []
+        for factory in (NaiveGreedy, OpenSellerKeyedNaiveGreedy):
+            policy = self.with_lookahead(factory(), lookahead)
+            with mock.patch.object(engine, "_step", wraps=engine._step) as step:
+                merged.append(outcome(lambda: exact_expectation(instance, policy)))
+            runs.append(step.call_count)
+        leaves = outcome(lambda: leaf_sum(instance, self.with_lookahead(NaiveGreedy(),
+                                                                        lookahead)))
+        if isinstance(leaves, F):
+            assert merged == [leaves, leaves]
+        else:
+            assert [type(m) for m in merged] == [tuple, tuple]
+            assert merged[0][0] is merged[1][0] is leaves[0]
+        assert runs[0] <= runs[1]
+
+    def test_an_idle_seller_keeps_no_world_apart(self):
+        # seller 1 leaves after one period, so its window reaches 2 but not
+        # 3: at tick 2 its last live neighbour, 2, has arrived as a seller
+        # and bid on nothing. Vertex 1 is an idle seller in one world and a
+        # buyer in the other; seller 2 can still get a bid from 3
+        instance = OnlineInstance(
+            WeightedGraph(3, {(1, 2): F(1), (1, 3): F(2), (2, 3): F(1)}),
+            ArrivalOrder.identity(3), 2, departures=(1, 2, 2))
+        keys = [tuple(world_after(factory(), instance, roles, 2).state_key()
+                      for roles in ((1, 1), (0, 1)))
+                for factory in (NaiveGreedy, OpenSellerKeyedNaiveGreedy)]
+        (new_a, new_b), (old_a, old_b) = keys
+        assert new_a == new_b == ((2, None),)
+        assert old_a == ((1, None), (2, None)) != old_b
+
+    def test_a_seller_keeps_its_entry_until_its_last_bidder_arrives(self):
+        # seller 1 stays two periods, past a deadline of 1, and a lookahead
+        # of 1 stretches its window to slot 3, where its only neighbour
+        # arrives; buyer 2 has no edge. At tick 2 seller 1 waits for 3's bid
+        instance = OnlineInstance(WeightedGraph(3, {(1, 3): F(1)}),
+                                  ArrivalOrder.identity(3), 1, departures=(2, 0, 0))
+        waiting = world_after(self.with_lookahead(NaiveGreedy(), 1), instance, (1, 0), 2)
+        assert (waiting.view.now, waiting.state_key()) == (2, ((1, None),))
+        bid = world_after(self.with_lookahead(NaiveGreedy(), 1), instance, (1, 0, 0), 4)
+        assert (bid.view.now, bid.state_key()) == (3, ((1, 3),))
+
+    def test_fewer_hook_runs_than_the_open_seller_key(self):
+        instance = random_instance(random.Random(12), 12, 2)
+        runs = []
+        for factory in (naive_greedy, OpenSellerKeyedNaiveGreedy):
             with mock.patch.object(engine, "_step", wraps=engine._step) as step:
                 assert exact_expectation(instance, factory()) == F(579, 64)
             runs.append(step.call_count)
