@@ -19,7 +19,7 @@ are the same. Merging is what keeps the table small, so the pass has no
 coin cap: naive-greedy's 2^n coin tree collapses to its open sellers,
 those whose critical event has not run, each with its tentative buyer,
 less the idle ones, which hold no buyer and which no arrival to come can
-reach (`MarketView.horizon`); pg's collapses to its open vertices with
+reach (`MarketView._horizon`); pg's collapses to its open vertices with
 their tentative buyers' sides. A key reads the tick through the departed
 rule and, for idle sellers, the horizon.
 """
@@ -129,11 +129,7 @@ class _ForkBits(ScriptedBits):
     def flip(self) -> int:
         if self.world is not None:
             self.base, self.world = self.world.clone(), None
-        used = self.used  # ScriptedBits.flip on an empty script, one call less per coin
-        if used >= self.limit:
-            raise OutOfBits(used)
-        self.used = used + 1
-        return 0
+        return super().flip()
 
 
 class MarketView:
@@ -221,6 +217,14 @@ class MarketView:
         return (v in self._arrived and self._windows.critical[v - 1] >= self.now
                 and v not in self._matched)
 
+    def _horizon(self) -> list[int]:
+        """Per vertex v (index v - 1), the slot of the last arrival that can
+        meet it, 0 if none can (`PresenceWindows.horizon`): built once per
+        rule and shared. It tells of arrivals yet to come, so it is not part
+        of the policy-facing API; only a `state_key` reads it, to leave out
+        what no future hook reads."""
+        return self._windows.horizon(self._rows)
+
     def present(self) -> list[int]:
         """The arrived vertices that are present (`_is_present`), ascending."""
         return sorted(filter(self._is_present, self._arrived))
@@ -230,13 +234,6 @@ class MarketView:
         (`has_departed`), ascending."""
         departed = self.has_departed
         return sorted(v for v in self._arrived if not departed(v))
-
-    def horizon(self) -> list[int]:
-        """Per vertex v (index v - 1), the slot of the last arrival that can
-        meet it, 0 if none can (`PresenceWindows.horizon`): built once per
-        rule and shared. It tells of arrivals yet to come, so no hook may
-        act on it; a `state_key` may, to leave out what no future hook reads."""
-        return self._windows.horizon(self._rows)
 
     @property
     def scale(self) -> int:

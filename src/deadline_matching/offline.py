@@ -10,16 +10,16 @@ graph's one integer form, per-vertex rows over one scale
 every comparison and tie is exact and no pair key is built. At band 1 the
 state is one bit, so the value is the path recurrence best(t) =
 max(best(t-1), best(t-2) + w(t-1, t)), kept as two running integers
-(`_path_dp`; `_band_dp` runs it with a reach or a tie-break key). A wider
-band lists each position's live edges first, walking the participants' rows
-when they hold fewer entries than the band has position pairs (a sparse
-online graph, O(k + E)) and probing the position pairs otherwise (a batch
-of a larger graph). Every arrival order is read through
-`graphs.invert_permutation`, which checks it in linear time and keeps the
-last tuple it accepted, so the two sweep evaluators, given one tuple in
-turn, check it once; the batched evaluator cuts that arrival sequence into
-runs of d + 1, reading them as pairs when d = 1. The sweep evaluators turn
-their totals into Fractions through one shared cache, `graphs.over_scale`.
+(`_path_dp`, which `_band_dp` calls at band 1 with its reach and tie-break
+key, if any). A wider band lists each position's live edges first, walking
+the participants' rows when they hold fewer entries than the band has
+position pairs (a sparse online graph, O(k + E)) and probing the position
+pairs otherwise (a batch of a larger graph). Every arrival order is read
+through `graphs.invert_permutation`, which checks it in linear time and
+keeps the last tuple it accepted, so the two sweep evaluators, given one
+tuple in turn, check it once; the batched evaluator cuts that arrival
+sequence into runs of d + 1, reading them as pairs when d = 1. The sweep
+evaluators turn their totals into Fractions through one shared cache, `graphs.over_scale`.
 Every matching returned has, among the maximum-weight ones, the
 lexicographically smallest sorted pair list.
 """
@@ -51,25 +51,17 @@ def _band_dp(rows, order, d: int, reach=None, tie=None) -> int:
     state after position t has one bit per earlier vertex that is unmatched
     and has a live edge to a later one (bit i: position t - i): at most
     2**min(d, k - 1) states for k vertices. At band 1 two running totals
-    carry it, as in `_path_dp`; otherwise one
-    set-up pass lists each position's live edges and the drop masks. That
-    pass walks each participant's row from its earlier end when the rows
-    hold fewer entries than the band's position pairs (a row may reach
-    vertices outside `order`), else it probes each position pair."""
+    carry it (`_path_dp`); otherwise one set-up pass lists each position's
+    live edges and the drop masks. That pass walks each participant's row
+    from its earlier end when the rows hold fewer entries than the band's
+    position pairs (a row may reach vertices outside `order`), else it
+    probes each position pair."""
     k = len(order)
     band = min(d, k - 1)
     if band >= EXACT_MATCHING_CAP:
         raise SizeLimitError(f"band of {band} on n={k} exceeds the cap of {EXACT_MATCHING_CAP - 1}")
-    if band == 1:  # `_path_dp`'s recurrence, with the reach and the tie key
-        before = best = 0
-        for u, v in zip(order, order[1:]):
-            w = rows[u].get(v)
-            if w is None or reach is not None and reach[u - 1] < 1:
-                before = best
-                continue
-            w = (w if tie is None else tie(u, v, w)) + before
-            before, best = best, (w if w > best else best)
-        return best
+    if band == 1:
+        return _path_dp(rows, order, reach, tie)
     back: list[list] = [[] for _ in range(k)]  # per position: (state bit, value) per live edge
     last = list(range(k))  # last[s]: latest position with a live edge to position s
     if sum(len(rows[u]) for u in order) < band * k - band * (band + 1) // 2:
@@ -112,16 +104,27 @@ def _band_dp(rows, order, d: int, reach=None, tie=None) -> int:
     return states[0]
 
 
-def _path_dp(rows, order) -> int:
+def _path_dp(rows, order, reach=None, tie=None) -> int:
     """The band DP at band 1, where the state is one bit: the path
     recurrence best(t) = max(best(t - 1), best(t - 2) + w(t - 1, t)) along
-    `order`, kept as two running totals. The weight of consecutive u, v is
-    ``rows[u].get(v, 0)``, 0 for no live edge, which leaves best unchanged."""
+    `order`, kept as two running totals. Consecutive u, v add their weight
+    w = ``rows[u][v]``, or `tie(u, v, w)` with a tie-break key, read once
+    and only when the edge is live: in u's row and, with a `reach`,
+    reach[u - 1] >= 1. No live edge adds 0, which leaves best unchanged."""
+    keyed = reach is not None or tie is not None
     before = best = 0  # the best totals over the positions before v, and up to v
     steps = iter(order)
     u = next(steps, None)
     for v in steps:
-        w = rows[u].get(v, 0) + before
+        if keyed:
+            w = rows[u].get(v)
+            if w is None or reach is not None and reach[u - 1] < 1:
+                w = 0
+            elif tie is not None:
+                w = tie(u, v, w)
+        else:
+            w = rows[u].get(v, 0)
+        w += before
         before, best, u = best, (w if w > best else best), v
     return best
 

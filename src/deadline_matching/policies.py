@@ -159,9 +159,9 @@ class _BestMarginBids(OnlinePolicy):
         seller that holds it, so the roles and matched flags of buyers and
         closed sellers change no future hook, and the guard reads only the
         tick. An idle seller holds no buyer and its last possible bidder
-        has arrived (`MarketView.horizon`): it closes with nothing, as a
+        has arrived (`MarketView._horizon`): it closes with nothing, as a
         buyer that bid on nothing, so it is left out."""
-        now, horizon = self.view.now, self.view.horizon()
+        now, horizon = self.view.now, self.view._horizon()
         return tuple([(s, b) for s, b in self.tentative.items()
                       if b is not None or horizon[s - 1] > now])
 
